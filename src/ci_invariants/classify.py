@@ -31,8 +31,8 @@ from .lines import product_obstruction
 from .topology import (
     CIType,
     InternalCheckError,
+    InvariantReport,
     compute_invariants,
-    vanishes_at_i,
 )
 
 
@@ -72,9 +72,13 @@ def _is_homogeneous_shape(ci: CIType) -> bool:
     return _reduced(ci) in ((), (2,))
 
 
-def lemma_classify(ci: CIType) -> LemmaCase:
+def lemma_classify(ci: CIType, report: InvariantReport | None = None) -> LemmaCase:
     """Match the type against the vanishing shapes, and verify on every call
-    that the match agrees with the actual evaluation p(i) = 0."""
+    that the match agrees with the actual evaluation p(i) = 0.
+
+    ``report`` is the type's ``compute_invariants`` result when the caller
+    already has it; otherwise it is computed here.
+    """
     k = ci.dimension
     reduced = _reduced(ci)
     if reduced == () and k % 2 == 1:
@@ -85,7 +89,9 @@ def lemma_classify(ci: CIType) -> LemmaCase:
         case = LemmaCase.QUADRIC_2_MOD_4
     else:
         case = LemmaCase.NONVANISHING
-    vanishes = vanishes_at_i(ci)
+    if report is None:
+        report = compute_invariants(ci)
+    vanishes = report.value_at_i.is_zero
     if (case is not LemmaCase.NONVANISHING) != vanishes:
         raise InternalCheckError(
             f"shape case {case.value} disagrees with p(i) vanishing for {ci}"
@@ -253,17 +259,18 @@ class TheoremRecord:
 @dataclass(frozen=True)
 class LemmaRecord:
     """One scanned type with its middle Betti number, its Poincare value at
-    i, and the vanishing case it falls in."""
+    i, and the vanishing case it falls in.  A field is None when an internal
+    check failed before it was computed (recorded as a violation)."""
 
     ci: CIType
-    middle_betti: int
-    value_at_i: GaussianInteger
+    middle_betti: int | None
+    value_at_i: GaussianInteger | None
     case: LemmaCase | None
 
     def line(self) -> str:
         return (
             f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
-            f"k={self.ci.dimension} b_k={self.middle_betti} "
+            f"k={self.ci.dimension} b_k={_int_text(self.middle_betti)} "
             f"p(i)={_gauss_text(self.value_at_i)} case={_outcome_text(self.case)}"
         )
 
@@ -274,6 +281,10 @@ def _degree_text(ci: CIType) -> str:
 
 def _gauss_text(g: GaussianInteger | None) -> str:
     return str(g) if g is not None else "-"
+
+
+def _int_text(value: int | None) -> str:
+    return str(value) if value is not None else "-"
 
 
 def _outcome_text(outcome: VerdictKind | LemmaCase | None) -> str:
@@ -324,8 +335,8 @@ class ScanReport:
                     str(ci.ambient_dim),
                     degrees,
                     str(ci.dimension),
-                    str(rec.middle_betti),
-                    str(rec.value_at_i),
+                    _int_text(rec.middle_betti),
+                    _gauss_text(rec.value_at_i),
                     _outcome_text(rec.case),
                 ]
 
@@ -366,7 +377,9 @@ class ScanReport:
                 entry["p_x_at_i"] = _gauss_json(rec.p_x_at_i)
                 entry["p_f_at_i"] = _gauss_json(rec.p_f_at_i)
             else:
-                entry["middle_betti"] = str(rec.middle_betti)
+                entry["middle_betti"] = (
+                    str(rec.middle_betti) if rec.middle_betti is not None else None
+                )
                 entry["p_at_i"] = _gauss_json(rec.value_at_i)
                 entry["case"] = _outcome_text(rec.case)
             obj["records"].append(entry)
@@ -471,20 +484,21 @@ def _scan_lemma_slice(n: int, max_degree: int):
     records: list[LemmaRecord] = []
     violations: list[str] = []
     for ci in _iter_types_for_n(n, max_degree):
-        report = compute_invariants(ci)
+        betti: int | None = None
+        value: GaussianInteger | None = None
         case: LemmaCase | None = None
         try:
-            case = lemma_classify(ci)
+            report = compute_invariants(ci)
+            betti, value = report.middle_betti, report.value_at_i
+            case = lemma_classify(ci, report)
         except InternalCheckError as exc:
             violations.append(str(exc))
-        records.append(
-            LemmaRecord(ci, report.middle_betti, report.value_at_i, case)
-        )
+        records.append(LemmaRecord(ci, betti, value, case))
 
         # No type with an entry >= 3, or with two entries >= 2, may vanish.
         reduced = _reduced(ci)
         excluded = bool(reduced) and (reduced[-1] >= 3 or len(reduced) >= 2)
-        if excluded and report.value_at_i.is_zero:
+        if excluded and value is not None and value.is_zero:
             violations.append(f"excluded shape vanishes at i: {ci}")
     return records, violations
 

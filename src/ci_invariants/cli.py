@@ -6,8 +6,8 @@ Subcommands: ``invariants``, ``classify``, ``fiber``, ``scan``,
 arbitrary precision survives any consumer), and ``csv`` (fixed header row).
 Data goes to stdout (or ``--out`` for scans), diagnostics to stderr.
 
-Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage or
-parse error.
+Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage, parse
+or I/O error.
 """
 
 from __future__ import annotations
@@ -411,7 +411,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:

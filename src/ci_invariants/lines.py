@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exact import GaussianInteger, I, ONE_PLUS_T_SQUARED
-from .topology import CIType, InternalCheckError, poincare_polynomial
+from .exact import GaussianInteger, ONE_PLUS_T_SQUARED
+from .topology import CIType, InternalCheckError, compute_invariants
 
 
 @dataclass(frozen=True)
@@ -86,10 +86,10 @@ def product_obstruction(ci: CIType) -> ProductObstruction:
     iff it divides a factor; that factorization logic is re-checked here
     against exact polynomial division on every call.
     """
-    p_x = poincare_polynomial(ci)
-    p_f = poincare_polynomial(fiber_type(ci))
-    x_at_i = p_x.eval_gaussian(I)
-    f_at_i = p_f.eval_gaussian(I)
+    x = compute_invariants(ci)
+    f = compute_invariants(fiber_type(ci))
+    p_x, x_at_i = x.poincare, x.value_at_i
+    p_f, f_at_i = f.poincare, f.value_at_i
 
     div_x = p_x.divisible_by(ONE_PLUS_T_SQUARED)
     div_f = p_f.divisible_by(ONE_PLUS_T_SQUARED)

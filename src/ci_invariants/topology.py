@@ -3,33 +3,35 @@ space, computed exactly from the type alone.
 
 A complete intersection of type (d_1, ..., d_l) in P^n is cut out
 transversally by l hypersurfaces of the listed degrees and has dimension
-k = n - l.  Its Euler characteristic is the coefficient of H^n in
+k = n - l.  Its Euler characteristic is read off Hirzebruch's generating
+function (Topological Methods in Algebraic Geometry, section 22)
 
-    (1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)),
+    sum_n chi(D in P^n) z^n = (1 - z)^-2 * prod_i d_i z / (1 + (d_i - 1) z),
 
-and every Betti number except the middle one is forced by the Lefschetz
+which expands with one first-order integer recurrence per degree, in
+O(k * l) exact steps.  The coefficient of H^n in
+(1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)), computed from truncated
+series by ``exact.series_coefficient``, is the same number by an
+independent route and is kept as the cross-check that tests compare with.
+
+Every Betti number except the middle one is forced by the Lefschetz
 hyperplane theorem together with Poincare duality: rank 1 in each even
 degree, 0 in each odd degree.  The middle Betti number b_k therefore
 follows from the Euler characteristic, and the Poincare polynomial is
 
     p(t) = sum_{q=0}^{k} t^(2q) + (b_k - delta_k) t^k,
 
-with delta_k = 1 for even k and 0 for odd k.
+with delta_k = 1 for even k and 0 for odd k.  ``compute_invariants`` is the
+one place that derives b_k, p(t) and p(i) from chi, and it runs the
+built-in cross-checks once per type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .exact import (
-    GaussianInteger,
-    I,
-    IntPolynomial,
-    TruncatedSeries,
-    binomial,
-)
+from .exact import GaussianInteger, I, IntPolynomial, binomial
 
 
 class InternalCheckError(RuntimeError):
@@ -50,14 +52,18 @@ class CIType:
     degrees: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        degs = tuple(sorted(int(d) for d in self.degrees))
-        object.__setattr__(self, "degrees", degs)
+        # Exact type tests: coercing 2.7 or "2" would change the type
+        # silently, and bool is an int subclass that is no dimension or degree.
         n = self.ambient_dim
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError(f"ambient dimension must be an integer >= 0, got {n!r}")
+        degs = tuple(self.degrees)
         for d in degs:
+            if type(d) is not int:
+                raise ValueError(f"degrees must be integers, got {d!r}")
             if d < 1:
                 raise ValueError(f"degrees must be >= 1, got {d}")
+        object.__setattr__(self, "degrees", tuple(sorted(degs)))
         if len(degs) > n:
             raise ValueError(
                 f"{len(degs)} hypersurfaces in P^{n} would have negative dimension"
@@ -88,37 +94,25 @@ def reduce_type(ci: CIType) -> CIType:
     return CIType(ci.ambient_dim - ones, tuple(d for d in ci.degrees if d > 1))
 
 
-def _canonical_order(n: int) -> int:
-    # Round up to a multiple of 16 so scans over many ambient dimensions
-    # share cache entries for the same degree multiset.
-    return max(16, -(-n // 16) * 16)
-
-
-@lru_cache(maxsize=None)
-def _factor_series(d: int, order: int) -> TruncatedSeries:
-    # d*H/(1+d*H) = sum_{j>=1} (-1)^(j-1) d^j H^j
-    coeffs = [0] * (order + 1)
-    power = d
-    for j in range(1, order + 1):
-        coeffs[j] = power if j % 2 else -power
-        power *= d
-    return TruncatedSeries(coeffs, order)
-
-
-@lru_cache(maxsize=None)
-def _degree_tail(degrees: tuple[int, ...], order: int) -> TruncatedSeries:
-    # prod_i d_i*H/(1+d_i*H), exact through the truncation order
-    if not degrees:
-        return TruncatedSeries.one(order)
-    return _degree_tail(degrees[:-1], order) * _factor_series(degrees[-1], order)
-
-
 def euler_characteristic(ci: CIType) -> int:
     """Euler characteristic of a nonsingular complete intersection of the
-    given type; the ambient space itself gives n + 1."""
-    n = ci.ambient_dim
-    tail = _degree_tail(ci.degrees, _canonical_order(n)).coefficients
-    return sum(tail[j] * binomial(n + 1, n - j) for j in range(n + 1))
+    given type; the ambient space itself gives n + 1.
+
+    chi = prod(d_i) * [z^k] (1 - z)^-2 * prod_{d_i >= 2} 1 / (1 + (d_i - 1) z):
+    the coefficients 1, 2, ..., k + 1 of (1 - z)^-2 are divided by each
+    1 + (d - 1) z in place, c_j <- c_j - (d - 1) c_{j-1}.  Degree-1 entries
+    only shift n, so they skip the loop.
+    """
+    k = ci.dimension
+    coeffs = list(range(1, k + 2))
+    for d in ci.degrees:
+        if d > 1:
+            r = d - 1
+            prev = 0
+            for j in range(k + 1):
+                prev = coeffs[j] - r * prev
+                coeffs[j] = prev
+    return math.prod(ci.degrees) * coeffs[k]
 
 
 def middle_betti(ci: CIType) -> int:
@@ -129,46 +123,18 @@ def middle_betti(ci: CIType) -> int:
     b_k = (k+1) - chi and for even k it gives b_k = chi - k.  In dimension 0
     the intersection is prod(d_i) points.
     """
-    k = ci.dimension
-    if k == 0:
-        return math.prod(ci.degrees)
-    chi = euler_characteristic(ci)
-    b = (k + 1) - chi if k % 2 else chi - k
-    if b < 0:
-        raise InternalCheckError(f"negative middle Betti number {b} for {ci}")
-    return b
+    return compute_invariants(ci).middle_betti
 
 
 def poincare_polynomial(ci: CIType) -> IntPolynomial:
     """Poincare polynomial sum_q b_q t^q of the given type."""
-    k = ci.dimension
-    b = middle_betti(ci)
-    delta = 1 if k % 2 == 0 else 0
-    coeffs = [0] * (2 * k + 1)
-    for q in range(k + 1):
-        coeffs[2 * q] += 1
-    coeffs[k] += b - delta
-    return IntPolynomial(coeffs)
+    return compute_invariants(ci).poincare
 
 
 def vanishes_at_i(ci: CIType) -> bool:
-    """True iff the Poincare polynomial vanishes at the imaginary unit.
-
-    Cross-checks the direct Gaussian evaluation against the closed
-    characterization: vanishing happens exactly when k is odd with b_k = 0,
-    or k = 2 mod 4 with b_k = 2.
-    """
-    value = poincare_polynomial(ci).eval_gaussian(I)
-    vanishes = value.is_zero
-    k = ci.dimension
-    b = middle_betti(ci)
-    expected = (k % 2 == 1 and b == 0) or (k % 4 == 2 and b == 2)
-    if vanishes != expected:
-        raise InternalCheckError(
-            f"evaluation at i ({value}) disagrees with the parity "
-            f"characterization for {ci} (k={k}, b_k={b})"
-        )
-    return vanishes
+    """True iff the Poincare polynomial vanishes at the imaginary unit:
+    exactly when k is odd with b_k = 0, or k = 2 mod 4 with b_k = 2."""
+    return compute_invariants(ci).value_at_i.is_zero
 
 
 def hypersurface_middle_betti(e: int, k: int) -> int:
@@ -243,22 +209,38 @@ class InvariantReport:
 
 
 def compute_invariants(ci: CIType) -> InvariantReport:
-    """Bundle every invariant of a type, cross-checking that p(-1) equals
-    the Euler characteristic and p(1) equals the total Betti sum."""
+    """Bundle every invariant of a type from one Euler characteristic.
+
+    Runs each built-in cross-check once: b_k >= 0, p(-1) equals chi, p(1)
+    equals the total Betti sum, and the Horner value p(i) vanishes exactly
+    when k is odd with b_k = 0 or k = 2 mod 4 with b_k = 2.
+    """
     k = ci.dimension
     chi = euler_characteristic(ci)
-    b = middle_betti(ci)
-    p = poincare_polynomial(ci)
+    b = (k + 1) - chi if k % 2 else chi - k
+    if b < 0:
+        raise InternalCheckError(f"negative middle Betti number {b} for {ci}")
     delta = 1 if k % 2 == 0 else 0
+    coeffs = [0] * (2 * k + 1)
+    coeffs[::2] = [1] * (k + 1)
+    coeffs[k] += b - delta
+    p = IntPolynomial(coeffs)
     if p(-1) != chi:
         raise InternalCheckError(f"p(-1) = {p(-1)} != chi = {chi} for {ci}")
     if p(1) != (k + 1) + b - delta:
         raise InternalCheckError(f"p(1) = {p(1)} is not the Betti sum for {ci}")
+    value = p.eval_gaussian(I)
+    expected = (k % 2 == 1 and b == 0) or (k % 4 == 2 and b == 2)
+    if value.is_zero != expected:
+        raise InternalCheckError(
+            f"evaluation at i ({value}) disagrees with the parity "
+            f"characterization for {ci} (k={k}, b_k={b})"
+        )
     return InvariantReport(
         ci=ci,
         dimension=k,
         euler_char=chi,
         middle_betti=b,
         poincare=p,
-        value_at_i=p.eval_gaussian(I),
+        value_at_i=value,
     )

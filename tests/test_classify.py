@@ -23,6 +23,7 @@ from ci_invariants import (
     theorem_verdict,
     vanishes_at_i,
 )
+from ci_invariants import topology
 
 
 class TestLemmaClassify:
@@ -193,6 +194,41 @@ class TestScanLemma:
         vanishing = [r for r in report.records if r.case is not LemmaCase.NONVANISHING]
         assert [v.ci for v in vanishing] == [CIType(1)]
         assert vanishing[0].case is LemmaCase.LINEAR_ODD
+
+    def test_one_euler_characteristic_per_type(self, monkeypatch):
+        real = topology.euler_characteristic
+        calls = []
+
+        def counting(ci):
+            calls.append(ci)
+            return real(ci)
+
+        monkeypatch.setattr(topology, "euler_characteristic", counting)
+        report = scan_lemma(6, 4)
+        assert calls == [rec.ci for rec in report.records]
+
+    def test_internal_check_failure_is_a_violation(self, monkeypatch):
+        real = topology.euler_characteristic
+        bad = CIType(3, (3,))
+
+        def wrong_for_one_type(ci):
+            return -100 if ci == bad else real(ci)
+
+        monkeypatch.setattr(topology, "euler_characteristic", wrong_for_one_type)
+        report = scan_lemma(4, 3)
+        assert not report.ok
+        assert len(report.violations) == 1
+        assert "negative middle Betti number" in report.violations[0]
+        assert str(bad) in report.violations[0]
+        assert report.counts["internal_check_failed"] == 1
+        (rec,) = [rec for rec in report.records if rec.ci == bad]
+        assert (rec.middle_betti, rec.value_at_i, rec.case) == (None, None, None)
+        assert rec.line().endswith("b_k=- p(i)=- case=internal_check_failed")
+        (row,) = [row for row in report.csv_rows() if row[:2] == ["3", "3"]]
+        assert row[3:] == ["-", "-", "internal_check_failed"]
+        (entry,) = [e for e in report.to_json_obj()["records"]
+                    if e["n"] == "3" and e["degrees"] == ["3"]]
+        assert entry["middle_betti"] is None and entry["p_at_i"] is None
 
     def test_parallel_matches_serial(self):
         serial = scan_lemma(7, 3, threads=1)

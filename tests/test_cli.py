@@ -149,6 +149,16 @@ class TestScanCommand:
         header = out_a.read_text().splitlines()[0]
         assert header == "n,degrees,total_degree,dimension,verdict,p_x_at_i,p_f_at_i"
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run_cli(capsys, "scan", "--max-n", "3", "--max-degree",
+                               "2", "--format", "csv", "--out", str(target),
+                               "--quiet")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
     def test_json_single_document(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--max-n", "2", "--max-degree", "2",
                                "--format", "json", "--quiet")

@@ -7,6 +7,7 @@ build and are frozen here as literals.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -58,6 +59,13 @@ class TestCIType:
         with pytest.raises(ValueError):
             CIType(-1)
 
+    @pytest.mark.parametrize(
+        "n, degrees", [(3, (2.7,)), (True, ()), (3, ("2",)), (3, (True,))]
+    )
+    def test_rejects_non_int_values(self, n, degrees):
+        with pytest.raises(ValueError):
+            CIType(n, degrees)
+
     def test_empty_type_is_projective_space(self):
         ci = CIType(4)
         assert ci.dimension == 4
@@ -85,6 +93,27 @@ class TestEulerCharacteristic:
     def test_dimension_zero_is_point_count(self):
         assert euler_characteristic(CIType(2, (2, 2))) == 4  # Bezout
         assert euler_characteristic(CIType(3, (1, 2, 3))) == 6
+
+    @staticmethod
+    def _all_quadrics(n, l):
+        # 2^l [z^m] (1 - z)^-2 (1 + z)^-l with m = n - l
+        m = n - l
+        return 2 ** l * sum(
+            (j + 1) * (-1) ** (m - j) * math.comb(l - 1 + m - j, m - j)
+            for j in range(m + 1)
+        )
+
+    def test_all_quadrics_closed_form(self):
+        for n in range(1, 13):
+            for l in range(1, n + 1):
+                ci = CIType(n, (2,) * l)
+                expected = self._all_quadrics(n, l)
+                assert euler_characteristic(ci) == expected
+                assert series_coefficient(ci.degrees, n) == expected
+
+    def test_long_degree_list(self):
+        ci = CIType(2000, (2,) * 1500)
+        assert euler_characteristic(ci) == self._all_quadrics(2000, 1500)
 
 
 class TestMiddleBetti:
