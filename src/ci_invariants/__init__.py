@@ -52,6 +52,7 @@ from .classify import (
     scan_lemma,
     scan_theorem,
     theorem_verdict,
+    write_scans,
 )
 
 __version__ = "0.1.0"
@@ -95,5 +96,6 @@ __all__ = [
     "scan_lemma",
     "scan_theorem",
     "theorem_verdict",
+    "write_scans",
     "__version__",
 ]

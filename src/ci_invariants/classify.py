@@ -15,19 +15,27 @@ fixed order:
 Scan bounds are a verification budget, not a completeness claim: the
 classification holds for all types, the scans re-check it mechanically on
 everything within the bounds.
+
+Each record type renders its own CSV row, table line and JSON text, and
+``write_scans`` writes a scan document record by record from the records
+held in memory: no intermediate document is built, and the JSON text has
+exactly the layout of ``json.dump(..., indent=2)``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement
-from typing import Iterator, NamedTuple
+from typing import ClassVar, Iterator, NamedTuple, Sequence, TextIO
 
 from .exact import GaussianInteger
-from .lines import product_obstruction
+from .lines import ProductObstruction, product_obstruction
 from .topology import (
     CIType,
     InternalCheckError,
@@ -99,8 +107,11 @@ def lemma_classify(ci: CIType, report: InvariantReport | None = None) -> LemmaCa
     return case
 
 
-def theorem_verdict(ci: CIType) -> Verdict:
+def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -> Verdict:
     """Run the obstruction pipeline on one type.
+
+    ``obstruction`` is the type's ``product_obstruction`` result when the
+    caller already has it; otherwise the Poincare gate computes it.
 
     A survivor whose reduced type is neither () nor (2) would contradict the
     classification; that raises InternalCheckError and must never happen.
@@ -122,7 +133,8 @@ def theorem_verdict(ci: CIType) -> Verdict:
             f"line normal bundle has degree {n - d - 1} < 0, so a negative "
             "summand obstructs double covers of lines",
         )
-    obstruction = product_obstruction(ci)
+    if obstruction is None:
+        obstruction = product_obstruction(ci)
     if not obstruction.passes:
         return Verdict(
             ci,
@@ -163,14 +175,20 @@ class ParityOutcome(NamedTuple):
     f_vanishes: bool
 
 
-def homogeneous_parity_report(ci: CIType) -> ParityOutcome:
+def homogeneous_parity_report(
+    ci: CIType, obstruction: ProductObstruction | None = None
+) -> ParityOutcome:
     """Evaluate both polynomials for a homogeneous type and verify the
     parity pattern: for (1,...,1) exactly one of the two vanishes; for
-    (1,...,1,2) both vanish iff the dimension n - l is odd."""
+    (1,...,1,2) both vanish iff the dimension n - l is odd.
+
+    ``obstruction`` is the type's ``product_obstruction`` result when the
+    caller already has it; otherwise it is computed here."""
     reduced = _reduced(ci)
     if reduced not in ((), (2,)):
         raise ValueError(f"{ci} is not a homogeneous (linear or quadric) type")
-    obstruction = product_obstruction(ci)
+    if obstruction is None:
+        obstruction = product_obstruction(ci)
     x_v = obstruction.p_x_at_i.is_zero
     f_v = obstruction.p_f_at_i.is_zero
     if reduced == ():
@@ -237,10 +255,43 @@ def dimension_leq1_catalog(max_n: int) -> list[CIType]:
     return catalog
 
 
+#: ``_NEWLINE[depth]`` starts a line at ``depth`` levels of the two-space
+#: indentation that ``json.dump(..., indent=2)`` uses.
+_NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
+
+#: Depths of a scan object and of a record object in the scan document
+#: {"scans": [{..., "records": [{...}]}]}.
+_SCAN_DEPTH = 2
+_RECORD_DEPTH = _SCAN_DEPTH + 2
+
+
+def _json_container(open_: str, items: list[str], close: str, depth: int) -> str:
+    """A JSON array or object of already rendered items, laid out exactly as
+    ``json.dumps(..., indent=2)`` lays out a container at ``depth``."""
+    if not items:
+        return open_ + close
+    inner = _NEWLINE[depth + 1]
+    return open_ + inner + ("," + inner).join(items) + _NEWLINE[depth] + close
+
+
+def _json_degrees(ci: CIType, depth: int) -> str:
+    return _json_container("[", [f'"{d}"' for d in ci.degrees], "]", depth)
+
+
+def _json_gauss(g: GaussianInteger | None, depth: int) -> str:
+    if g is None:
+        return "null"
+    return _json_container("{", [f'"re": "{g.re}"', f'"im": "{g.im}"'], "}", depth)
+
+
 @dataclass(frozen=True)
 class TheoremRecord:
     """One scanned type with its verdict; the verdict is None only if an
     internal check failed for the type (recorded as a violation)."""
+
+    CSV_HEADER: ClassVar[tuple[str, ...]] = (
+        "n", "degrees", "total_degree", "dimension", "verdict", "p_x_at_i", "p_f_at_i",
+    )
 
     ci: CIType
     verdict: VerdictKind | None
@@ -255,12 +306,40 @@ class TheoremRecord:
             f"p_X(i)={_gauss_text(self.p_x_at_i)} p_F(i)={_gauss_text(self.p_f_at_i)}"
         )
 
+    def csv_row(self) -> list[str]:
+        ci = self.ci
+        return [
+            str(ci.ambient_dim),
+            _degree_cell(ci),
+            str(ci.total_degree),
+            str(ci.dimension),
+            _outcome_text(self.verdict),
+            _gauss_text(self.p_x_at_i),
+            _gauss_text(self.p_f_at_i),
+        ]
+
+    def json_text(self) -> str:
+        ci, depth = self.ci, _RECORD_DEPTH + 1
+        return _json_container("{", [
+            f'"n": "{ci.ambient_dim}"',
+            f'"degrees": {_json_degrees(ci, depth)}',
+            f'"dimension": "{ci.dimension}"',
+            f'"total_degree": "{ci.total_degree}"',
+            f'"verdict": "{_outcome_text(self.verdict)}"',
+            f'"p_x_at_i": {_json_gauss(self.p_x_at_i, depth)}',
+            f'"p_f_at_i": {_json_gauss(self.p_f_at_i, depth)}',
+        ], "}", _RECORD_DEPTH)
+
 
 @dataclass(frozen=True)
 class LemmaRecord:
     """One scanned type with its middle Betti number, its Poincare value at
     i, and the vanishing case it falls in.  A field is None when an internal
     check failed before it was computed (recorded as a violation)."""
+
+    CSV_HEADER: ClassVar[tuple[str, ...]] = (
+        "n", "degrees", "dimension", "middle_betti", "p_at_i", "case",
+    )
 
     ci: CIType
     middle_betti: int | None
@@ -274,9 +353,36 @@ class LemmaRecord:
             f"p(i)={_gauss_text(self.value_at_i)} case={_outcome_text(self.case)}"
         )
 
+    def csv_row(self) -> list[str]:
+        ci = self.ci
+        return [
+            str(ci.ambient_dim),
+            _degree_cell(ci),
+            str(ci.dimension),
+            _int_text(self.middle_betti),
+            _gauss_text(self.value_at_i),
+            _outcome_text(self.case),
+        ]
+
+    def json_text(self) -> str:
+        ci, depth = self.ci, _RECORD_DEPTH + 1
+        betti = "null" if self.middle_betti is None else f'"{self.middle_betti}"'
+        return _json_container("{", [
+            f'"n": "{ci.ambient_dim}"',
+            f'"degrees": {_json_degrees(ci, depth)}',
+            f'"dimension": "{ci.dimension}"',
+            f'"middle_betti": {betti}',
+            f'"p_at_i": {_json_gauss(self.value_at_i, depth)}',
+            f'"case": "{_outcome_text(self.case)}"',
+        ], "}", _RECORD_DEPTH)
+
 
 def _degree_text(ci: CIType) -> str:
     return ",".join(str(d) for d in ci.degrees)
+
+
+def _degree_cell(ci: CIType) -> str:
+    return " ".join(str(d) for d in ci.degrees)
 
 
 def _gauss_text(g: GaussianInteger | None) -> str:
@@ -291,9 +397,7 @@ def _outcome_text(outcome: VerdictKind | LemmaCase | None) -> str:
     return outcome.value if outcome is not None else "internal_check_failed"
 
 
-_THEOREM_COLUMNS = ["n", "degrees", "total_degree", "dimension", "verdict",
-                    "p_x_at_i", "p_f_at_i"]
-_LEMMA_COLUMNS = ["n", "degrees", "dimension", "middle_betti", "p_at_i", "case"]
+_RECORD_TYPES = {"theorem": TheoremRecord, "lemma": LemmaRecord}
 
 
 @dataclass(frozen=True)
@@ -314,35 +418,13 @@ class ScanReport:
         return not self.violations
 
     def csv_header(self) -> list[str]:
-        return list(_THEOREM_COLUMNS if self.kind == "theorem" else _LEMMA_COLUMNS)
+        return list(_RECORD_TYPES[self.kind].CSV_HEADER)
 
     def csv_rows(self) -> Iterator[list[str]]:
-        for rec in self.records:
-            ci = rec.ci
-            degrees = " ".join(str(d) for d in ci.degrees)
-            if self.kind == "theorem":
-                yield [
-                    str(ci.ambient_dim),
-                    degrees,
-                    str(ci.total_degree),
-                    str(ci.dimension),
-                    _outcome_text(rec.verdict),
-                    _gauss_text(rec.p_x_at_i),
-                    _gauss_text(rec.p_f_at_i),
-                ]
-            else:
-                yield [
-                    str(ci.ambient_dim),
-                    degrees,
-                    str(ci.dimension),
-                    _int_text(rec.middle_betti),
-                    _gauss_text(rec.value_at_i),
-                    _outcome_text(rec.case),
-                ]
+        return (rec.csv_row() for rec in self.records)
 
     def record_lines(self) -> Iterator[str]:
-        for rec in self.records:
-            yield rec.line()
+        return (rec.line() for rec in self.records)
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -354,42 +436,69 @@ class ScanReport:
         lines.extend(f"violation: {v}" for v in self.violations)
         return lines
 
+    def write(self, fmt: str, stream: TextIO) -> None:
+        """Write the records in ``fmt``, one at a time, straight to ``stream``.
+
+        ``csv`` writes the header row and one row per record, ``table`` one
+        line per record, and ``json`` this scan's object as an item of the
+        ``scans`` list of the document that ``write_scans`` frames; no
+        intermediate document is built.
+        """
+        if fmt == "csv":
+            writer = csv.writer(stream, lineterminator="\n")
+            writer.writerow(self.csv_header())
+            writer.writerows(self.csv_rows())
+        elif fmt == "table":
+            stream.writelines(line + "\n" for line in self.record_lines())
+        elif fmt == "json":
+            field = _NEWLINE[_SCAN_DEPTH + 1]
+            head = [
+                f'"scan": {json.dumps(self.kind)}',
+                f'"max_n": "{self.max_n}"',
+                f'"max_degree": "{self.max_degree}"',
+                f'"types": "{len(self.records)}"',
+                '"counts": ' + _json_container("{", [
+                    f'{json.dumps(name)}: "{count}"'
+                    for name, count in self.counts.items()
+                ], "}", _SCAN_DEPTH + 1),
+                '"violations": ' + _json_container(
+                    "[", [json.dumps(v) for v in self.violations], "]",
+                    _SCAN_DEPTH + 1),
+                '"records": ',
+            ]
+            stream.write("{" + field + ("," + field).join(head))
+            sep = "[" + _NEWLINE[_RECORD_DEPTH]
+            for rec in self.records:
+                stream.write(sep + rec.json_text())
+                sep = "," + _NEWLINE[_RECORD_DEPTH]
+            close = _NEWLINE[_SCAN_DEPTH + 1] + "]" if self.records else "[]"
+            stream.write(close + _NEWLINE[_SCAN_DEPTH] + "}")
+        else:
+            raise ValueError(f"unknown output format {fmt!r}")
+
     def to_json_obj(self) -> dict:
-        obj: dict = {
-            "scan": self.kind,
-            "max_n": str(self.max_n),
-            "max_degree": str(self.max_degree),
-            "types": str(len(self.records)),
-            "counts": {name: str(count) for name, count in self.counts.items()},
-            "violations": list(self.violations),
-            "records": [],
-        }
-        for rec in self.records:
-            ci = rec.ci
-            entry = {
-                "n": str(ci.ambient_dim),
-                "degrees": [str(d) for d in ci.degrees],
-                "dimension": str(ci.dimension),
-            }
-            if self.kind == "theorem":
-                entry["total_degree"] = str(ci.total_degree)
-                entry["verdict"] = _outcome_text(rec.verdict)
-                entry["p_x_at_i"] = _gauss_json(rec.p_x_at_i)
-                entry["p_f_at_i"] = _gauss_json(rec.p_f_at_i)
-            else:
-                entry["middle_betti"] = (
-                    str(rec.middle_betti) if rec.middle_betti is not None else None
-                )
-                entry["p_at_i"] = _gauss_json(rec.value_at_i)
-                entry["case"] = _outcome_text(rec.case)
-            obj["records"].append(entry)
-        return obj
+        """This scan's JSON object, parsed back from the text ``write``
+        renders, so there is one JSON route."""
+        buffer = io.StringIO()
+        self.write("json", buffer)
+        return json.loads(buffer.getvalue())
 
 
-def _gauss_json(g: GaussianInteger | None) -> dict[str, str] | None:
-    if g is None:
-        return None
-    return {"re": str(g.re), "im": str(g.im)}
+def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None:
+    """Write one document holding every report: for ``json`` the object
+    {"scans": [...]}, for ``csv`` one table per report separated by a blank
+    line, for ``table`` the record lines of each report in turn."""
+    if fmt == "json":
+        stream.write("{" + _NEWLINE[1] + '"scans": [')
+        for idx, report in enumerate(reports):
+            stream.write(("," if idx else "") + _NEWLINE[_SCAN_DEPTH])
+            report.write(fmt, stream)
+        stream.write((_NEWLINE[1] if reports else "") + "]" + _NEWLINE[0] + "}\n")
+        return
+    for idx, report in enumerate(reports):
+        if idx and fmt == "csv":
+            stream.write("\n")
+        report.write(fmt, stream)
 
 
 def _validate_bounds(max_n: int, max_degree: int) -> None:
@@ -429,13 +538,16 @@ def _scan_theorem_slice(n: int, max_degree: int):
             violations.append(str(exc))
         records.append(TheoremRecord(ci, verdict_kind, p_x, p_f))
 
-        # Finite-scale re-statement of the classification itself.
+        # Finite-scale re-statement of the classification itself.  Every
+        # check below needs a type that passed or is rationally connected.
         passed = verdict_kind in (
             VerdictKind.HOMOGENEOUS_LINEAR,
             VerdictKind.HOMOGENEOUS_QUADRIC,
         )
-        homogeneous = _is_homogeneous_shape(ci)
         rc = ci.total_degree <= n
+        if not (passed or rc):
+            continue
+        homogeneous = _is_homogeneous_shape(ci)
         if passed and not homogeneous:
             violations.append(f"non-homogeneous type passed every gate: {ci}")
         if rc and ci.dimension >= 2 and homogeneous and not passed:

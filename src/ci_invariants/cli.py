@@ -5,6 +5,8 @@ Subcommands: ``invariants``, ``classify``, ``fiber``, ``scan``,
 ``json`` (one document per invocation, all integers as decimal strings so
 arbitrary precision survives any consumer), and ``csv`` (fixed header row).
 Data goes to stdout (or ``--out`` for scans), diagnostics to stderr.
+Single-type results are built as small documents here; scan records are
+written one at a time by ``classify.write_scans``.
 
 Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage, parse
 or I/O error.
@@ -21,14 +23,16 @@ from typing import Iterable
 
 from .classify import (
     ScanReport,
+    _is_homogeneous_shape,
     homogeneous_parity_report,
     lemma_classify,
     scan_lemma,
     scan_theorem,
     theorem_verdict,
+    write_scans,
 )
 from .exact import GaussianInteger, IntPolynomial
-from .lines import fiber_type, line_geometry
+from .lines import fiber_type, line_geometry, product_obstruction
 from .topology import CIType, InternalCheckError, chi22, compute_invariants, verify_expansion_identity
 
 
@@ -144,13 +148,18 @@ def run_invariants(args) -> int:
 
 
 def run_classify(args) -> int:
+    # The type's invariants and, when its fiber of lines exists, the product
+    # obstruction are computed once and shared by every verdict below.
     ci = CIType(args.n, args.type)
-    verdict = theorem_verdict(ci)
-    case = lemma_classify(ci)
+    report = compute_invariants(ci)
+    obstruction = None
+    if ci.ambient_dim - 1 - ci.total_degree >= 0:
+        obstruction = product_obstruction(ci, report)
+    verdict = theorem_verdict(ci, obstruction)
+    case = lemma_classify(ci, report)
     parity = None
-    homogeneous = tuple(d for d in ci.degrees if d > 1) in ((), (2,))
-    if homogeneous and ci.ambient_dim - 1 - ci.total_degree >= 0:
-        parity = homogeneous_parity_report(ci)
+    if obstruction is not None and _is_homogeneous_shape(ci):
+        parity = homogeneous_parity_report(ci, obstruction)
     if args.format == "json":
         obj = {
             "type": _type_json(ci),
@@ -292,17 +301,7 @@ def run_scan(args) -> int:
 
     out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        if args.format == "json":
-            _print_json({"scans": [r.to_json_obj() for r in reports]}, out_stream)
-        elif args.format == "csv":
-            for idx, report in enumerate(reports):
-                if idx:
-                    out_stream.write("\n")
-                _emit_csv(report.csv_header(), report.csv_rows(), out_stream)
-        else:
-            for report in reports:
-                for text in report.record_lines():
-                    out_stream.write(text + "\n")
+        write_scans(reports, args.format, out_stream)
     finally:
         if args.out:
             out_stream.close()

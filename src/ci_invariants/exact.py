@@ -212,11 +212,13 @@ class IntPolynomial:
         return acc
 
     def eval_gaussian(self, z: GaussianInteger) -> GaussianInteger:
-        """Exact Horner evaluation at a Gaussian integer point."""
-        acc = GaussianInteger(0, 0)
+        """Exact Horner evaluation at a Gaussian integer point, on two plain
+        integer accumulators for the real and imaginary parts."""
+        zr, zi = z.re, z.im
+        re = im = 0
         for c in reversed(self._coeffs):
-            acc = acc * z + c
-        return acc
+            re, im = re * zr - im * zi + c, re * zi + im * zr
+        return GaussianInteger(re, im)
 
     def __divmod__(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
         """Exact long division; the divisor's leading coefficient must be +-1."""

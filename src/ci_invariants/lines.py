@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .exact import GaussianInteger, ONE_PLUS_T_SQUARED
-from .topology import CIType, InternalCheckError, compute_invariants
+from .topology import CIType, InternalCheckError, InvariantReport, compute_invariants
 
 
 @dataclass(frozen=True)
@@ -79,14 +79,19 @@ class ProductObstruction(NamedTuple):
     passes: bool
 
 
-def product_obstruction(ci: CIType) -> ProductObstruction:
+def product_obstruction(
+    ci: CIType, report: InvariantReport | None = None
+) -> ProductObstruction:
     """Evaluate p_X(i) and p_F(i); passing means at least one is zero.
 
     Because 1 + t^2 is irreducible over the integers, it divides a product
     iff it divides a factor; that factorization logic is re-checked here
     against exact polynomial division on every call.
+
+    ``report`` is the type's ``compute_invariants`` result when the caller
+    already has it; otherwise it is computed here.
     """
-    x = compute_invariants(ci)
+    x = report if report is not None else compute_invariants(ci)
     f = compute_invariants(fiber_type(ci))
     p_x, x_at_i = x.poincare, x.value_at_i
     p_f, f_at_i = f.poincare, f.value_at_i

@@ -11,6 +11,7 @@ from ci_invariants import (
     CIType,
     GaussianInteger,
     LemmaCase,
+    Verdict,
     VerdictKind,
     compute_invariants,
     dimension_leq1_catalog,
@@ -23,7 +24,7 @@ from ci_invariants import (
     theorem_verdict,
     vanishes_at_i,
 )
-from ci_invariants import topology
+from ci_invariants import classify, topology
 
 
 class TestLemmaClassify:
@@ -166,6 +167,28 @@ class TestScanTheorem:
         b = scan_theorem(5, 3)
         assert a == b
         assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
+
+    def test_wrong_verdicts_are_violations(self, monkeypatch):
+        real = classify.theorem_verdict
+        cubic = CIType(4, (3,))       # rationally connected, not homogeneous
+        far = CIType(3, (2, 3))       # not rationally connected
+        quadric = CIType(5, (2,))     # homogeneous of dimension 4
+        wrong = {cubic: VerdictKind.HOMOGENEOUS_LINEAR,
+                 far: VerdictKind.HOMOGENEOUS_QUADRIC,
+                 quadric: VerdictKind.POINCARE_OBSTRUCTION}
+
+        def misclassifying(ci):
+            if ci in wrong:
+                return Verdict(ci, wrong[ci], "wrong on purpose")
+            return real(ci)
+
+        monkeypatch.setattr(classify, "theorem_verdict", misclassifying)
+        report = scan_theorem(5, 3)
+        assert report.violations == (
+            f"non-homogeneous type passed every gate: {far}",
+            f"non-homogeneous type passed every gate: {cubic}",
+            f"homogeneous type failed a gate: {quadric}",
+        )
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

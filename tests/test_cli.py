@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from ci_invariants import CIType, classify, cli, fiber_type, lines, topology
 from ci_invariants.cli import main
 
 
@@ -95,6 +96,40 @@ class TestClassifyCommand:
         assert obj["verdict"] == "homogeneous_quadric"
         assert obj["lemma_case"] == "quadric_odd"
         assert obj["parity"]["x_vanishes"] and obj["parity"]["f_vanishes"]
+
+
+    @pytest.mark.parametrize("n, degrees", [
+        (40, (1, 2)),   # homogeneous quadric: verdict, lemma case and parity
+        (4, (3,)),      # Poincare obstruction
+        (4, (2, 2)),    # normal-bundle gate: no fiber of lines
+        (4, (5,)),      # not rationally connected
+    ])
+    def test_invariants_computed_once_per_type(self, capsys, monkeypatch, n, degrees):
+        real_chi = topology.euler_characteristic
+        real_obstruction = lines.product_obstruction
+        chi_calls, obstruction_calls = [], []
+
+        def counting_chi(ci):
+            chi_calls.append(ci)
+            return real_chi(ci)
+
+        def counting_obstruction(*args, **kwargs):
+            obstruction_calls.append(args[0])
+            return real_obstruction(*args, **kwargs)
+
+        monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
+        for module in (lines, classify, cli):
+            monkeypatch.setattr(module, "product_obstruction", counting_obstruction)
+        for fmt in ("table", "json", "csv"):
+            chi_calls.clear()
+            obstruction_calls.clear()
+            code, _, _ = run_cli(capsys, "classify", "--n", str(n), "--type",
+                                 ",".join(map(str, degrees)), "--format", fmt)
+            assert code == 0
+            ci = CIType(n, degrees)
+            has_fiber = n - 1 - sum(degrees) >= 0
+            assert chi_calls == [ci] + ([fiber_type(ci)] if has_fiber else [])
+            assert obstruction_calls == ([ci] if has_fiber else [])
 
 
 class TestFiberCommand:

@@ -1,0 +1,176 @@
+"""Byte-identity tests for the scan writer.
+
+Each expected document is built here, independently of the writer, from
+the scan records alone: JSON with ``json.dumps(..., indent=2)`` over plain
+dicts, CSV with the ``csv`` module, and table lines with f-strings.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+
+import pytest
+
+from ci_invariants import CIType, ScanReport, scan_lemma, scan_theorem, topology, write_scans
+from ci_invariants.cli import main
+
+MAX_N, MAX_DEGREE = 6, 3
+FORMATS = ("json", "csv", "table")
+WHICH = ("theorem", "lemma", "both")
+
+
+def _outcome(value) -> str:
+    return value.value if value is not None else "internal_check_failed"
+
+
+def _gauss_obj(g):
+    return None if g is None else {"re": str(g.re), "im": str(g.im)}
+
+
+def _gauss_cell(g) -> str:
+    return "-" if g is None else f"{g.re}{g.im:+d}i"
+
+
+def _record_obj(kind: str, rec) -> dict:
+    ci = rec.ci
+    entry = {
+        "n": str(ci.ambient_dim),
+        "degrees": [str(d) for d in ci.degrees],
+        "dimension": str(ci.dimension),
+    }
+    if kind == "theorem":
+        entry["total_degree"] = str(sum(ci.degrees))
+        entry["verdict"] = _outcome(rec.verdict)
+        entry["p_x_at_i"] = _gauss_obj(rec.p_x_at_i)
+        entry["p_f_at_i"] = _gauss_obj(rec.p_f_at_i)
+    else:
+        entry["middle_betti"] = None if rec.middle_betti is None else str(rec.middle_betti)
+        entry["p_at_i"] = _gauss_obj(rec.value_at_i)
+        entry["case"] = _outcome(rec.case)
+    return entry
+
+
+def _scan_obj(report) -> dict:
+    return {
+        "scan": report.kind,
+        "max_n": str(report.max_n),
+        "max_degree": str(report.max_degree),
+        "types": str(len(report.records)),
+        "counts": {name: str(count) for name, count in report.counts.items()},
+        "violations": list(report.violations),
+        "records": [_record_obj(report.kind, rec) for rec in report.records],
+    }
+
+
+def _csv_rows(report):
+    if report.kind == "theorem":
+        yield ["n", "degrees", "total_degree", "dimension", "verdict",
+               "p_x_at_i", "p_f_at_i"]
+    else:
+        yield ["n", "degrees", "dimension", "middle_betti", "p_at_i", "case"]
+    for rec in report.records:
+        ci = rec.ci
+        degrees = " ".join(str(d) for d in ci.degrees)
+        if report.kind == "theorem":
+            yield [str(ci.ambient_dim), degrees, str(sum(ci.degrees)),
+                   str(ci.dimension), _outcome(rec.verdict),
+                   _gauss_cell(rec.p_x_at_i), _gauss_cell(rec.p_f_at_i)]
+        else:
+            betti = "-" if rec.middle_betti is None else str(rec.middle_betti)
+            yield [str(ci.ambient_dim), degrees, str(ci.dimension), betti,
+                   _gauss_cell(rec.value_at_i), _outcome(rec.case)]
+
+
+def _table_line(kind: str, rec) -> str:
+    ci = rec.ci
+    head = f"n={ci.ambient_dim} type=({','.join(str(d) for d in ci.degrees)}) "
+    if kind == "theorem":
+        return (head + f"d={sum(ci.degrees)} k={ci.dimension} "
+                f"verdict={_outcome(rec.verdict)} p_X(i)={_gauss_cell(rec.p_x_at_i)} "
+                f"p_F(i)={_gauss_cell(rec.p_f_at_i)}")
+    betti = "-" if rec.middle_betti is None else str(rec.middle_betti)
+    return (head + f"k={ci.dimension} b_k={betti} p(i)={_gauss_cell(rec.value_at_i)} "
+            f"case={_outcome(rec.case)}")
+
+
+def expected_document(reports, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps({"scans": [_scan_obj(r) for r in reports]}, indent=2) + "\n"
+    if fmt == "csv":
+        tables = []
+        for report in reports:
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(_csv_rows(report))
+            tables.append(buffer.getvalue())
+        return "\n".join(tables)
+    return "".join(_table_line(r.kind, rec) + "\n" for r in reports for rec in r.records)
+
+
+def _reports(which: str, max_n: int, max_degree: int):
+    reports = []
+    if which in ("theorem", "both"):
+        reports.append(scan_theorem(max_n, max_degree))
+    if which in ("lemma", "both"):
+        reports.append(scan_lemma(max_n, max_degree))
+    return reports
+
+
+def _scan_cli(capsys, which, fmt, *extra):
+    code = main(["scan", "--max-n", str(MAX_N), "--max-degree", str(MAX_DEGREE),
+                 "--which", which, "--format", fmt, "--quiet", *extra])
+    captured = capsys.readouterr()
+    return code, captured.out
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("which", WHICH)
+def test_scan_document_matches_independent_rendering(capsys, which, fmt):
+    code, out = _scan_cli(capsys, which, fmt)
+    assert code == 0
+    assert out == expected_document(_reports(which, MAX_N, MAX_DEGREE), fmt)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_out_file_equals_stdout(tmp_path, capsys, fmt):
+    target = tmp_path / f"scan.{fmt}"
+    code, out = _scan_cli(capsys, "both", fmt, "--out", str(target))
+    assert code == 0 and out == ""
+    _, stdout = _scan_cli(capsys, "both", fmt)
+    assert target.read_bytes() == stdout.encode()
+
+
+@pytest.mark.parametrize("kind", ["theorem", "lemma"])
+def test_to_json_obj_matches_independent_dict(kind):
+    report = _reports(kind, MAX_N, MAX_DEGREE)[0]
+    assert report.to_json_obj() == _scan_obj(report)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_internal_check_failure_document(monkeypatch, capsys, fmt):
+    # A wrong Euler characteristic for one type makes its lemma record carry
+    # null fields and puts one violation into the document.
+    real = topology.euler_characteristic
+    bad = CIType(3, (3,))
+    monkeypatch.setattr(topology, "euler_characteristic",
+                        lambda ci: -100 if ci == bad else real(ci))
+    code, out = _scan_cli(capsys, "lemma", fmt)
+    assert code == 1
+    (report,) = _reports("lemma", MAX_N, MAX_DEGREE)
+    assert len(report.violations) == 1
+    assert out == expected_document([report], fmt)
+    if fmt == "json":
+        (entry,) = [e for e in json.loads(out)["scans"][0]["records"]
+                    if e["n"] == "3" and e["degrees"] == ["3"]]
+        assert entry["middle_betti"] is None and entry["p_at_i"] is None
+
+
+def test_empty_scan_object_layout():
+    report = ScanReport("theorem", 1, 1, (), {}, ())
+    buffer = io.StringIO()
+    write_scans([report], "json", buffer)
+    assert buffer.getvalue() == expected_document([report], "json")
+    buffer = io.StringIO()
+    write_scans([], "json", buffer)
+    assert buffer.getvalue() == json.dumps({"scans": []}, indent=2) + "\n"
