@@ -14,7 +14,10 @@ fixed order:
 
 Scan bounds are a verification budget, not a completeness claim: the
 classification holds for all types, the scans re-check it mechanically on
-everything within the bounds.
+everything within the bounds.  Each scan is one serial loop over
+``iter_types``, so its records come out in canonical (n, l, degrees) order;
+the work is pure Python under the interpreter lock, so a worker pool would
+not make it faster.
 
 Each record type renders its own CSV row, table line and JSON text, and
 ``write_scans`` writes a scan document record by record from the records
@@ -28,7 +31,6 @@ import csv
 import io
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations_with_replacement
@@ -213,13 +215,9 @@ def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     for n in range(1, max_n + 1):
-        yield from _iter_types_for_n(n, max_degree)
-
-
-def _iter_types_for_n(n: int, max_degree: int) -> Iterator[CIType]:
-    for l in range(n + 1):
-        for degrees in combinations_with_replacement(range(1, max_degree + 1), l):
-            yield CIType(n, degrees)
+        for l in range(n + 1):
+            for degrees in combinations_with_replacement(range(1, max_degree + 1), l):
+                yield CIType(n, degrees)
 
 
 def _ascending_tuples(length: int, min_entry: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -501,33 +499,37 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
         report.write(fmt, stream)
 
 
-def _validate_bounds(max_n: int, max_degree: int) -> None:
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+def _scan_report(
+    kind: str,
+    max_n: int,
+    max_degree: int,
+    records: list,
+    violations: list[str],
+    outcomes: type[Enum],
+    found: Iterator[Enum | None],
+) -> ScanReport:
+    """The report of a finished scan.  ``found`` yields each record's
+    outcome, a member of ``outcomes`` or None for a failed internal check;
+    the counts list every member of ``outcomes`` in order, then the failed
+    checks if there were any."""
+    tally = Counter(found)
+    counts = {outcome.value: tally[outcome] for outcome in outcomes}
+    if tally[None]:
+        counts["internal_check_failed"] = tally[None]
+    return ScanReport(kind, max_n, max_degree, tuple(records), counts, tuple(violations))
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        return 1
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
+def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
+    """Classify every type within the bounds and re-verify the survivor set.
 
-
-def _run_partitioned(worker, max_n: int, threads: int):
-    ns = range(1, max_n + 1)
-    if threads == 1:
-        return [worker(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, ns))
-
-
-def _scan_theorem_slice(n: int, max_degree: int):
+    Survivors of all gates must reduce to () or (2); conversely every
+    rationally connected homogeneous-shaped type of dimension >= 2 must
+    survive.  (In dimension <= 1 points and conics have total degree n and
+    stop at the normal-bundle gate; lines survive.)
+    """
     records: list[TheoremRecord] = []
     violations: list[str] = []
-    for ci in _iter_types_for_n(n, max_degree):
+    for ci in iter_types(max_n, max_degree):
         verdict_kind: VerdictKind | None = None
         p_x = p_f = None
         try:
@@ -544,7 +546,7 @@ def _scan_theorem_slice(n: int, max_degree: int):
             VerdictKind.HOMOGENEOUS_LINEAR,
             VerdictKind.HOMOGENEOUS_QUADRIC,
         )
-        rc = ci.total_degree <= n
+        rc = ci.total_degree <= ci.ambient_dim
         if not (passed or rc):
             continue
         homogeneous = _is_homogeneous_shape(ci)
@@ -557,45 +559,16 @@ def _scan_theorem_slice(n: int, max_degree: int):
                 f"dimension <= 1 rationally connected type is not a "
                 f"point/line/conic: {ci}"
             )
-    return records, violations
+    return _scan_report("theorem", max_n, max_degree, records, violations,
+                        VerdictKind, (rec.verdict for rec in records))
 
 
-def scan_theorem(max_n: int, max_degree: int, threads: int | None = None) -> ScanReport:
-    """Classify every type within the bounds and re-verify the survivor set.
-
-    Survivors of all gates must reduce to () or (2); conversely every
-    rationally connected homogeneous-shaped type of dimension >= 2 must
-    survive.  (In dimension <= 1 points and conics have total degree n and
-    stop at the normal-bundle gate; lines survive.)
-    """
-    _validate_bounds(max_n, max_degree)
-    threads = _resolve_threads(threads)
-    results = _run_partitioned(
-        lambda n: _scan_theorem_slice(n, max_degree), max_n, threads
-    )
-    records: list[TheoremRecord] = []
-    violations: list[str] = []
-    for recs, viols in results:
-        records.extend(recs)
-        violations.extend(viols)
-    tally = Counter(_outcome_text(rec.verdict) for rec in records)
-    counts = {kind.value: tally.get(kind.value, 0) for kind in VerdictKind}
-    if "internal_check_failed" in tally:
-        counts["internal_check_failed"] = tally["internal_check_failed"]
-    return ScanReport(
-        kind="theorem",
-        max_n=max_n,
-        max_degree=max_degree,
-        records=tuple(records),
-        counts=counts,
-        violations=tuple(violations),
-    )
-
-
-def _scan_lemma_slice(n: int, max_degree: int):
+def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
+    """Evaluate p(i) for every type within the bounds and verify that it
+    vanishes exactly on the three allowed shapes and nowhere else."""
     records: list[LemmaRecord] = []
     violations: list[str] = []
-    for ci in _iter_types_for_n(n, max_degree):
+    for ci in iter_types(max_n, max_degree):
         betti: int | None = None
         value: GaussianInteger | None = None
         case: LemmaCase | None = None
@@ -607,36 +580,9 @@ def _scan_lemma_slice(n: int, max_degree: int):
             violations.append(str(exc))
         records.append(LemmaRecord(ci, betti, value, case))
 
-        # No type with an entry >= 3, or with two entries >= 2, may vanish.
-        reduced = _reduced(ci)
-        excluded = bool(reduced) and (reduced[-1] >= 3 or len(reduced) >= 2)
-        if excluded and value is not None and value.is_zero:
+        # No type with an entry >= 3, or with two entries >= 2, may vanish:
+        # a vanishing p(i) needs a reduced type () or (2).
+        if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
             violations.append(f"excluded shape vanishes at i: {ci}")
-    return records, violations
-
-
-def scan_lemma(max_n: int, max_degree: int, threads: int | None = None) -> ScanReport:
-    """Evaluate p(i) for every type within the bounds and verify that it
-    vanishes exactly on the three allowed shapes and nowhere else."""
-    _validate_bounds(max_n, max_degree)
-    threads = _resolve_threads(threads)
-    results = _run_partitioned(
-        lambda n: _scan_lemma_slice(n, max_degree), max_n, threads
-    )
-    records: list[LemmaRecord] = []
-    violations: list[str] = []
-    for recs, viols in results:
-        records.extend(recs)
-        violations.extend(viols)
-    tally = Counter(_outcome_text(rec.case) for rec in records)
-    counts = {case.value: tally.get(case.value, 0) for case in LemmaCase}
-    if "internal_check_failed" in tally:
-        counts["internal_check_failed"] = tally["internal_check_failed"]
-    return ScanReport(
-        kind="lemma",
-        max_n=max_n,
-        max_degree=max_degree,
-        records=tuple(records),
-        counts=counts,
-        violations=tuple(violations),
-    )
+    return _scan_report("lemma", max_n, max_degree, records, violations,
+                        LemmaCase, (rec.case for rec in records))

@@ -6,7 +6,8 @@ Subcommands: ``invariants``, ``classify``, ``fiber``, ``scan``,
 arbitrary precision survives any consumer), and ``csv`` (fixed header row).
 Data goes to stdout (or ``--out`` for scans), diagnostics to stderr.
 Single-type results are built as small documents here; scan records are
-written one at a time by ``classify.write_scans``.
+written one at a time by ``classify.write_scans``.  ``scan`` runs each scan
+serially, in canonical order, and has no thread or parallelism setting.
 
 Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage, parse
 or I/O error.
@@ -17,12 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Iterable
 
 from .classify import (
     ScanReport,
+    _degree_cell,
     _is_homogeneous_shape,
     homogeneous_parity_report,
     lemma_classify,
@@ -92,10 +93,6 @@ def _type_json(ci: CIType) -> dict:
     }
 
 
-def _degrees_cell(ci: CIType) -> str:
-    return " ".join(str(d) for d in ci.degrees)
-
-
 def _emit_csv(header: list[str], rows: Iterable[list[str]], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
@@ -128,7 +125,7 @@ def run_invariants(args) -> int:
              "middle_betti", "poincare", "value_at_i"],
             [[
                 str(ci.ambient_dim),
-                _degrees_cell(ci),
+                _degree_cell(ci),
                 str(report.dimension),
                 str(report.euler_char),
                 str(report.middle_betti),
@@ -186,7 +183,7 @@ def run_classify(args) -> int:
              "p_x_at_i", "p_f_at_i", "lemma_case"],
             [[
                 str(ci.ambient_dim),
-                _degrees_cell(ci),
+                _degree_cell(ci),
                 str(ci.total_degree),
                 str(ci.dimension),
                 verdict.kind.value,
@@ -238,7 +235,7 @@ def run_fiber(args) -> int:
     elif args.format == "csv":
         row = [
             str(ci.ambient_dim),
-            _degrees_cell(ci),
+            _degree_cell(ci),
             str(geometry.moduli_dim),
             str(geometry.fiber_dim),
             str(geometry.normal_degree),
@@ -246,7 +243,7 @@ def run_fiber(args) -> int:
         ]
         if fiber_report is not None:
             row.extend([
-                _degrees_cell(fiber),
+                _degree_cell(fiber),
                 str(fiber_report.euler_char),
                 str(fiber_report.middle_betti),
             ])
@@ -276,28 +273,12 @@ def run_fiber(args) -> int:
     return 0
 
 
-def _scan_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("CI_INVARIANTS_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"CI_INVARIANTS_THREADS={env!r} is not an integer")
-        if cap < 1:
-            raise ValueError("CI_INVARIANTS_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
-
-
 def run_scan(args) -> int:
-    threads = _scan_threads(args)
     reports: list[ScanReport] = []
     if args.which in ("theorem", "both"):
-        reports.append(scan_theorem(args.max_n, args.max_degree, threads=threads))
+        reports.append(scan_theorem(args.max_n, args.max_degree))
     if args.which in ("lemma", "both"):
-        reports.append(scan_lemma(args.max_n, args.max_degree, threads=threads))
+        reports.append(scan_lemma(args.max_n, args.max_degree))
 
     out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -386,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--format", choices=["table", "json", "csv"],
                         default="table")
     p_scan.add_argument("--out", help="write records to this file instead of stdout")
-    p_scan.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker threads (default: CI_INVARIANTS_THREADS "
-                             "or machine parallelism)")
     p_scan.add_argument("--quiet", action="store_true",
                         help="suppress the human summary")
     p_scan.set_defaults(func=run_scan)

@@ -7,7 +7,7 @@ budgets, which are asserted as stated.
 
 from __future__ import annotations
 
-import os
+import io
 import random
 import time
 
@@ -35,6 +35,7 @@ from ci_invariants import (
     scan_theorem,
     series_coefficient,
     verify_expansion_identity,
+    write_scans,
 )
 
 SCAN_MAX_N = 14
@@ -276,17 +277,29 @@ def test_criterion_9_monotonicity_under_degree_raise():
 
 
 def test_criterion_10_determinism(theorem_report):
-    serial_report, _ = theorem_report
-    workers = max(2, os.cpu_count() or 2)
-    parallel_report = scan_theorem(SCAN_MAX_N, SCAN_MAX_DEGREE, threads=workers)
+    report, _ = theorem_report
+    again = scan_theorem(SCAN_MAX_N, SCAN_MAX_DEGREE)
+    smaller = scan_theorem(SCAN_MAX_N - 1, SCAN_MAX_DEGREE)
 
-    def as_bytes(report):
-        rows = [",".join(report.csv_header())]
-        rows.extend(",".join(row) for row in report.csv_rows())
-        rows.extend(report.summary_lines())
-        return "\n".join(rows).encode()
+    def csv_text(scan):
+        buffer = io.StringIO()
+        write_scans([scan], "csv", buffer)
+        return buffer.getvalue()
 
-    ok = serial_report == parallel_report
-    ok &= as_bytes(serial_report) == as_bytes(parallel_report)
+    # Identical scans give identical reports and byte-identical CSV.
+    full = csv_text(report)
+    ok = report == again and full == csv_text(again)
+    ok &= report.summary_lines() == again.summary_lines()
+    # Records come out in strictly increasing canonical order.
+    keys = [(rec.ci.ambient_dim, rec.ci.codimension, rec.ci.degrees)
+            for rec in report.records]
+    ok &= all(a < b for a, b in zip(keys, keys[1:]))
+    # A smaller scan reproduces exactly the rows of its own types.
+    header, *rows = full.splitlines(keepends=True)
+    head = header + "".join(
+        row for row in rows if int(row.split(",", 1)[0]) <= SCAN_MAX_N - 1)
+    ok &= csv_text(smaller) == head
     announce(10, ok,
-             f"serial and {workers}-thread scans byte-identical")
+             f"repeated {SCAN_MAX_N}/{SCAN_MAX_DEGREE} scans byte-identical, "
+             f"records in canonical order, {SCAN_MAX_N - 1}/{SCAN_MAX_DEGREE} "
+             f"scan rows byte-identical to the n <= {SCAN_MAX_N - 1} rows")

@@ -3,6 +3,7 @@ exhaustive scans."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -25,6 +26,17 @@ from ci_invariants import (
     vanishes_at_i,
 )
 from ci_invariants import classify, topology
+
+
+def assert_smaller_scan_is_a_prefix(scan, max_n, max_degree):
+    """A scan's records are in strictly increasing (n, l, degrees) order, and
+    the scan one size down gives exactly its leading records and CSV rows."""
+    full, smaller = scan(max_n, max_degree), scan(max_n - 1, max_degree)
+    keys = [(r.ci.ambient_dim, r.ci.codimension, r.ci.degrees) for r in full.records]
+    assert keys == sorted(set(keys))
+    head = [r for r in full.records if r.ci.ambient_dim < max_n]
+    assert smaller.records == tuple(head)
+    assert list(smaller.csv_rows()) == [r.csv_row() for r in head]
 
 
 class TestLemmaClassify:
@@ -156,11 +168,8 @@ class TestScanTheorem:
         report = scan_theorem(4, 3)
         assert sum(report.counts.values()) == len(report.records)
 
-    def test_parallel_matches_serial(self):
-        serial = scan_theorem(8, 4, threads=1)
-        parallel = scan_theorem(8, 4, threads=8)
-        assert serial == parallel
-        assert list(serial.csv_rows()) == list(parallel.csv_rows())
+    def test_smaller_scan_is_a_prefix(self):
+        assert_smaller_scan_is_a_prefix(scan_theorem, 8, 4)
 
     def test_reports_reproducible(self):
         a = scan_theorem(5, 3)
@@ -253,10 +262,25 @@ class TestScanLemma:
                     if e["n"] == "3" and e["degrees"] == ["3"]]
         assert entry["middle_betti"] is None and entry["p_at_i"] is None
 
-    def test_parallel_matches_serial(self):
-        serial = scan_lemma(7, 3, threads=1)
-        parallel = scan_lemma(7, 3, threads=8)
-        assert serial == parallel
+    def test_smaller_scan_is_a_prefix(self):
+        assert_smaller_scan_is_a_prefix(scan_lemma, 7, 3)
+
+    def test_vanishing_excluded_shape_is_a_violation(self, monkeypatch):
+        real = classify.compute_invariants
+        cubic = CIType(4, (3,))   # excluded: an entry >= 3
+
+        def vanishing_for_cubic(ci):
+            report = real(ci)
+            if ci == cubic:
+                return dataclasses.replace(report, value_at_i=GaussianInteger(0, 0))
+            return report
+
+        monkeypatch.setattr(classify, "compute_invariants", vanishing_for_cubic)
+        report = scan_lemma(4, 3)
+        assert report.violations == (
+            f"shape case nonvanishing disagrees with p(i) vanishing for {cubic}",
+            f"excluded shape vanishes at i: {cubic}",
+        )
 
 
 class TestScanReportSerialization:

@@ -4,6 +4,7 @@ the JSON round-trip contract (all integers as decimal strings)."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -201,18 +202,22 @@ class TestScanCommand:
         obj = json.loads(out)
         assert {scan["scan"] for scan in obj["scans"]} == {"theorem", "lemma"}
 
-    def test_thread_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("CI_INVARIANTS_THREADS", "2")
-        code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2",
-                               "--which", "lemma")
-        assert code == 0
-        assert "violations=0" in out
-
-    def test_bad_thread_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CI_INVARIANTS_THREADS", "zero")
-        code, _, err = run_cli(capsys, "scan", "--max-n", "2", "--max-degree", "2")
-        assert code == 2
-        assert "CI_INVARIANTS_THREADS" in err
+    def test_threads_flag_is_a_usage_error(self):
+        # Scans run serially: there is no --threads flag, and the former
+        # CI_INVARIANTS_THREADS variable is not read, even when malformed.
+        env = dict(os.environ, CI_INVARIANTS_THREADS="zero")
+        base = [sys.executable, "-m", "ci_invariants", "scan", "--max-n", "3",
+                "--max-degree", "2"]
+        plain = subprocess.run(base, capture_output=True, text=True, env=env)
+        assert plain.returncode == 0
+        assert "violations=0" in plain.stdout
+        proc = subprocess.run(base + ["--threads", "2"], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: ")
+        assert "unrecognized arguments: --threads 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestVerifyIdentitiesCommand:

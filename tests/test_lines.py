@@ -12,6 +12,7 @@ from ci_invariants import (
     compute_invariants,
     euler_characteristic,
     fiber_type,
+    iter_types,
     line_geometry,
     middle_betti,
     poincare_polynomial,
@@ -110,14 +111,17 @@ class TestProductObstruction:
             product_obstruction(CIType(4, (2, 2)))
 
     def test_passes_iff_product_divisible(self):
-        for n in range(1, 9):
-            for degrees in [(), (2,), (3,), (1, 2), (1, 1), (2, 2)]:
-                if len(degrees) > n or n - 1 - sum(degrees) < 0:
-                    continue
-                ci = CIType(n, degrees)
-                obs = product_obstruction(ci)
-                product = poincare_polynomial(ci) * poincare_polynomial(fiber_type(ci))
-                assert obs.passes == product.divisible_by(ONE_PLUS_T_SQUARED)
+        # product_obstruction decides on the factors alone; the dense product
+        # p_F * p_X is formed only here, for every type with a fiber.
+        checked = 0
+        for ci in iter_types(12, 6):
+            if ci.ambient_dim - 1 - ci.total_degree < 0:
+                continue
+            obs = product_obstruction(ci)
+            product = poincare_polynomial(ci) * poincare_polynomial(fiber_type(ci))
+            assert obs.passes == product.divisible_by(ONE_PLUS_T_SQUARED)
+            checked += 1
+        assert checked == 567
 
     def test_empty_type_exactly_one_side_vanishes(self):
         for n in range(1, 13):
