@@ -202,6 +202,18 @@ class TestScanCommand:
         obj = json.loads(out)
         assert {scan["scan"] for scan in obj["scans"]} == {"theorem", "lemma"}
 
+    def test_thread_env_cap(self, capsys, monkeypatch):
+        # The former thread-count variable is ignored: the scan runs serially
+        # and writes the same records as without it.
+        _, plain, _ = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2",
+                              "--which", "lemma")
+        monkeypatch.setenv("CI_INVARIANTS_THREADS", "2")
+        code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2",
+                               "--which", "lemma")
+        assert code == 0
+        assert "violations=0" in out
+        assert out == plain
+
     def test_threads_flag_is_a_usage_error(self):
         # Scans run serially: there is no --threads flag, and the former
         # CI_INVARIANTS_THREADS variable is not read, even when malformed.
