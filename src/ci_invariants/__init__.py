@@ -42,7 +42,6 @@ from .classify import (
     LemmaRecord,
     ParityOutcome,
     ScanReport,
-    TheoremRecord,
     Verdict,
     VerdictKind,
     dimension_leq1_catalog,
@@ -86,7 +85,6 @@ __all__ = [
     "LemmaRecord",
     "ParityOutcome",
     "ScanReport",
-    "TheoremRecord",
     "Verdict",
     "VerdictKind",
     "dimension_leq1_catalog",

@@ -19,7 +19,9 @@ everything within the bounds.  Each scan is one serial loop over
 the work is pure Python under the interpreter lock, so a worker pool would
 not make it faster.
 
-Each record type renders its own CSV row, table line and JSON text, and
+The theorem scan's records are the ``Verdict``s that ``theorem_verdict``
+returns, one object per type; the lemma scan's are ``LemmaRecord``s.  Each
+record type renders its own CSV row, table line and JSON text, and
 ``write_scans`` writes a scan document record by record from the records
 held in memory: no intermediate document is built, and the JSON text has
 exactly the layout of ``json.dump(..., indent=2)``.
@@ -63,17 +65,6 @@ class VerdictKind(Enum):
     POINCARE_OBSTRUCTION = "poincare_obstruction"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """Classification outcome for one type, with the witnessing numbers."""
-
-    ci: CIType
-    kind: VerdictKind
-    reason: str
-    p_x_at_i: GaussianInteger | None = None
-    p_f_at_i: GaussianInteger | None = None
-
-
 def _reduced(ci: CIType) -> tuple[int, ...]:
     return tuple(d for d in ci.degrees if d > 1)
 
@@ -110,7 +101,10 @@ def lemma_classify(ci: CIType, report: InvariantReport | None = None) -> LemmaCa
 
 
 def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -> Verdict:
-    """Run the obstruction pipeline on one type.
+    """Run the obstruction pipeline on one type and return the first gate's
+    verdict.  The two degree gates carry no values at i; the Poincare gate
+    and the survivors carry p_X(i) and p_F(i).  The verdict's ``reason`` is
+    derived from these fields when it is read, so no text is built here.
 
     ``obstruction`` is the type's ``product_obstruction`` result when the
     caller already has it; otherwise the Poincare gate computes it.
@@ -123,49 +117,24 @@ def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -
         raise ValueError("classification requires ambient dimension >= 1")
     d = ci.total_degree
     if d > n:
-        return Verdict(
-            ci,
-            VerdictKind.NOT_RATIONALLY_CONNECTED,
-            f"total degree {d} exceeds ambient dimension {n}",
-        )
+        return Verdict(ci, VerdictKind.NOT_RATIONALLY_CONNECTED)
     if d > n - 1:
-        return Verdict(
-            ci,
-            VerdictKind.NORMAL_BUNDLE_OBSTRUCTION,
-            f"line normal bundle has degree {n - d - 1} < 0, so a negative "
-            "summand obstructs double covers of lines",
-        )
+        return Verdict(ci, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION)
     if obstruction is None:
         obstruction = product_obstruction(ci)
     if not obstruction.passes:
-        return Verdict(
-            ci,
-            VerdictKind.POINCARE_OBSTRUCTION,
-            f"p_X(i) = {obstruction.p_x_at_i} and p_F(i) = "
-            f"{obstruction.p_f_at_i} are both nonzero",
-            p_x_at_i=obstruction.p_x_at_i,
-            p_f_at_i=obstruction.p_f_at_i,
-        )
-    reduced = _reduced(ci)
-    if reduced == ():
-        return Verdict(
-            ci,
-            VerdictKind.HOMOGENEOUS_LINEAR,
-            "type reduces to a projective space",
-            p_x_at_i=obstruction.p_x_at_i,
-            p_f_at_i=obstruction.p_f_at_i,
-        )
-    if reduced == (2,):
-        return Verdict(
-            ci,
-            VerdictKind.HOMOGENEOUS_QUADRIC,
-            "type reduces to a quadric",
-            p_x_at_i=obstruction.p_x_at_i,
-            p_f_at_i=obstruction.p_f_at_i,
-        )
-    raise InternalCheckError(
-        f"{ci} passed every obstruction but does not reduce to () or (2)"
-    )
+        kind = VerdictKind.POINCARE_OBSTRUCTION
+    else:
+        reduced = _reduced(ci)
+        if reduced == ():
+            kind = VerdictKind.HOMOGENEOUS_LINEAR
+        elif reduced == (2,):
+            kind = VerdictKind.HOMOGENEOUS_QUADRIC
+        else:
+            raise InternalCheckError(
+                f"{ci} passed every obstruction but does not reduce to () or (2)"
+            )
+    return Verdict(ci, kind, obstruction.p_x_at_i, obstruction.p_f_at_i)
 
 
 class ParityOutcome(NamedTuple):
@@ -282,25 +251,49 @@ def _json_gauss(g: GaussianInteger | None, depth: int) -> str:
     return _json_container("{", [f'"re": "{g.re}"', f'"im": "{g.im}"'], "}", depth)
 
 
+#: The reason of each verdict kind, filled in from the type and the values
+#: at i; ``None`` is the kind of a scan record whose internal check failed.
+_REASONS = {
+    VerdictKind.NOT_RATIONALLY_CONNECTED:
+        "total degree {d} exceeds ambient dimension {n}",
+    VerdictKind.NORMAL_BUNDLE_OBSTRUCTION:
+        "line normal bundle has degree {normal} < 0, so a negative summand "
+        "obstructs double covers of lines",
+    VerdictKind.POINCARE_OBSTRUCTION:
+        "p_X(i) = {p_x} and p_F(i) = {p_f} are both nonzero",
+    VerdictKind.HOMOGENEOUS_LINEAR: "type reduces to a projective space",
+    VerdictKind.HOMOGENEOUS_QUADRIC: "type reduces to a quadric",
+    None: "an internal check failed for the type",
+}
+
+
 @dataclass(frozen=True)
-class TheoremRecord:
-    """One scanned type with its verdict; the verdict is None only if an
-    internal check failed for the type (recorded as a violation)."""
+class Verdict:
+    """Classification outcome for one type, with the witnessing values at i,
+    and the theorem scan's record of that type.  ``kind`` is None only in a
+    scan record whose internal check failed (recorded as a violation)."""
 
     CSV_HEADER: ClassVar[tuple[str, ...]] = (
         "n", "degrees", "total_degree", "dimension", "verdict", "p_x_at_i", "p_f_at_i",
     )
 
     ci: CIType
-    verdict: VerdictKind | None
-    p_x_at_i: GaussianInteger | None
-    p_f_at_i: GaussianInteger | None
+    kind: VerdictKind | None
+    p_x_at_i: GaussianInteger | None = None
+    p_f_at_i: GaussianInteger | None = None
+
+    @property
+    def reason(self) -> str:
+        n, d = self.ci.ambient_dim, self.ci.total_degree
+        return _REASONS[self.kind].format(
+            n=n, d=d, normal=n - d - 1, p_x=self.p_x_at_i, p_f=self.p_f_at_i
+        )
 
     def line(self) -> str:
         return (
             f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
             f"d={self.ci.total_degree} k={self.ci.dimension} "
-            f"verdict={_outcome_text(self.verdict)} "
+            f"verdict={_outcome_text(self.kind)} "
             f"p_X(i)={_gauss_text(self.p_x_at_i)} p_F(i)={_gauss_text(self.p_f_at_i)}"
         )
 
@@ -311,7 +304,7 @@ class TheoremRecord:
             _degree_cell(ci),
             str(ci.total_degree),
             str(ci.dimension),
-            _outcome_text(self.verdict),
+            _outcome_text(self.kind),
             _gauss_text(self.p_x_at_i),
             _gauss_text(self.p_f_at_i),
         ]
@@ -323,7 +316,7 @@ class TheoremRecord:
             f'"degrees": {_json_degrees(ci, depth)}',
             f'"dimension": "{ci.dimension}"',
             f'"total_degree": "{ci.total_degree}"',
-            f'"verdict": "{_outcome_text(self.verdict)}"',
+            f'"verdict": "{_outcome_text(self.kind)}"',
             f'"p_x_at_i": {_json_gauss(self.p_x_at_i, depth)}',
             f'"p_f_at_i": {_json_gauss(self.p_f_at_i, depth)}',
         ], "}", _RECORD_DEPTH)
@@ -395,7 +388,7 @@ def _outcome_text(outcome: VerdictKind | LemmaCase | None) -> str:
     return outcome.value if outcome is not None else "internal_check_failed"
 
 
-_RECORD_TYPES = {"theorem": TheoremRecord, "lemma": LemmaRecord}
+_RECORD_TYPES = {"theorem": Verdict, "lemma": LemmaRecord}
 
 
 @dataclass(frozen=True)
@@ -407,7 +400,7 @@ class ScanReport:
     kind: str
     max_n: int
     max_degree: int
-    records: tuple[TheoremRecord, ...] | tuple[LemmaRecord, ...]
+    records: tuple[Verdict, ...] | tuple[LemmaRecord, ...]
     counts: dict[str, int]
     violations: tuple[str, ...]
 
@@ -522,27 +515,26 @@ def _scan_report(
 def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     """Classify every type within the bounds and re-verify the survivor set.
 
+    Each record is the type's ``Verdict``, or ``Verdict(ci, None)`` when an
+    internal check failed for it (recorded as a violation).
     Survivors of all gates must reduce to () or (2); conversely every
     rationally connected homogeneous-shaped type of dimension >= 2 must
     survive.  (In dimension <= 1 points and conics have total degree n and
     stop at the normal-bundle gate; lines survive.)
     """
-    records: list[TheoremRecord] = []
+    records: list[Verdict] = []
     violations: list[str] = []
     for ci in iter_types(max_n, max_degree):
-        verdict_kind: VerdictKind | None = None
-        p_x = p_f = None
         try:
             verdict = theorem_verdict(ci)
-            verdict_kind = verdict.kind
-            p_x, p_f = verdict.p_x_at_i, verdict.p_f_at_i
         except InternalCheckError as exc:
             violations.append(str(exc))
-        records.append(TheoremRecord(ci, verdict_kind, p_x, p_f))
+            verdict = Verdict(ci, None)
+        records.append(verdict)
 
         # Finite-scale re-statement of the classification itself.  Every
         # check below needs a type that passed or is rationally connected.
-        passed = verdict_kind in (
+        passed = verdict.kind in (
             VerdictKind.HOMOGENEOUS_LINEAR,
             VerdictKind.HOMOGENEOUS_QUADRIC,
         )
@@ -560,7 +552,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 f"point/line/conic: {ci}"
             )
     return _scan_report("theorem", max_n, max_degree, records, violations,
-                        VerdictKind, (rec.verdict for rec in records))
+                        VerdictKind, (rec.kind for rec in records))
 
 
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:

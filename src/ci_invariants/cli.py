@@ -4,7 +4,8 @@ Subcommands: ``invariants``, ``classify``, ``fiber``, ``scan``,
 ``verify-identities``.  Output formats are ``table`` (human-readable),
 ``json`` (one document per invocation, all integers as decimal strings so
 arbitrary precision survives any consumer), and ``csv`` (fixed header row).
-Data goes to stdout (or ``--out`` for scans), diagnostics to stderr.
+Data goes to stdout (or ``--out`` for scans), diagnostics, the scan
+summary included, to stderr.
 Single-type results are built as small documents here; scan records are
 written one at a time by ``classify.write_scans``.  ``scan`` runs each scan
 serially, in canonical order, and has no thread or parallelism setting.
@@ -23,6 +24,7 @@ from typing import Iterable
 
 from .classify import (
     ScanReport,
+    Verdict,
     _degree_cell,
     _is_homogeneous_shape,
     homogeneous_parity_report,
@@ -34,7 +36,14 @@ from .classify import (
 )
 from .exact import GaussianInteger, IntPolynomial
 from .lines import fiber_type, line_geometry, product_obstruction
-from .topology import CIType, InternalCheckError, chi22, compute_invariants, verify_expansion_identity
+from .topology import (
+    CIType,
+    InternalCheckError,
+    InvariantReport,
+    chi22,
+    compute_invariants,
+    verify_expansion_identity,
+)
 
 
 def _type_spec(text: str) -> tuple[int, ...]:
@@ -93,6 +102,19 @@ def _type_json(ci: CIType) -> dict:
     }
 
 
+def _report_json(report: InvariantReport) -> dict:
+    """The JSON body of one type's invariants: the whole ``invariants``
+    document, and the ``fiber`` object of the ``fiber`` document."""
+    return {
+        "type": _type_json(report.ci),
+        "dimension": str(report.dimension),
+        "euler_characteristic": str(report.euler_char),
+        "middle_betti": str(report.middle_betti),
+        "poincare_coefficients": _poly_json(report.poincare),
+        "value_at_i": _gauss_json(report.value_at_i),
+    }
+
+
 def _emit_csv(header: list[str], rows: Iterable[list[str]], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
@@ -108,17 +130,7 @@ def run_invariants(args) -> int:
     ci = CIType(args.n, args.type)
     report = compute_invariants(ci)
     if args.format == "json":
-        _print_json(
-            {
-                "type": _type_json(ci),
-                "dimension": str(report.dimension),
-                "euler_characteristic": str(report.euler_char),
-                "middle_betti": str(report.middle_betti),
-                "poincare_coefficients": _poly_json(report.poincare),
-                "value_at_i": _gauss_json(report.value_at_i),
-            },
-            sys.stdout,
-        )
+        _print_json(_report_json(report), sys.stdout)
     elif args.format == "csv":
         _emit_csv(
             ["n", "degrees", "dimension", "euler_characteristic",
@@ -178,21 +190,8 @@ def run_classify(args) -> int:
             }
         _print_json(obj, sys.stdout)
     elif args.format == "csv":
-        _emit_csv(
-            ["n", "degrees", "total_degree", "dimension", "verdict",
-             "p_x_at_i", "p_f_at_i", "lemma_case"],
-            [[
-                str(ci.ambient_dim),
-                _degree_cell(ci),
-                str(ci.total_degree),
-                str(ci.dimension),
-                verdict.kind.value,
-                str(verdict.p_x_at_i) if verdict.p_x_at_i is not None else "-",
-                str(verdict.p_f_at_i) if verdict.p_f_at_i is not None else "-",
-                case.value,
-            ]],
-            sys.stdout,
-        )
+        _emit_csv([*Verdict.CSV_HEADER, "lemma_case"],
+                  [verdict.csv_row() + [case.value]], sys.stdout)
     else:
         print(f"type: {ci}")
         print(f"total degree: {ci.total_degree}")
@@ -223,14 +222,7 @@ def run_fiber(args) -> int:
             "fiber": None,
         }
         if fiber_report is not None:
-            obj["fiber"] = {
-                "type": _type_json(fiber),
-                "dimension": str(fiber_report.dimension),
-                "euler_characteristic": str(fiber_report.euler_char),
-                "middle_betti": str(fiber_report.middle_betti),
-                "poincare_coefficients": _poly_json(fiber_report.poincare),
-                "value_at_i": _gauss_json(fiber_report.value_at_i),
-            }
+            obj["fiber"] = _report_json(fiber_report)
         _print_json(obj, sys.stdout)
     elif args.format == "csv":
         row = [
@@ -274,14 +266,15 @@ def run_fiber(args) -> int:
 
 
 def run_scan(args) -> int:
-    reports: list[ScanReport] = []
-    if args.which in ("theorem", "both"):
-        reports.append(scan_theorem(args.max_n, args.max_degree))
-    if args.which in ("lemma", "both"):
-        reports.append(scan_lemma(args.max_n, args.max_degree))
-
+    # ``--out`` is opened before any scan runs, so an unwritable path fails
+    # at once; the summary is a diagnostic and goes to stderr.
     out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
+        reports: list[ScanReport] = []
+        if args.which in ("theorem", "both"):
+            reports.append(scan_theorem(args.max_n, args.max_degree))
+        if args.which in ("lemma", "both"):
+            reports.append(scan_lemma(args.max_n, args.max_degree))
         write_scans(reports, args.format, out_stream)
     finally:
         if args.out:
@@ -290,7 +283,7 @@ def run_scan(args) -> int:
     if not args.quiet:
         for report in reports:
             for text in report.summary_lines():
-                print(text)
+                print(text, file=sys.stderr)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -368,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="table")
     p_scan.add_argument("--out", help="write records to this file instead of stdout")
     p_scan.add_argument("--quiet", action="store_true",
-                        help="suppress the human summary")
+                        help="suppress the human summary on stderr")
     p_scan.set_defaults(func=run_scan)
 
     p_ver = sub.add_parser("verify-identities", help="check the expansion "

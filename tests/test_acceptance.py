@@ -164,7 +164,7 @@ def test_criterion_6_theorem_scan(theorem_report):
     ok = report.ok  # includes: the never-fire check fired zero times
     survivors = []
     for rec in report.records:
-        passed = rec.verdict in (
+        passed = rec.kind in (
             VerdictKind.HOMOGENEOUS_LINEAR, VerdictKind.HOMOGENEOUS_QUADRIC
         )
         reduced = tuple(d for d in rec.ci.degrees if d > 1)

@@ -151,7 +151,7 @@ class TestScanTheorem:
         assert len(report.records) == sum(1 for _ in iter_types(5, 3))
         for rec in report.records:
             reduced = tuple(d for d in rec.ci.degrees if d > 1)
-            passed = rec.verdict in (
+            passed = rec.kind in (
                 VerdictKind.HOMOGENEOUS_LINEAR, VerdictKind.HOMOGENEOUS_QUADRIC
             )
             if passed:
@@ -160,7 +160,7 @@ class TestScanTheorem:
     def test_degenerate_scan(self):
         report = scan_theorem(1, 1)
         assert report.ok
-        verdicts = {tuple(r.ci.degrees): r.verdict for r in report.records}
+        verdicts = {tuple(r.ci.degrees): r.kind for r in report.records}
         assert verdicts[()] is VerdictKind.HOMOGENEOUS_LINEAR       # P^1 passes
         assert verdicts[(1,)] is VerdictKind.NORMAL_BUNDLE_OBSTRUCTION  # a point
 
@@ -188,7 +188,7 @@ class TestScanTheorem:
 
         def misclassifying(ci):
             if ci in wrong:
-                return Verdict(ci, wrong[ci], "wrong on purpose")
+                return Verdict(ci, wrong[ci])
             return real(ci)
 
         monkeypatch.setattr(classify, "theorem_verdict", misclassifying)
@@ -198,6 +198,23 @@ class TestScanTheorem:
             f"non-homogeneous type passed every gate: {cubic}",
             f"homogeneous type failed a gate: {quadric}",
         )
+
+    def test_internal_check_failure_is_a_kindless_verdict(self, monkeypatch):
+        real = topology.euler_characteristic
+        bad = CIType(4, (3,))  # reaches the Poincare gate; k = 3 is odd
+
+        def wrong_for_one_type(ci):
+            return 100 if ci == bad else real(ci)
+
+        monkeypatch.setattr(topology, "euler_characteristic", wrong_for_one_type)
+        report = scan_theorem(4, 3)
+        assert len(report.violations) == 1
+        assert "negative middle Betti number" in report.violations[0]
+        assert report.counts["internal_check_failed"] == 1
+        (rec,) = [rec for rec in report.records if rec.ci == bad]
+        assert rec == Verdict(bad, None)
+        assert rec.reason == "an internal check failed for the type"
+        assert rec.csv_row()[4:] == ["internal_check_failed", "-", "-"]
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,30 @@ class TestClassifyCommand:
         assert obj["lemma_case"] == "quadric_odd"
         assert obj["parity"]["x_vanishes"] and obj["parity"]["f_vanishes"]
 
+    @pytest.mark.parametrize("n, degrees, reason", [
+        (4, (5,), "total degree 5 exceeds ambient dimension 4"),
+        (4, (2, 2), "line normal bundle has degree -1 < 0, so a negative "
+                    "summand obstructs double covers of lines"),
+        (4, (3,), "p_X(i) = 0-10i and p_F(i) = 6+0i are both nonzero"),
+        (5, (1, 1), "type reduces to a projective space"),
+        (5, (1, 2), "type reduces to a quadric"),
+    ])
+    def test_reason_per_verdict_kind(self, capsys, n, degrees, reason):
+        assert classify.theorem_verdict(CIType(n, degrees)).reason == reason
+        code, out, _ = run_cli(capsys, "classify", "--n", str(n), "--type",
+                               ",".join(str(d) for d in degrees))
+        assert code == 0
+        assert f"reason: {reason}\n" in out.splitlines(keepends=True)
+
+    def test_csv_row(self, capsys):
+        code, out, _ = run_cli(capsys, "classify", "--n", "4", "--type", "3",
+                               "--format", "csv")
+        assert code == 0
+        assert out == (
+            "n,degrees,total_degree,dimension,verdict,p_x_at_i,p_f_at_i,lemma_case\n"
+            "4,3,3,3,poincare_obstruction,0-10i,6+0i,nonvanishing\n"
+        )
+
 
     @pytest.mark.parametrize("n, degrees", [
         (40, (1, 2)),   # homogeneous quadric: verdict, lemma case and parity
@@ -163,16 +187,28 @@ class TestFiberCommand:
 
 class TestScanCommand:
     def test_small_scan_exit_0(self, capsys):
-        code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2")
+        code, _, err = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2")
         assert code == 0
-        assert "violations=0" in out
+        assert "violations=0" in err
 
     def test_quiet_suppresses_summary(self, capsys):
-        code, out, _ = run_cli(capsys, "scan", "--max-n", "2", "--max-degree", "2",
-                               "--quiet", "--which", "theorem")
+        code, out, err = run_cli(capsys, "scan", "--max-n", "2", "--max-degree", "2",
+                                 "--quiet", "--which", "theorem")
         assert code == 0
         assert "violations" not in out
         assert out.strip()  # records still emitted
+        assert err == ""
+
+    def test_summary_goes_to_stderr(self, capsys):
+        # Without --quiet, stdout is still one JSON document.
+        code, out, err = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2",
+                                 "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert [scan["scan"] for scan in obj["scans"]] == ["theorem", "lemma"]
+        reports = [classify.scan_theorem(3, 2), classify.scan_lemma(3, 2)]
+        assert err.splitlines() == [text for report in reports
+                                    for text in report.summary_lines()]
 
     def test_csv_to_file_is_deterministic(self, tmp_path, capsys):
         out_a = tmp_path / "a.csv"
@@ -195,6 +231,19 @@ class TestScanCommand:
         assert err.count("\n") == 1
         assert not target.exists()
 
+    def test_unwritable_out_fails_before_scanning(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "scan_theorem", lambda *a: calls.append(("theorem", a)))
+        monkeypatch.setattr(cli, "scan_lemma", lambda *a: calls.append(("lemma", a)))
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "scan", "--max-n", "12", "--max-degree",
+                                 "6", "--format", "csv", "--out", str(target))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert out == ""
+        assert calls == []
+
     def test_json_single_document(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--max-n", "2", "--max-degree", "2",
                                "--format", "json", "--quiet")
@@ -208,10 +257,10 @@ class TestScanCommand:
         _, plain, _ = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2",
                               "--which", "lemma")
         monkeypatch.setenv("CI_INVARIANTS_THREADS", "2")
-        code, out, _ = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2",
-                               "--which", "lemma")
+        code, out, err = run_cli(capsys, "scan", "--max-n", "3", "--max-degree", "2",
+                                 "--which", "lemma")
         assert code == 0
-        assert "violations=0" in out
+        assert "violations=0" in err
         assert out == plain
 
     def test_threads_flag_is_a_usage_error(self):
@@ -222,7 +271,7 @@ class TestScanCommand:
                 "--max-degree", "2"]
         plain = subprocess.run(base, capture_output=True, text=True, env=env)
         assert plain.returncode == 0
-        assert "violations=0" in plain.stdout
+        assert "violations=0" in plain.stderr
         proc = subprocess.run(base + ["--threads", "2"], capture_output=True,
                               text=True, env=env)
         assert proc.returncode == 2

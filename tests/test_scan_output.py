@@ -42,7 +42,7 @@ def _record_obj(kind: str, rec) -> dict:
     }
     if kind == "theorem":
         entry["total_degree"] = str(sum(ci.degrees))
-        entry["verdict"] = _outcome(rec.verdict)
+        entry["verdict"] = _outcome(rec.kind)
         entry["p_x_at_i"] = _gauss_obj(rec.p_x_at_i)
         entry["p_f_at_i"] = _gauss_obj(rec.p_f_at_i)
     else:
@@ -75,7 +75,7 @@ def _csv_rows(report):
         degrees = " ".join(str(d) for d in ci.degrees)
         if report.kind == "theorem":
             yield [str(ci.ambient_dim), degrees, str(sum(ci.degrees)),
-                   str(ci.dimension), _outcome(rec.verdict),
+                   str(ci.dimension), _outcome(rec.kind),
                    _gauss_cell(rec.p_x_at_i), _gauss_cell(rec.p_f_at_i)]
         else:
             betti = "-" if rec.middle_betti is None else str(rec.middle_betti)
@@ -88,7 +88,7 @@ def _table_line(kind: str, rec) -> str:
     head = f"n={ci.ambient_dim} type=({','.join(str(d) for d in ci.degrees)}) "
     if kind == "theorem":
         return (head + f"d={sum(ci.degrees)} k={ci.dimension} "
-                f"verdict={_outcome(rec.verdict)} p_X(i)={_gauss_cell(rec.p_x_at_i)} "
+                f"verdict={_outcome(rec.kind)} p_X(i)={_gauss_cell(rec.p_x_at_i)} "
                 f"p_F(i)={_gauss_cell(rec.p_f_at_i)}")
     betti = "-" if rec.middle_betti is None else str(rec.middle_betti)
     return (head + f"k={ci.dimension} b_k={betti} p(i)={_gauss_cell(rec.value_at_i)} "
