@@ -15,16 +15,14 @@ fixed order:
 Scan bounds are a verification budget, not a completeness claim: the
 classification holds for all types, the scans re-check it mechanically on
 everything within the bounds.  Each scan is one serial loop over
-``iter_types``, so its records come out in canonical (n, l, degrees) order;
-the work is pure Python under the interpreter lock, so a worker pool would
-not make it faster.
+``iter_types``, in canonical (n, l, degrees) order.  Degree-1 entries only
+lower the ambient space, so the lemma scan computes the invariants and runs
+their cross-checks once per class (reduced degrees, k), not once per type.
 
-The theorem scan's records are the ``Verdict``s that ``theorem_verdict``
-returns, one object per type; the lemma scan's are ``LemmaRecord``s.  Each
-record type renders its own CSV row, table line and JSON text, and
-``write_scans`` writes a scan document record by record from the records
-held in memory: no intermediate document is built, and the JSON text has
-exactly the layout of ``json.dump(..., indent=2)``.
+The theorem scan's records are ``Verdict``s, the lemma scan's
+``LemmaRecord``s.  Each renders its own CSV row, table line and JSON text,
+and ``write_scans`` writes a scan document record by record, in exactly
+the layout of ``json.dump(..., indent=2)``.
 """
 
 from __future__ import annotations
@@ -44,6 +42,7 @@ from .topology import (
     CIType,
     InternalCheckError,
     InvariantReport,
+    _unchecked_type,
     compute_invariants,
 )
 
@@ -162,9 +161,7 @@ def homogeneous_parity_report(
         obstruction = product_obstruction(ci)
     x_v = obstruction.p_x_at_i.is_zero
     f_v = obstruction.p_f_at_i.is_zero
-    if reduced == ():
-        ok = x_v != f_v
-    elif ci.dimension % 2 == 1:
+    if reduced and ci.dimension % 2 == 1:
         ok = x_v and f_v
     else:
         ok = x_v != f_v
@@ -178,15 +175,16 @@ def homogeneous_parity_report(
 
 def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     """All types with 1 <= n <= max_n, 0 <= l <= n and degrees in
-    [1, max_degree], in canonical (n, l, lexicographic) order."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    [1, max_degree], in canonical (n, l, lexicographic) order.  The bounds
+    must be ints >= 1; the tuples generated are sorted, of ints >= 1 and of
+    length l <= n, so they skip ``CIType``'s validation."""
+    for name, bound in (("max_n", max_n), ("max_degree", max_degree)):
+        if type(bound) is not int or bound < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {bound!r}")
     for n in range(1, max_n + 1):
         for l in range(n + 1):
             for degrees in combinations_with_replacement(range(1, max_degree + 1), l):
-                yield CIType(n, degrees)
+                yield _unchecked_type(n, degrees)
 
 
 def _ascending_tuples(length: int, min_entry: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -294,7 +292,7 @@ class Verdict:
             f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
             f"d={self.ci.total_degree} k={self.ci.dimension} "
             f"verdict={_outcome_text(self.kind)} "
-            f"p_X(i)={_gauss_text(self.p_x_at_i)} p_F(i)={_gauss_text(self.p_f_at_i)}"
+            f"p_X(i)={_text(self.p_x_at_i)} p_F(i)={_text(self.p_f_at_i)}"
         )
 
     def csv_row(self) -> list[str]:
@@ -305,8 +303,8 @@ class Verdict:
             str(ci.total_degree),
             str(ci.dimension),
             _outcome_text(self.kind),
-            _gauss_text(self.p_x_at_i),
-            _gauss_text(self.p_f_at_i),
+            _text(self.p_x_at_i),
+            _text(self.p_f_at_i),
         ]
 
     def json_text(self) -> str:
@@ -340,8 +338,8 @@ class LemmaRecord:
     def line(self) -> str:
         return (
             f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
-            f"k={self.ci.dimension} b_k={_int_text(self.middle_betti)} "
-            f"p(i)={_gauss_text(self.value_at_i)} case={_outcome_text(self.case)}"
+            f"k={self.ci.dimension} b_k={_text(self.middle_betti)} "
+            f"p(i)={_text(self.value_at_i)} case={_outcome_text(self.case)}"
         )
 
     def csv_row(self) -> list[str]:
@@ -350,8 +348,8 @@ class LemmaRecord:
             str(ci.ambient_dim),
             _degree_cell(ci),
             str(ci.dimension),
-            _int_text(self.middle_betti),
-            _gauss_text(self.value_at_i),
+            _text(self.middle_betti),
+            _text(self.value_at_i),
             _outcome_text(self.case),
         ]
 
@@ -376,11 +374,7 @@ def _degree_cell(ci: CIType) -> str:
     return " ".join(str(d) for d in ci.degrees)
 
 
-def _gauss_text(g: GaussianInteger | None) -> str:
-    return str(g) if g is not None else "-"
-
-
-def _int_text(value: int | None) -> str:
+def _text(value: int | GaussianInteger | None) -> str:
     return str(value) if value is not None else "-"
 
 
@@ -557,24 +551,34 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
 
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     """Evaluate p(i) for every type within the bounds and verify that it
-    vanishes exactly on the three allowed shapes and nowhere else."""
+    vanishes exactly on the three allowed shapes and nowhere else.
+
+    The first type scanned in a class (reduced degrees, k) runs the checks,
+    and the rest of the class reuses its fields.  A class whose checks
+    recorded a violation is not kept, so each of its types reports its own."""
     records: list[LemmaRecord] = []
     violations: list[str] = []
+    classes: dict[tuple[tuple[int, ...], int], tuple[int, GaussianInteger, LemmaCase]] = {}
     for ci in iter_types(max_n, max_degree):
-        betti: int | None = None
-        value: GaussianInteger | None = None
-        case: LemmaCase | None = None
-        try:
-            report = compute_invariants(ci)
-            betti, value = report.middle_betti, report.value_at_i
-            case = lemma_classify(ci, report)
-        except InternalCheckError as exc:
-            violations.append(str(exc))
-        records.append(LemmaRecord(ci, betti, value, case))
-
-        # No type with an entry >= 3, or with two entries >= 2, may vanish:
-        # a vanishing p(i) needs a reduced type () or (2).
-        if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
-            violations.append(f"excluded shape vanishes at i: {ci}")
+        degrees = ci.degrees
+        key = (degrees[degrees.count(1):], ci.dimension)
+        fields = classes.get(key)
+        if fields is None:
+            seen = len(violations)
+            betti = value = case = None
+            try:
+                report = compute_invariants(ci)
+                betti, value = report.middle_betti, report.value_at_i
+                case = lemma_classify(ci, report)
+            except InternalCheckError as exc:
+                violations.append(str(exc))
+            # No type with an entry >= 3, or with two entries >= 2, may
+            # vanish: a vanishing p(i) needs a reduced type () or (2).
+            if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
+                violations.append(f"excluded shape vanishes at i: {ci}")
+            fields = (betti, value, case)
+            if len(violations) == seen:
+                classes[key] = fields
+        records.append(LemmaRecord(ci, *fields))
     return _scan_report("lemma", max_n, max_degree, records, violations,
                         LemmaCase, (rec.case for rec in records))

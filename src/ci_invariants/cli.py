@@ -5,10 +5,9 @@ Subcommands: ``invariants``, ``classify``, ``fiber``, ``scan``,
 ``json`` (one document per invocation, all integers as decimal strings so
 arbitrary precision survives any consumer), and ``csv`` (fixed header row).
 Data goes to stdout (or ``--out`` for scans), diagnostics, the scan
-summary included, to stderr.
-Single-type results are built as small documents here; scan records are
-written one at a time by ``classify.write_scans``.  ``scan`` runs each scan
-serially, in canonical order, and has no thread or parallelism setting.
+summary included, to stderr.  A single-type document is rendered whole
+before it is written, so a failing command writes nothing to stdout; scan
+records are written one at a time by ``classify.write_scans``.
 
 Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage, parse
 or I/O error.
@@ -17,10 +16,12 @@ or I/O error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
+import reprlib
 import sys
-from typing import Iterable
 
 from .classify import (
     ScanReport,
@@ -65,24 +66,24 @@ def _type_spec(text: str) -> tuple[int, ...]:
     return tuple(degrees)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+#: The largest ``--n``; a larger value is a usage error, not a long hang.
+MAX_N = 100_000
 
 
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {value}")
-    return value
+def _bounded_int(low: int, high: int | None = None):
+    """An argparse type: an integer >= low, and <= high when high is given."""
+    bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(
+                f"expected an integer {bounds}, got {reprlib.repr(text)}")
+        return value
+    return parse
 
 
 def _gauss_json(g: GaussianInteger | None) -> dict[str, str] | None:
@@ -115,37 +116,23 @@ def _report_json(report: InvariantReport) -> dict:
     }
 
 
-def _emit_csv(header: list[str], rows: Iterable[list[str]], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _print_json(obj, stream) -> None:
-    json.dump(obj, stream, indent=2)
-    stream.write("\n")
+def _emit_csv(header: list[str], row: list[str]) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerows([header, row])
 
 
 def run_invariants(args) -> int:
     ci = CIType(args.n, args.type)
     report = compute_invariants(ci)
     if args.format == "json":
-        _print_json(_report_json(report), sys.stdout)
+        print(json.dumps(_report_json(report), indent=2))
     elif args.format == "csv":
-        _emit_csv(
-            ["n", "degrees", "dimension", "euler_characteristic",
-             "middle_betti", "poincare", "value_at_i"],
-            [[
-                str(ci.ambient_dim),
-                _degree_cell(ci),
-                str(report.dimension),
-                str(report.euler_char),
-                str(report.middle_betti),
-                " ".join(str(c) for c in report.poincare.coefficients),
-                str(report.value_at_i),
-            ]],
-            sys.stdout,
-        )
+        _emit_csv(["n", "degrees", "dimension", "euler_characteristic",
+                   "middle_betti", "poincare", "value_at_i"],
+                  [str(ci.ambient_dim), _degree_cell(ci), str(report.dimension),
+                   str(report.euler_char), str(report.middle_betti),
+                   " ".join(str(c) for c in report.poincare.coefficients),
+                   str(report.value_at_i)])
     else:
         print(f"type: {ci}")
         print(f"dimension: {report.dimension}")
@@ -188,10 +175,9 @@ def run_classify(args) -> int:
                 "x_vanishes": parity.x_vanishes,
                 "f_vanishes": parity.f_vanishes,
             }
-        _print_json(obj, sys.stdout)
+        print(json.dumps(obj, indent=2))
     elif args.format == "csv":
-        _emit_csv([*Verdict.CSV_HEADER, "lemma_case"],
-                  [verdict.csv_row() + [case.value]], sys.stdout)
+        _emit_csv([*Verdict.CSV_HEADER, "lemma_case"], verdict.csv_row() + [case.value])
     else:
         print(f"type: {ci}")
         print(f"total degree: {ci.total_degree}")
@@ -223,7 +209,7 @@ def run_fiber(args) -> int:
         }
         if fiber_report is not None:
             obj["fiber"] = _report_json(fiber_report)
-        _print_json(obj, sys.stdout)
+        print(json.dumps(obj, indent=2))
     elif args.format == "csv":
         row = [
             str(ci.ambient_dim),
@@ -241,13 +227,9 @@ def run_fiber(args) -> int:
             ])
         else:
             row.extend(["-", "-", "-"])
-        _emit_csv(
-            ["n", "degrees", "moduli_dim", "fiber_dim", "normal_degree",
-             "rationally_connected", "fiber_degrees", "fiber_euler",
-             "fiber_middle_betti"],
-            [row],
-            sys.stdout,
-        )
+        _emit_csv(["n", "degrees", "moduli_dim", "fiber_dim", "normal_degree",
+                   "rationally_connected", "fiber_degrees", "fiber_euler",
+                   "fiber_middle_betti"], row)
     else:
         print(f"type: {ci}")
         print(f"moduli dimension: {geometry.moduli_dim}")
@@ -302,14 +284,11 @@ def run_verify_identities(args) -> int:
             first_failure = first_failure or str(exc)
     ok = expansion_ok and chi22_ok
     if args.format == "json":
-        _print_json(
-            {
-                "max_k": str(args.max_k),
-                "expansion_identity_ok": expansion_ok,
-                "chi22_closed_form_ok": chi22_ok,
-            },
-            sys.stdout,
-        )
+        print(json.dumps({
+            "max_k": str(args.max_k),
+            "expansion_identity_ok": expansion_ok,
+            "chi22_closed_form_ok": chi22_ok,
+        }, indent=2))
     else:
         print(f"checked k = 0 .. {args.max_k}")
         print(f"expansion identity: {'ok' if expansion_ok else 'FAILED'}")
@@ -328,8 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_type_args(p):
-        p.add_argument("--n", type=_nonnegative_int, required=True,
-                       help="ambient projective dimension")
+        p.add_argument("--n", type=_bounded_int(0, MAX_N), required=True,
+                       help=f"ambient projective dimension, at most {MAX_N}")
         p.add_argument("--type", type=_type_spec, default=(),
                        help="comma-separated degrees; empty or omitted means "
                             "the ambient space itself")
@@ -353,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="exhaustively classify all types "
                             "within bounds and re-verify the classification")
-    p_scan.add_argument("--max-n", type=_positive_int, required=True)
-    p_scan.add_argument("--max-degree", type=_positive_int, required=True)
+    p_scan.add_argument("--max-n", type=_bounded_int(1), required=True)
+    p_scan.add_argument("--max-degree", type=_bounded_int(1), required=True)
     p_scan.add_argument("--which", choices=["theorem", "lemma", "both"],
                         default="both")
     p_scan.add_argument("--format", choices=["table", "json", "csv"],
@@ -366,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify-identities", help="check the expansion "
                            "identity and the chi22 closed form over a range")
-    p_ver.add_argument("--max-k", type=_nonnegative_int, required=True)
+    p_ver.add_argument("--max-k", type=_bounded_int(0), required=True)
     p_ver.add_argument("--format", choices=["table", "json"], default="table")
     p_ver.set_defaults(func=run_verify_identities)
 
@@ -379,14 +358,26 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # The integers written are computed, not parsed: lift the int-to-str cap
+    # (Python 3.10.7+, 3.11+) for the output.  Only a scan streams to stdout.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    buffer = io.StringIO()
     try:
-        return args.func(args)
+        if limit:
+            sys.set_int_max_str_digits(0)
+        with contextlib.redirect_stdout(sys.stdout if args.func is run_scan else buffer):
+            code = args.func(args)
+        sys.stdout.write(buffer.getvalue())
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -87,6 +87,15 @@ class CIType:
         return f"({inner}) in P^{self.ambient_dim}"
 
 
+def _unchecked_type(n: int, degrees: tuple[int, ...]) -> CIType:
+    """A ``CIType`` built without ``__post_init__``, for a caller that
+    generates sorted tuples of ints >= 1, of length <= n, itself."""
+    ci = object.__new__(CIType)
+    object.__setattr__(ci, "ambient_dim", n)
+    object.__setattr__(ci, "degrees", degrees)
+    return ci
+
+
 def reduce_type(ci: CIType) -> CIType:
     """Drop degree-1 entries: a hyperplane section just lowers the ambient
     space, so the reduced type has the same invariants."""

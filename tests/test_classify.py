@@ -12,6 +12,7 @@ from ci_invariants import (
     CIType,
     GaussianInteger,
     LemmaCase,
+    LemmaRecord,
     Verdict,
     VerdictKind,
     compute_invariants,
@@ -20,6 +21,7 @@ from ci_invariants import (
     iter_types,
     lemma_classify,
     middle_betti,
+    reduce_type,
     scan_lemma,
     scan_theorem,
     theorem_verdict,
@@ -144,6 +146,25 @@ class TestDimensionLeq1Catalog:
         assert CIType(3, (2, 2)) not in dimension_leq1_catalog(4)  # d = 4 > 3
 
 
+class TestIterTypes:
+    def test_types_equal_validated_types(self):
+        for ci in iter_types(10, 6):
+            validated = CIType(ci.ambient_dim, ci.degrees)
+            assert type(ci) is CIType
+            assert ci == validated and hash(ci) == hash(validated)
+
+    def test_runs_no_validation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(CIType, "__post_init__", lambda self: calls.append(self))
+        assert sum(1 for _ in iter_types(8, 4)) == 1286
+        assert calls == []
+
+    @pytest.mark.parametrize("bounds", [(0, 3), (3, 0), (True, 3), (3, 2.0), ("3", 3)])
+    def test_rejects_bad_bounds(self, bounds):
+        with pytest.raises(ValueError):
+            next(iter_types(*bounds))
+
+
 class TestScanTheorem:
     def test_small_scan_clean(self):
         report = scan_theorem(5, 3)
@@ -244,7 +265,8 @@ class TestScanLemma:
         assert [v.ci for v in vanishing] == [CIType(1)]
         assert vanishing[0].case is LemmaCase.LINEAR_ODD
 
-    def test_one_euler_characteristic_per_type(self, monkeypatch):
+    def test_one_euler_characteristic_per_class(self, monkeypatch):
+        # A class is a reduced type: its degrees >= 2 and its dimension k.
         real = topology.euler_characteristic
         calls = []
 
@@ -253,8 +275,23 @@ class TestScanLemma:
             return real(ci)
 
         monkeypatch.setattr(topology, "euler_characteristic", counting)
-        report = scan_lemma(6, 4)
-        assert calls == [rec.ci for rec in report.records]
+        report = scan_lemma(12, 6)
+        assert len(report.records) == 50387
+        first_of_class = {}
+        for rec in report.records:
+            first_of_class.setdefault(reduce_type(rec.ci), rec.ci)
+        assert calls == list(first_of_class.values())
+        assert len(calls) == len(first_of_class) == 18564
+        # The first type of a class is its reduced type, except for the
+        # point, whose reduced type P^0 lies below the scan's n >= 1.
+        assert [ci for ci in calls if reduce_type(ci) != ci] == [CIType(1, (1,))]
+
+    def test_records_equal_direct_computation(self):
+        # The per-class shortcut, cross-checked type by type at scan scale.
+        for rec in scan_lemma(10, 6).records:
+            report = compute_invariants(rec.ci)
+            case = lemma_classify(rec.ci, report)
+            assert rec == LemmaRecord(rec.ci, report.middle_betti, report.value_at_i, case)
 
     def test_internal_check_failure_is_a_violation(self, monkeypatch):
         real = topology.euler_characteristic

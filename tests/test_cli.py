@@ -3,6 +3,8 @@ the JSON round-trip contract (all integers as decimal strings)."""
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import json
 import os
 import subprocess
@@ -10,7 +12,19 @@ import sys
 
 import pytest
 
-from ci_invariants import CIType, classify, cli, fiber_type, lines, topology
+from ci_invariants import (
+    CIType,
+    Verdict,
+    classify,
+    cli,
+    compute_invariants,
+    fiber_type,
+    lemma_classify,
+    line_geometry,
+    lines,
+    theorem_verdict,
+    topology,
+)
 from ci_invariants.cli import main
 
 
@@ -317,3 +331,164 @@ class TestUsage:
         results = [run_cli(capsys, "classify", "--n", "6", "--type", "2,2",
                            "--format", "json") for _ in range(2)]
         assert results[0] == results[1]
+
+
+def _digit_limit() -> int:
+    """The interpreter's int-to-str digit cap; 0 when it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def _unlimited_digits():
+    limit = _digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def _gauss(g):
+    return {"re": str(g.re), "im": str(g.im)}
+
+
+def _invariants_json(report):
+    return {
+        "type": {"ambient_dim": str(report.ci.ambient_dim),
+                 "degrees": [str(d) for d in report.ci.degrees]},
+        "dimension": str(report.dimension),
+        "euler_characteristic": str(report.euler_char),
+        "middle_betti": str(report.middle_betti),
+        "poincare_coefficients": [str(c) for c in report.poincare.coefficients],
+        "value_at_i": _gauss(report.value_at_i),
+    }
+
+
+@pytest.fixture(scope="module")
+def past_the_digit_line():
+    """What each subcommand must print for (3,3) in P^20000, from the library:
+    the JSON document, the CSV rows and the table lines."""
+    ci = CIType(20000, (3, 3))
+    with _unlimited_digits():
+        report = compute_invariants(ci)
+        verdict, case = theorem_verdict(ci), lemma_classify(ci, report)
+        geometry, fiber = line_geometry(ci), fiber_type(ci)
+        fib = compute_invariants(fiber)
+        assert len(str(report.euler_char)) > 4300 and len(str(fib.euler_char)) > 4300
+        head = [str(ci.ambient_dim), "3 3"]
+        geo = [str(geometry.moduli_dim), str(geometry.fiber_dim), str(geometry.normal_degree)]
+        return {
+            "invariants": (
+                _invariants_json(report),
+                [["n", "degrees", "dimension", "euler_characteristic", "middle_betti",
+                  "poincare", "value_at_i"],
+                 head + [str(report.dimension), str(report.euler_char),
+                         str(report.middle_betti),
+                         " ".join(str(c) for c in report.poincare.coefficients),
+                         str(report.value_at_i)]],
+                [f"type: {ci}", f"dimension: {report.dimension}",
+                 f"euler characteristic: {report.euler_char}",
+                 f"middle Betti number: {report.middle_betti}",
+                 f"Poincare polynomial: {report.poincare}",
+                 f"value at i: {report.value_at_i}"],
+            ),
+            "classify": (
+                {"type": _invariants_json(report)["type"], "total_degree": "6",
+                 "dimension": str(ci.dimension), "verdict": verdict.kind.value,
+                 "reason": verdict.reason, "p_x_at_i": _gauss(verdict.p_x_at_i),
+                 "p_f_at_i": _gauss(verdict.p_f_at_i), "lemma_case": case.value,
+                 "parity": None},
+                [[*Verdict.CSV_HEADER, "lemma_case"],
+                 head + ["6", str(ci.dimension), verdict.kind.value,
+                         str(verdict.p_x_at_i), str(verdict.p_f_at_i), case.value]],
+                [f"type: {ci}", "total degree: 6", f"dimension: {ci.dimension}",
+                 f"verdict: {verdict.kind.value}", f"reason: {verdict.reason}",
+                 f"lemma case: {case.value}"],
+            ),
+            "fiber": (
+                {"type": _invariants_json(report)["type"], "moduli_dim": geo[0],
+                 "fiber_dim": geo[1], "normal_degree": geo[2],
+                 "rationally_connected": True, "fiber": _invariants_json(fib)},
+                [["n", "degrees", "moduli_dim", "fiber_dim", "normal_degree",
+                  "rationally_connected", "fiber_degrees", "fiber_euler",
+                  "fiber_middle_betti"],
+                 head + geo + ["true", " ".join(map(str, fiber.degrees)),
+                               str(fib.euler_char), str(fib.middle_betti)]],
+                [f"type: {ci}", f"moduli dimension: {geo[0]}",
+                 f"fiber dimension: {geo[1]}", f"normal bundle degree: {geo[2]}",
+                 "rationally connected: true", f"fiber type: {fiber}",
+                 f"fiber euler characteristic: {fib.euler_char}",
+                 f"fiber middle Betti number: {fib.middle_betti}",
+                 f"fiber Poincare polynomial: {fib.poincare}",
+                 f"fiber value at i: {fib.value_at_i}"],
+            ),
+        }
+
+
+class TestPastTheDigitLine:
+    """Values with more digits than CPython's int-to-str cap (4300 from 3.11
+    and 3.10.7) are written in full, and the cap is restored afterwards."""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+    @pytest.mark.parametrize("command", ["invariants", "classify", "fiber"])
+    def test_every_integer_is_the_library_value(self, capsys, past_the_digit_line,
+                                                command, fmt):
+        limit = _digit_limit()
+        code, out, err = run_cli(capsys, command, "--n", "20000", "--type", "3,3",
+                                 "--format", fmt)
+        assert (code, err) == (0, "")
+        assert _digit_limit() == limit
+        doc, rows, table = past_the_digit_line[command]
+        if fmt == "json":
+            assert json.loads(out) == doc
+        elif fmt == "csv":
+            assert list(csv.reader(out.splitlines())) == rows
+        else:
+            assert out.splitlines() == table
+
+
+class TestBounds:
+    @pytest.mark.parametrize("value", ["100001", "-1", "9" * 1000, "9" * 5000, "x"])
+    def test_n_out_of_range_is_a_usage_error(self, value):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ci_invariants", "invariants", "--n", value,
+             "--type", "3"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("usage: ")
+        (error,) = [line for line in proc.stderr.splitlines() if "error:" in line]
+        assert f"argument --n: expected an integer in [0, {cli.MAX_N}]" in error
+        assert len(error) < 200
+        assert "Traceback" not in proc.stderr
+
+    def test_n_maximum_is_accepted(self):
+        for command in ("invariants", "classify", "fiber"):
+            args = cli.build_parser().parse_args([command, "--n", str(cli.MAX_N)])
+            assert args.n == cli.MAX_N == 100_000
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "--max-n", "0", "--max-degree", "2"],
+        ["scan", "--max-n", "2", "--max-degree", "1.5"],
+        ["verify-identities", "--max-k", "-1"],
+    ])
+    def test_other_bounds_are_usage_errors(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error: argument" in err and "expected an integer" in err
+
+    def test_failing_command_writes_nothing(self, capsys, monkeypatch):
+        # The table is rendered line by line; a failure after the first
+        # lines must not leave them on stdout.
+        def failing(self):
+            raise ValueError("reason unavailable")
+
+        monkeypatch.setattr(classify.Verdict, "reason", property(failing))
+        for fmt in ("table", "json"):
+            code, out, err = run_cli(capsys, "classify", "--n", "4", "--type", "3",
+                                     "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == "error: reason unavailable\n"
