@@ -14,10 +14,17 @@ fixed order:
 
 Scan bounds are a verification budget, not a completeness claim: the
 classification holds for all types, the scans re-check it mechanically on
-everything within the bounds.  Each scan is one serial loop over
-``iter_types``, in canonical (n, l, degrees) order.  Degree-1 entries only
-lower the ambient space, so the lemma scan computes the invariants and runs
-their cross-checks once per class (reduced degrees, k), not once per type.
+everything within the bounds.  Each scan walks the types serially, in
+canonical (n, l, degrees) order.  Degree-1 entries only lower the ambient
+space, so the lemma scan computes the invariants and runs their
+cross-checks once per class (reduced degrees, k), not once per type.
+
+Each scan makes two passes.  The first walks the types, runs every check
+and keeps only the counts, the violations and a small table: the verdicts
+not decided by the d > n gate, or the lemma scan's fields per class.
+``ScanReport.records`` is then a re-iterable view whose every iteration
+re-walks the types and builds each record from that table, with no check
+re-run, so a scan's memory grows with its classes, not its types.
 
 The theorem scan's records are ``Verdict``s, the lemma scan's
 ``LemmaRecord``s.  Each renders its own CSV row, table line and JSON text,
@@ -30,11 +37,13 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
-from typing import ClassVar, Iterator, NamedTuple, Sequence, TextIO
+from functools import partial
+from itertools import combinations_with_replacement, starmap
+from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence, TextIO
 
 from .exact import GaussianInteger
 from .lines import ProductObstruction, product_obstruction
@@ -173,18 +182,26 @@ def homogeneous_parity_report(
     return ParityOutcome(obstruction.p_x_at_i, obstruction.p_f_at_i, x_v, f_v)
 
 
-def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
-    """All types with 1 <= n <= max_n, 0 <= l <= n and degrees in
-    [1, max_degree], in canonical (n, l, lexicographic) order.  The bounds
-    must be ints >= 1; the tuples generated are sorted, of ints >= 1 and of
-    length l <= n, so they skip ``CIType``'s validation."""
+def _type_pairs(max_n: int, max_degree: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The (n, degrees) of every type ``iter_types`` yields, in its order.
+    The bounds are checked at the call, not at the first ``next()``."""
     for name, bound in (("max_n", max_n), ("max_degree", max_degree)):
         if type(bound) is not int or bound < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {bound!r}")
-    for n in range(1, max_n + 1):
-        for l in range(n + 1):
-            for degrees in combinations_with_replacement(range(1, max_degree + 1), l):
-                yield _unchecked_type(n, degrees)
+    degree_range = range(1, max_degree + 1)
+    return ((n, degrees)
+            for n in range(1, max_n + 1)
+            for l in range(n + 1)
+            for degrees in combinations_with_replacement(degree_range, l))
+
+
+def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
+    """All types with 1 <= n <= max_n, 0 <= l <= n and degrees in
+    [1, max_degree], in canonical (n, l, lexicographic) order.  The bounds
+    must be ints >= 1 and are checked at the call; the tuples generated are
+    sorted, of ints >= 1 and of length l <= n, so they skip ``CIType``'s
+    validation."""
+    return starmap(_unchecked_type, _type_pairs(max_n, max_degree))
 
 
 def _ascending_tuples(length: int, min_entry: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -239,14 +256,31 @@ def _json_container(open_: str, items: list[str], close: str, depth: int) -> str
     return open_ + inner + ("," + inner).join(items) + _NEWLINE[depth] + close
 
 
-def _json_degrees(ci: CIType, depth: int) -> str:
-    return _json_container("[", [f'"{d}"' for d in ci.degrees], "]", depth)
+#: Pieces of a record's JSON text: each record object is one %-template,
+#: and the arrays and objects nested in it sit one level deeper.
+_DEGREES_OPEN = "[" + _NEWLINE[_RECORD_DEPTH + 2] + '"'
+_DEGREES_SEP = '",' + _NEWLINE[_RECORD_DEPTH + 2] + '"'
+_DEGREES_CLOSE = '"' + _NEWLINE[_RECORD_DEPTH + 1] + "]"
+_GAUSS_JSON = _json_container(
+    "{", ['"re": "%d"', '"im": "%d"'], "}", _RECORD_DEPTH + 1)
+_VERDICT_JSON = _json_container("{", [
+    '"n": "%d"', '"degrees": %s', '"dimension": "%d"', '"total_degree": "%d"',
+    '"verdict": "%s"', '"p_x_at_i": %s', '"p_f_at_i": %s',
+], "}", _RECORD_DEPTH)
+_LEMMA_JSON = _json_container("{", [
+    '"n": "%d"', '"degrees": %s', '"dimension": "%d"', '"middle_betti": %s',
+    '"p_at_i": %s', '"case": "%s"',
+], "}", _RECORD_DEPTH)
 
 
-def _json_gauss(g: GaussianInteger | None, depth: int) -> str:
-    if g is None:
-        return "null"
-    return _json_container("{", [f'"re": "{g.re}"', f'"im": "{g.im}"'], "}", depth)
+def _json_degrees(degrees: tuple[int, ...]) -> str:
+    if not degrees:
+        return "[]"
+    return _DEGREES_OPEN + _DEGREES_SEP.join(map(str, degrees)) + _DEGREES_CLOSE
+
+
+def _json_gauss(g: GaussianInteger | None) -> str:
+    return "null" if g is None else _GAUSS_JSON % (g.re, g.im)
 
 
 #: The reason of each verdict kind, filled in from the type and the values
@@ -262,6 +296,12 @@ _REASONS = {
     VerdictKind.HOMOGENEOUS_LINEAR: "type reduces to a projective space",
     VerdictKind.HOMOGENEOUS_QUADRIC: "type reduces to a quadric",
     None: "an internal check failed for the type",
+}
+
+#: The text of each record outcome; ``None`` is a failed internal check.
+_OUTCOME_TEXT = {
+    None: "internal_check_failed",
+    **{outcome: outcome.value for outcome in (*VerdictKind, *LemmaCase)},
 }
 
 
@@ -291,33 +331,29 @@ class Verdict:
         return (
             f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
             f"d={self.ci.total_degree} k={self.ci.dimension} "
-            f"verdict={_outcome_text(self.kind)} "
+            f"verdict={_OUTCOME_TEXT[self.kind]} "
             f"p_X(i)={_text(self.p_x_at_i)} p_F(i)={_text(self.p_f_at_i)}"
         )
 
     def csv_row(self) -> list[str]:
-        ci = self.ci
+        n, degrees = self.ci.ambient_dim, self.ci.degrees
         return [
-            str(ci.ambient_dim),
-            _degree_cell(ci),
-            str(ci.total_degree),
-            str(ci.dimension),
-            _outcome_text(self.kind),
+            str(n),
+            " ".join(map(str, degrees)),
+            str(sum(degrees)),
+            str(n - len(degrees)),
+            _OUTCOME_TEXT[self.kind],
             _text(self.p_x_at_i),
             _text(self.p_f_at_i),
         ]
 
     def json_text(self) -> str:
-        ci, depth = self.ci, _RECORD_DEPTH + 1
-        return _json_container("{", [
-            f'"n": "{ci.ambient_dim}"',
-            f'"degrees": {_json_degrees(ci, depth)}',
-            f'"dimension": "{ci.dimension}"',
-            f'"total_degree": "{ci.total_degree}"',
-            f'"verdict": "{_outcome_text(self.kind)}"',
-            f'"p_x_at_i": {_json_gauss(self.p_x_at_i, depth)}',
-            f'"p_f_at_i": {_json_gauss(self.p_f_at_i, depth)}',
-        ], "}", _RECORD_DEPTH)
+        n, degrees = self.ci.ambient_dim, self.ci.degrees
+        return _VERDICT_JSON % (
+            n, _json_degrees(degrees), n - len(degrees), sum(degrees),
+            _OUTCOME_TEXT[self.kind], _json_gauss(self.p_x_at_i),
+            _json_gauss(self.p_f_at_i),
+        )
 
 
 @dataclass(frozen=True)
@@ -339,62 +375,80 @@ class LemmaRecord:
         return (
             f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
             f"k={self.ci.dimension} b_k={_text(self.middle_betti)} "
-            f"p(i)={_text(self.value_at_i)} case={_outcome_text(self.case)}"
+            f"p(i)={_text(self.value_at_i)} case={_OUTCOME_TEXT[self.case]}"
         )
 
     def csv_row(self) -> list[str]:
-        ci = self.ci
+        n, degrees = self.ci.ambient_dim, self.ci.degrees
         return [
-            str(ci.ambient_dim),
-            _degree_cell(ci),
-            str(ci.dimension),
+            str(n),
+            " ".join(map(str, degrees)),
+            str(n - len(degrees)),
             _text(self.middle_betti),
             _text(self.value_at_i),
-            _outcome_text(self.case),
+            _OUTCOME_TEXT[self.case],
         ]
 
     def json_text(self) -> str:
-        ci, depth = self.ci, _RECORD_DEPTH + 1
+        n, degrees = self.ci.ambient_dim, self.ci.degrees
         betti = "null" if self.middle_betti is None else f'"{self.middle_betti}"'
-        return _json_container("{", [
-            f'"n": "{ci.ambient_dim}"',
-            f'"degrees": {_json_degrees(ci, depth)}',
-            f'"dimension": "{ci.dimension}"',
-            f'"middle_betti": {betti}',
-            f'"p_at_i": {_json_gauss(self.value_at_i, depth)}',
-            f'"case": "{_outcome_text(self.case)}"',
-        ], "}", _RECORD_DEPTH)
+        return _LEMMA_JSON % (
+            n, _json_degrees(degrees), n - len(degrees), betti,
+            _json_gauss(self.value_at_i), _OUTCOME_TEXT[self.case],
+        )
 
 
 def _degree_text(ci: CIType) -> str:
-    return ",".join(str(d) for d in ci.degrees)
+    return ",".join(map(str, ci.degrees))
 
 
 def _degree_cell(ci: CIType) -> str:
-    return " ".join(str(d) for d in ci.degrees)
+    return " ".join(map(str, ci.degrees))
 
 
 def _text(value: int | GaussianInteger | None) -> str:
     return str(value) if value is not None else "-"
 
 
-def _outcome_text(outcome: VerdictKind | LemmaCase | None) -> str:
-    return outcome.value if outcome is not None else "internal_check_failed"
-
-
 _RECORD_TYPES = {"theorem": Verdict, "lemma": LemmaRecord}
+
+
+class ScanRecords:
+    """The records of a finished scan, one per type in canonical order, as a
+    sized, re-iterable view.  Each iteration re-walks the types and builds
+    every record from the scan's table, with no check re-run, so the view
+    holds no record: it supports ``len``, ``iter``, ``bool`` and ``==``
+    against another view or a tuple, but no indexing or slicing."""
+
+    __slots__ = ("_walk", "_len")
+
+    def __init__(self, walk: Callable[[], Iterator], length: int) -> None:
+        self._walk = walk
+        self._len = length
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator:
+        return self._walk()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (ScanRecords, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Deterministic result of an exhaustive scan: one record per type in
-    canonical order, outcome counts, and any internal-check violations
-    (always expected to be empty)."""
+    """Deterministic result of an exhaustive scan: its records, outcome
+    counts, and any internal-check violations (always expected to be empty).
+    ``records`` is a ``ScanRecords`` view, one record per type in canonical
+    order; the counts and violations are final when the report is built."""
 
     kind: str
     max_n: int
     max_degree: int
-    records: tuple[Verdict, ...] | tuple[LemmaRecord, ...]
+    records: ScanRecords
     counts: dict[str, int]
     violations: tuple[str, ...]
 
@@ -490,20 +544,19 @@ def _scan_report(
     kind: str,
     max_n: int,
     max_degree: int,
-    records: list,
+    records: ScanRecords,
     violations: list[str],
     outcomes: type[Enum],
-    found: Iterator[Enum | None],
+    tally: Counter,
 ) -> ScanReport:
-    """The report of a finished scan.  ``found`` yields each record's
+    """The report of a finished scan.  ``tally`` counts the records by
     outcome, a member of ``outcomes`` or None for a failed internal check;
     the counts list every member of ``outcomes`` in order, then the failed
     checks if there were any."""
-    tally = Counter(found)
     counts = {outcome.value: tally[outcome] for outcome in outcomes}
     if tally[None]:
         counts["internal_check_failed"] = tally[None]
-    return ScanReport(kind, max_n, max_degree, tuple(records), counts, tuple(violations))
+    return ScanReport(kind, max_n, max_degree, records, counts, tuple(violations))
 
 
 def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
@@ -515,16 +568,27 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     rationally connected homogeneous-shaped type of dimension >= 2 must
     survive.  (In dimension <= 1 points and conics have total degree n and
     stop at the normal-bundle gate; lines survive.)
+
+    ``theorem_verdict`` runs on every type.  A type with d > n whose verdict
+    is ``NOT_RATIONALLY_CONNECTED`` is only counted, because its record is
+    that verdict again; every other verdict is kept, by the type's position,
+    for the records view.
     """
-    records: list[Verdict] = []
+    not_rc = VerdictKind.NOT_RATIONALLY_CONNECTED
+    kept: dict[int, Verdict] = {}
+    skipped = 0
     violations: list[str] = []
-    for ci in iter_types(max_n, max_degree):
+    for index, ci in enumerate(iter_types(max_n, max_degree)):
         try:
             verdict = theorem_verdict(ci)
         except InternalCheckError as exc:
             violations.append(str(exc))
             verdict = Verdict(ci, None)
-        records.append(verdict)
+        n, d = ci.ambient_dim, sum(ci.degrees)
+        if d > n and verdict.kind is not_rc:
+            skipped += 1
+            continue
+        kept[index] = verdict
 
         # Finite-scale re-statement of the classification itself.  Every
         # check below needs a type that passed or is rationally connected.
@@ -532,7 +596,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
             VerdictKind.HOMOGENEOUS_LINEAR,
             VerdictKind.HOMOGENEOUS_QUADRIC,
         )
-        rc = ci.total_degree <= ci.ambient_dim
+        rc = d <= n
         if not (passed or rc):
             continue
         homogeneous = _is_homogeneous_shape(ci)
@@ -545,8 +609,22 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 f"dimension <= 1 rationally connected type is not a "
                 f"point/line/conic: {ci}"
             )
+    tally = Counter(verdict.kind for verdict in kept.values())
+    tally[not_rc] += skipped
+    records = ScanRecords(partial(_theorem_records, max_n, max_degree, kept),
+                          skipped + len(kept))
     return _scan_report("theorem", max_n, max_degree, records, violations,
-                        VerdictKind, (rec.kind for rec in records))
+                        VerdictKind, tally)
+
+
+def _theorem_records(
+    max_n: int, max_degree: int, kept: dict[int, Verdict]
+) -> Iterator[Verdict]:
+    not_rc = VerdictKind.NOT_RATIONALLY_CONNECTED
+    for index, ci in enumerate(iter_types(max_n, max_degree)):
+        verdict = kept.get(index)
+        yield Verdict(ci, not_rc) if verdict is None else verdict
+
 
 
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
@@ -554,31 +632,58 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     vanishes exactly on the three allowed shapes and nowhere else.
 
     The first type scanned in a class (reduced degrees, k) runs the checks,
-    and the rest of the class reuses its fields.  A class whose checks
-    recorded a violation is not kept, so each of its types reports its own."""
-    records: list[LemmaRecord] = []
+    and the rest of the class reuses its fields; only that first type is
+    built as a ``CIType``.  A class whose checks recorded a violation is not
+    kept, so each of its types runs the checks and reports its own; their
+    fields are kept by (n, degrees) for the records view."""
+    # class key -> [fields, number of types that reuse them]
+    classes: dict[tuple[tuple[int, ...], int], list] = {}
+    failed: dict[tuple[int, tuple[int, ...]], tuple] = {}
     violations: list[str] = []
-    classes: dict[tuple[tuple[int, ...], int], tuple[int, GaussianInteger, LemmaCase]] = {}
-    for ci in iter_types(max_n, max_degree):
-        degrees = ci.degrees
-        key = (degrees[degrees.count(1):], ci.dimension)
-        fields = classes.get(key)
-        if fields is None:
-            seen = len(violations)
-            betti = value = case = None
-            try:
-                report = compute_invariants(ci)
-                betti, value = report.middle_betti, report.value_at_i
-                case = lemma_classify(ci, report)
-            except InternalCheckError as exc:
-                violations.append(str(exc))
-            # No type with an entry >= 3, or with two entries >= 2, may
-            # vanish: a vanishing p(i) needs a reduced type () or (2).
-            if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
-                violations.append(f"excluded shape vanishes at i: {ci}")
-            fields = (betti, value, case)
-            if len(violations) == seen:
-                classes[key] = fields
-        records.append(LemmaRecord(ci, *fields))
+    for n, degrees in _type_pairs(max_n, max_degree):
+        key = (degrees[degrees.count(1):], n - len(degrees))
+        entry = classes.get(key)
+        if entry is not None:
+            entry[1] += 1
+            continue
+        ci = _unchecked_type(n, degrees)
+        seen = len(violations)
+        betti = value = case = None
+        try:
+            report = compute_invariants(ci)
+            betti, value = report.middle_betti, report.value_at_i
+            case = lemma_classify(ci, report)
+        except InternalCheckError as exc:
+            violations.append(str(exc))
+        # No type with an entry >= 3, or with two entries >= 2, may
+        # vanish: a vanishing p(i) needs a reduced type () or (2).
+        if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
+            violations.append(f"excluded shape vanishes at i: {ci}")
+        if len(violations) == seen:
+            classes[key] = [(betti, value, case), 1]
+        else:
+            failed[n, degrees] = (betti, value, case)
+    tally: Counter = Counter()
+    for fields, count in classes.values():
+        tally[fields[2]] += count
+    tally.update(fields[2] for fields in failed.values())
+    records = ScanRecords(
+        partial(_lemma_records, max_n, max_degree, classes, failed),
+        sum(tally.values()))
     return _scan_report("lemma", max_n, max_degree, records, violations,
-                        LemmaCase, (rec.case for rec in records))
+                        LemmaCase, tally)
+
+
+def _lemma_records(
+    max_n: int,
+    max_degree: int,
+    classes: dict[tuple[tuple[int, ...], int], list],
+    failed: dict[tuple[int, tuple[int, ...]], tuple],
+) -> Iterator[LemmaRecord]:
+    # A failed type's class may be kept later, by another of its types.
+    for n, degrees in _type_pairs(max_n, max_degree):
+        if failed and (n, degrees) in failed:
+            fields = failed[n, degrees]
+        else:
+            fields = classes[degrees[degrees.count(1):], n - len(degrees)][0]
+        yield LemmaRecord(_unchecked_type(n, degrees), *fields)

@@ -4,7 +4,9 @@ exhaustive scans."""
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -26,6 +28,7 @@ from ci_invariants import (
     scan_theorem,
     theorem_verdict,
     vanishes_at_i,
+    write_scans,
 )
 from ci_invariants import classify, topology
 
@@ -164,6 +167,11 @@ class TestIterTypes:
         with pytest.raises(ValueError):
             next(iter_types(*bounds))
 
+    @pytest.mark.parametrize("bounds", [(0, 3), (3, True)])
+    def test_rejects_bad_bounds_at_the_call(self, bounds):
+        with pytest.raises(ValueError):
+            iter_types(*bounds)
+
 
 class TestScanTheorem:
     def test_small_scan_clean(self):
@@ -197,6 +205,12 @@ class TestScanTheorem:
         b = scan_theorem(5, 3)
         assert a == b
         assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
+
+    def test_records_equal_direct_computation(self):
+        # The d > n records the view rebuilds, cross-checked type by type.
+        report = scan_theorem(10, 6)
+        for ci, rec in zip(iter_types(10, 6), report.records, strict=True):
+            assert rec == theorem_verdict(ci)
 
     def test_wrong_verdicts_are_violations(self, monkeypatch):
         real = classify.theorem_verdict
@@ -335,6 +349,34 @@ class TestScanLemma:
             f"shape case nonvanishing disagrees with p(i) vanishing for {cubic}",
             f"excluded shape vanishes at i: {cubic}",
         )
+
+
+class _NullStream(io.TextIOBase):
+    def write(self, text):
+        return len(text)
+
+
+class TestScanRecords:
+    @pytest.mark.parametrize("scan", [scan_theorem, scan_lemma])
+    def test_view_is_sized_and_re_iterable(self, scan):
+        records = scan(6, 4).records
+        first, second = tuple(records), tuple(records)
+        assert first == second
+        assert len(records) == len(first) == sum(1 for _ in iter_types(6, 4))
+        assert records and records == first and first == records
+        assert records == scan(6, 4).records
+        assert records != scan(5, 4).records and records != first[:-1]
+
+    def test_memory_does_not_grow_with_the_types(self):
+        # Holding one record per type, both 10/6 scans and their document
+        # peaked at 13.4 MB; the views keep only the per-class tables.
+        tracemalloc.start()
+        try:
+            write_scans([scan_theorem(10, 6), scan_lemma(10, 6)], "json", _NullStream())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestScanReportSerialization:

@@ -14,6 +14,8 @@ from hypothesis import given, strategies as st
 
 from ci_invariants import (
     CIType,
+    I,
+    IntPolynomial,
     compute_invariants,
     euler_characteristic,
     fiber_type,
@@ -24,6 +26,7 @@ from ci_invariants import (
     theorem_verdict,
 )
 from ci_invariants.cli import main
+from ci_invariants.topology import _values_at_units
 
 
 @st.composite
@@ -70,6 +73,12 @@ def test_poincare_polynomial_at_plus_and_minus_one(case):
     delta = 1 if k % 2 == 0 else 0
     assert report.poincare(-1) == series_coefficient(degrees, n)
     assert report.poincare(1) == (k + 1) + b - delta
+
+
+@given(st.lists(st.integers(-(10**30), 10**30), max_size=40))
+def test_strided_values_equal_horner(coeffs):
+    p = IntPolynomial(coeffs)
+    assert _values_at_units(p) == (p(-1), p(1), p.eval_gaussian(I))
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

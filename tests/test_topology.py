@@ -28,6 +28,7 @@ from ci_invariants import (
     vanishes_at_i,
     verify_expansion_identity,
 )
+from ci_invariants.topology import _values_at_units
 
 
 class TestCIType:
@@ -278,3 +279,10 @@ class TestLargeMagnitudes:
         assert via_chi == (63 * (63 ** 64 - 1)) // 64
         report = compute_invariants(CIType(64, (64,)))
         assert report.poincare(-1) == report.euler_char
+
+    def test_strided_values_equal_horner_at_n_20000(self):
+        report = compute_invariants(CIType(20000, (2, 5, 6)))
+        p = report.poincare
+        horner = (p(-1), p(1), p.eval_gaussian(I))
+        assert _values_at_units(p) == horner
+        assert (report.euler_char, report.value_at_i) == (horner[0], horner[2])
