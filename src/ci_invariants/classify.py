@@ -24,7 +24,8 @@ and keeps only the counts, the violations and a small table: the verdicts
 not decided by the d > n gate, or the lemma scan's fields per class.
 ``ScanReport.records`` is then a re-iterable view whose every iteration
 re-walks the types and builds each record from that table, with no check
-re-run, so a scan's memory grows with its classes, not its types.
+re-run, so a scan's memory grows with its classes and its d <= n
+verdicts, not with one record per type.
 
 The theorem scan's records are ``Verdict``s, the lemma scan's
 ``LemmaRecord``s.  Each renders its own CSV row, table line and JSON text,
@@ -63,6 +64,9 @@ class LemmaCase(Enum):
     QUADRIC_ODD = "quadric_odd"          # type (1,...,1,2), k odd
     QUADRIC_2_MOD_4 = "quadric_2_mod_4"  # type (1,...,1,2), k = 2 mod 4
     NONVANISHING = "nonvanishing"
+
+    # Members are singletons; the lemma scan tallies one per type.
+    __hash__ = object.__hash__
 
 
 class VerdictKind(Enum):
@@ -339,7 +343,7 @@ class Verdict:
         n, degrees = self.ci.ambient_dim, self.ci.degrees
         return [
             str(n),
-            " ".join(map(str, degrees)),
+            _degree_cell(self.ci),
             str(sum(degrees)),
             str(n - len(degrees)),
             _OUTCOME_TEXT[self.kind],
@@ -379,11 +383,11 @@ class LemmaRecord:
         )
 
     def csv_row(self) -> list[str]:
-        n, degrees = self.ci.ambient_dim, self.ci.degrees
+        n = self.ci.ambient_dim
         return [
             str(n),
-            " ".join(map(str, degrees)),
-            str(n - len(degrees)),
+            _degree_cell(self.ci),
+            str(n - len(self.ci.degrees)),
             _text(self.middle_betti),
             _text(self.value_at_i),
             _OUTCOME_TEXT[self.case],
@@ -636,15 +640,15 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     built as a ``CIType``.  A class whose checks recorded a violation is not
     kept, so each of its types runs the checks and reports its own; their
     fields are kept by (n, degrees) for the records view."""
-    # class key -> [fields, number of types that reuse them]
-    classes: dict[tuple[tuple[int, ...], int], list] = {}
+    classes: dict[tuple[tuple[int, ...], int], tuple] = {}
     failed: dict[tuple[int, tuple[int, ...]], tuple] = {}
     violations: list[str] = []
+    tally: Counter = Counter()
     for n, degrees in _type_pairs(max_n, max_degree):
         key = (degrees[degrees.count(1):], n - len(degrees))
-        entry = classes.get(key)
-        if entry is not None:
-            entry[1] += 1
+        fields = classes.get(key)
+        if fields is not None:
+            tally[fields[2]] += 1
             continue
         ci = _unchecked_type(n, degrees)
         seen = len(violations)
@@ -660,13 +664,10 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
         if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
             violations.append(f"excluded shape vanishes at i: {ci}")
         if len(violations) == seen:
-            classes[key] = [(betti, value, case), 1]
+            classes[key] = (betti, value, case)
         else:
             failed[n, degrees] = (betti, value, case)
-    tally: Counter = Counter()
-    for fields, count in classes.values():
-        tally[fields[2]] += count
-    tally.update(fields[2] for fields in failed.values())
+        tally[case] += 1
     records = ScanRecords(
         partial(_lemma_records, max_n, max_degree, classes, failed),
         sum(tally.values()))
@@ -677,7 +678,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
 def _lemma_records(
     max_n: int,
     max_degree: int,
-    classes: dict[tuple[tuple[int, ...], int], list],
+    classes: dict[tuple[tuple[int, ...], int], tuple],
     failed: dict[tuple[int, tuple[int, ...]], tuple],
 ) -> Iterator[LemmaRecord]:
     # A failed type's class may be kept later, by another of its types.
@@ -685,5 +686,5 @@ def _lemma_records(
         if failed and (n, degrees) in failed:
             fields = failed[n, degrees]
         else:
-            fields = classes[degrees[degrees.count(1):], n - len(degrees)][0]
+            fields = classes[degrees[degrees.count(1):], n - len(degrees)]
         yield LemmaRecord(_unchecked_type(n, degrees), *fields)

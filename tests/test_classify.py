@@ -367,7 +367,7 @@ class TestScanRecords:
         assert records == scan(6, 4).records
         assert records != scan(5, 4).records and records != first[:-1]
 
-    def test_memory_does_not_grow_with_the_types(self):
+    def test_memory_is_bounded_by_the_tables(self):
         # Holding one record per type, both 10/6 scans and their document
         # peaked at 13.4 MB; the views keep only the per-class tables.
         tracemalloc.start()
