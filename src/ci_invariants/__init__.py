@@ -3,18 +3,13 @@ projective space, and the classification of the convex, rationally
 connected ones among them.
 
 All arithmetic is exact (arbitrary-precision integers, integer
-polynomials, Gaussian integers, truncated integer power series); there is
-no floating point anywhere.
+polynomials, Gaussian integers); there is no floating point anywhere.
 """
 
 from .exact import (
     GaussianInteger,
-    I,
     IntPolynomial,
     ONE_PLUS_T_SQUARED,
-    TruncatedSeries,
-    binomial,
-    series_coefficient,
 )
 from .topology import (
     CIType,
@@ -23,11 +18,6 @@ from .topology import (
     chi22,
     compute_invariants,
     euler_characteristic,
-    hypersurface_middle_betti,
-    middle_betti,
-    poincare_polynomial,
-    reduce_type,
-    vanishes_at_i,
     verify_expansion_identity,
 )
 from .lines import (
@@ -44,7 +34,6 @@ from .classify import (
     ScanReport,
     Verdict,
     VerdictKind,
-    dimension_leq1_catalog,
     homogeneous_parity_report,
     iter_types,
     lemma_classify,
@@ -58,23 +47,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianInteger",
-    "I",
     "IntPolynomial",
     "ONE_PLUS_T_SQUARED",
-    "TruncatedSeries",
-    "binomial",
-    "series_coefficient",
     "CIType",
     "InternalCheckError",
     "InvariantReport",
     "chi22",
     "compute_invariants",
     "euler_characteristic",
-    "hypersurface_middle_betti",
-    "middle_betti",
-    "poincare_polynomial",
-    "reduce_type",
-    "vanishes_at_i",
     "verify_expansion_identity",
     "LineGeometry",
     "ProductObstruction",
@@ -87,7 +67,6 @@ __all__ = [
     "ScanReport",
     "Verdict",
     "VerdictKind",
-    "dimension_leq1_catalog",
     "homogeneous_parity_report",
     "iter_types",
     "lemma_classify",

@@ -36,7 +36,6 @@ the layout of ``json.dump(..., indent=2)``.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import operator
 from collections import Counter
@@ -206,39 +205,6 @@ def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     sorted, of ints >= 1 and of length l <= n, so they skip ``CIType``'s
     validation."""
     return starmap(_unchecked_type, _type_pairs(max_n, max_degree))
-
-
-def _ascending_tuples(length: int, min_entry: int, budget: int) -> Iterator[tuple[int, ...]]:
-    # sorted tuples with entries >= min_entry and sum <= budget
-    if length == 0:
-        yield ()
-        return
-    first = min_entry
-    while first * length <= budget:
-        for rest in _ascending_tuples(length - 1, first, budget - first):
-            yield (first,) + rest
-        first += 1
-
-
-def dimension_leq1_catalog(max_n: int) -> list[CIType]:
-    """All rationally connected candidates of dimension <= 1 (d <= n) with
-    n <= max_n, verified to reduce to () or (2): points, lines, conics."""
-    if max_n < 1:
-        raise ValueError("max_n must be >= 1")
-    catalog: list[CIType] = []
-    for n in range(1, max_n + 1):
-        for k in (0, 1):
-            l = n - k
-            if l < 0:
-                continue
-            for degrees in _ascending_tuples(l, 1, n):
-                ci = CIType(n, degrees)
-                if not _is_homogeneous_shape(ci):
-                    raise InternalCheckError(
-                        f"dimension <= 1 candidate {ci} does not reduce to () or (2)"
-                    )
-                catalog.append(ci)
-    return catalog
 
 
 #: ``_NEWLINE[depth]`` starts a line at ``depth`` levels of the two-space
@@ -518,13 +484,6 @@ class ScanReport:
             stream.write(close + _NEWLINE[_SCAN_DEPTH] + "}")
         else:
             raise ValueError(f"unknown output format {fmt!r}")
-
-    def to_json_obj(self) -> dict:
-        """This scan's JSON object, parsed back from the text ``write``
-        renders, so there is one JSON route."""
-        buffer = io.StringIO()
-        self.write("json", buffer)
-        return json.loads(buffer.getvalue())
 
 
 def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None:

@@ -20,6 +20,7 @@ import contextlib
 import csv
 import io
 import json
+import re
 import reprlib
 import sys
 
@@ -47,27 +48,12 @@ from .topology import (
 )
 
 
-def _type_spec(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated degree list; the empty string means no
-    hypersurfaces at all (the ambient space)."""
-    text = text.strip()
-    if not text:
-        return ()
-    degrees = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            value = int(part)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"degree {part!r} is not an integer")
-        if value < 1:
-            raise argparse.ArgumentTypeError(f"degrees must be >= 1, got {value}")
-        degrees.append(value)
-    return tuple(degrees)
-
-
 #: The largest ``--n``; a larger value is a usage error, not a long hang.
 MAX_N = 100_000
+
+#: An integer argument: an optional minus sign and ASCII digits, nothing
+#: else.  ``int()`` alone would also take "1_0", " 3" and non-ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def _bounded_int(low: int, high: int | None = None):
@@ -75,15 +61,29 @@ def _bounded_int(low: int, high: int | None = None):
     bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
+        value = None
+        if _INTEGER.fullmatch(text):
+            try:
+                value = int(text)
+            except ValueError:  # more digits than int() converts
+                pass
         if value is None or value < low or (high is not None and value > high):
             raise argparse.ArgumentTypeError(
                 f"expected an integer {bounds}, got {reprlib.repr(text)}")
         return value
     return parse
+
+
+_degree = _bounded_int(1)
+
+
+def _type_spec(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated degree list; the empty string means no
+    hypersurfaces at all (the ambient space)."""
+    text = text.strip()
+    if not text:
+        return ()
+    return tuple(_degree(part.strip()) for part in text.split(","))
 
 
 def _gauss_json(g: GaussianInteger | None) -> dict[str, str] | None:
@@ -108,7 +108,7 @@ def _report_json(report: InvariantReport) -> dict:
     document, and the ``fiber`` object of the ``fiber`` document."""
     return {
         "type": _type_json(report.ci),
-        "dimension": str(report.dimension),
+        "dimension": str(report.ci.dimension),
         "euler_characteristic": str(report.euler_char),
         "middle_betti": str(report.middle_betti),
         "poincare_coefficients": _poly_json(report.poincare),
@@ -129,13 +129,13 @@ def run_invariants(args) -> int:
     elif args.format == "csv":
         _emit_csv(["n", "degrees", "dimension", "euler_characteristic",
                    "middle_betti", "poincare", "value_at_i"],
-                  [str(ci.ambient_dim), _degree_cell(ci), str(report.dimension),
+                  [str(ci.ambient_dim), _degree_cell(ci), str(ci.dimension),
                    str(report.euler_char), str(report.middle_betti),
                    " ".join(str(c) for c in report.poincare.coefficients),
                    str(report.value_at_i)])
     else:
         print(f"type: {ci}")
-        print(f"dimension: {report.dimension}")
+        print(f"dimension: {ci.dimension}")
         print(f"euler characteristic: {report.euler_char}")
         print(f"middle Betti number: {report.middle_betti}")
         print(f"Poincare polynomial: {report.poincare}")

@@ -9,10 +9,9 @@ function (Topological Methods in Algebraic Geometry, section 22)
     sum_n chi(D in P^n) z^n = (1 - z)^-2 * prod_i d_i z / (1 + (d_i - 1) z),
 
 which expands with one first-order integer recurrence per degree, in
-O(k * l) exact steps.  The coefficient of H^n in
-(1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)), computed from truncated
-series by ``exact.series_coefficient``, is the same number by an
-independent route and is kept as the cross-check that tests compare with.
+O(k * l) exact steps.  The tests compare it with the coefficient of H^n in
+(1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)), an independent route kept
+in ``tests/reference.py``, outside the package.
 
 Every Betti number except the middle one is forced by the Lefschetz
 hyperplane theorem together with Poincare duality: rank 1 in each even
@@ -23,7 +22,7 @@ follows from the Euler characteristic, and the Poincare polynomial is
 
 with delta_k = 1 for even k and 0 for odd k.  ``compute_invariants`` is the
 one place that derives b_k, p(t) and p(i) from chi, and it runs the
-built-in cross-checks once per type.
+built-in cross-checks once per type; read the invariants from its report.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .exact import GaussianInteger, IntPolynomial, binomial
+from .exact import GaussianInteger, IntPolynomial
 
 
 class InternalCheckError(RuntimeError):
@@ -96,13 +95,6 @@ def _unchecked_type(n: int, degrees: tuple[int, ...]) -> CIType:
     return ci
 
 
-def reduce_type(ci: CIType) -> CIType:
-    """Drop degree-1 entries: a hyperplane section just lowers the ambient
-    space, so the reduced type has the same invariants."""
-    ones = ci.degrees.count(1)
-    return CIType(ci.ambient_dim - ones, tuple(d for d in ci.degrees if d > 1))
-
-
 def euler_characteristic(ci: CIType) -> int:
     """Euler characteristic of a nonsingular complete intersection of the
     given type; the ambient space itself gives n + 1.
@@ -124,47 +116,6 @@ def euler_characteristic(ci: CIType) -> int:
     return math.prod(ci.degrees) * coeffs[k]
 
 
-def middle_betti(ci: CIType) -> int:
-    """Middle Betti number b_k, recovered from the Euler characteristic.
-
-    The ranks away from the middle degree are forced (1 in each even
-    degree, 0 in each odd one), so for odd k the alternating sum gives
-    b_k = (k+1) - chi and for even k it gives b_k = chi - k.  In dimension 0
-    the intersection is prod(d_i) points.
-    """
-    return compute_invariants(ci).middle_betti
-
-
-def poincare_polynomial(ci: CIType) -> IntPolynomial:
-    """Poincare polynomial sum_q b_q t^q of the given type."""
-    return compute_invariants(ci).poincare
-
-
-def vanishes_at_i(ci: CIType) -> bool:
-    """True iff the Poincare polynomial vanishes at the imaginary unit:
-    exactly when k is odd with b_k = 0, or k = 2 mod 4 with b_k = 2."""
-    return compute_invariants(ci).value_at_i.is_zero
-
-
-def hypersurface_middle_betti(e: int, k: int) -> int:
-    """Closed form for the middle Betti number of a degree-e hypersurface
-    in P^(k+1):  b_k = delta_k + (e-1)/e * ((e-1)^(k+1) - (-1)^(k+1)).
-
-    The division by e is exact; a non-exact division can only mean a bug.
-    """
-    if e < 1:
-        raise ValueError(f"hypersurface degree must be >= 1, got {e}")
-    if k < 0:
-        raise ValueError(f"dimension must be >= 0, got {k}")
-    delta = 1 if k % 2 == 0 else 0
-    numerator = (e - 1) * ((e - 1) ** (k + 1) - (-1) ** (k + 1))
-    if numerator % e:
-        raise InternalCheckError(
-            f"closed-form numerator {numerator} is not divisible by e={e}"
-        )
-    return delta + numerator // e
-
-
 def chi22(k: int) -> int:
     """Euler characteristic of a type-(2,2) complete intersection in
     P^(k+2), via the binomial sum
@@ -175,7 +126,7 @@ def chi22(k: int) -> int:
     if k < 0:
         raise ValueError(f"dimension must be >= 0, got {k}")
     total = sum(
-        2 ** (k + 2 - i) * (-1) ** (k - i) * (k + 1 - i) * binomial(k + 3, i)
+        2 ** (k + 2 - i) * (-1) ** (k - i) * (k + 1 - i) * math.comb(k + 3, i)
         for i in range(k + 1)
     )
     closed = ((-1) ** k) * ((k + 2) + ((-1) ** k) * (k + 2))
@@ -199,7 +150,7 @@ def verify_expansion_identity(k: int) -> bool:
     lhs = (k + 3) * base - base * t_minus_1 + IntPolynomial([(-1) ** (k + 3)])
     rhs_coeffs = [0] * (k + 4)
     for i in range(k + 3):
-        c = (-1) ** i * binomial(k + 3, i)
+        c = (-1) ** i * math.comb(k + 3, i)
         rhs_coeffs[k + 2 - i] += c * (k + 3 - i)
         rhs_coeffs[k + 3 - i] -= c
     return lhs == IntPolynomial(rhs_coeffs)
@@ -210,7 +161,6 @@ class InvariantReport:
     """All computed invariants of one complete intersection type."""
 
     ci: CIType
-    dimension: int
     euler_char: int
     middle_betti: int
     poincare: IntPolynomial
@@ -260,7 +210,6 @@ def compute_invariants(ci: CIType) -> InvariantReport:
         )
     return InvariantReport(
         ci=ci,
-        dimension=k,
         euler_char=chi,
         middle_betti=b,
         poincare=p,

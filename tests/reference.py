@@ -1,0 +1,77 @@
+"""Independent cross-checks for the test suite.
+
+The package computes the Euler characteristic with Hirzebruch's
+generating-function recurrence and reads every other invariant from it.
+The functions here reach the same numbers by other routes, so that a test
+comparing the two catches a mistake in either.  This module imports nothing
+from ``ci_invariants`` (``tests/test_reference.py`` enforces that) and holds
+only plain functions on ints, tuples and lists.
+"""
+
+from __future__ import annotations
+
+from math import comb
+
+
+def truncated_product(a: list[int], b: list[int], order: int) -> list[int]:
+    """The coefficients of a * b up to H^order, by plain convolution."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return out
+
+
+def series_coefficient(degrees, n: int) -> int:
+    """[H^n] (1 + H)^(n+1) * prod_d (d H / (1 + d H)), the Euler
+    characteristic of a complete intersection of these degrees in P^n
+    (Hirzebruch, Topological Methods in Algebraic Geometry, section 22).
+
+    Each 1 / (1 + d H) is the alternating geometric series sum_j (-d)^j H^j.
+    """
+    if n < 0:
+        raise ValueError(f"series order must be >= 0, got {n}")
+    if any(d < 1 for d in degrees):
+        raise ValueError(f"degrees must be >= 1, got {list(degrees)}")
+    acc = [comb(n + 1, j) for j in range(n + 1)]
+    for d in degrees:
+        acc = truncated_product(acc, [(-d) ** j for j in range(n + 1)], n)
+        acc = [0] + [d * c for c in acc[:n]]
+    return acc[n]
+
+
+def hypersurface_middle_betti(e: int, k: int) -> int:
+    """Middle Betti number of a degree-e hypersurface in P^(k+1), in closed
+    form:  b_k = delta_k + (e-1)/e * ((e-1)^(k+1) - (-1)^(k+1)),
+    with delta_k = 1 for even k and 0 for odd k."""
+    if e < 1 or k < 0:
+        raise ValueError(f"need e >= 1 and k >= 0, got e={e}, k={k}")
+    numerator = (e - 1) * ((e - 1) ** (k + 1) - (-1) ** (k + 1))
+    if numerator % e:
+        raise AssertionError(f"closed-form numerator {numerator} is not divisible by {e}")
+    return (1 if k % 2 == 0 else 0) + numerator // e
+
+
+def horner(coeffs, x: int) -> int:
+    """The polynomial with these coefficients, lowest degree first, at x."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def horner_at_i(coeffs) -> tuple[int, int]:
+    """The polynomial with these coefficients, lowest degree first, at the
+    imaginary unit, as (real part, imaginary part)."""
+    re = im = 0
+    for c in reversed(coeffs):
+        re, im = c - im, re  # (re + im i) * i + c
+    return re, im
+
+
+def reduce_type(n: int, degrees) -> tuple[int, tuple[int, ...]]:
+    """Drop the degree-1 entries: a hyperplane section only lowers the
+    ambient space, so (n, degrees) and the result have the same invariants."""
+    ones = list(degrees).count(1)
+    return n - ones, tuple(sorted(d for d in degrees if d > 1))

@@ -18,19 +18,23 @@ from ci_invariants import (
     Verdict,
     VerdictKind,
     compute_invariants,
-    dimension_leq1_catalog,
     homogeneous_parity_report,
     iter_types,
     lemma_classify,
-    middle_betti,
-    reduce_type,
     scan_lemma,
     scan_theorem,
     theorem_verdict,
-    vanishes_at_i,
     write_scans,
 )
 from ci_invariants import classify, topology
+from reference import reduce_type
+
+
+def json_object(report):
+    """A scan's JSON object, parsed back from the text ``write`` renders."""
+    buffer = io.StringIO()
+    report.write("json", buffer)
+    return json.loads(buffer.getvalue())
 
 
 def assert_smaller_scan_is_a_prefix(scan, max_n, max_degree):
@@ -62,7 +66,8 @@ class TestLemmaClassify:
     def test_vanishing_iff_not_nonvanishing(self):
         for ci in iter_types(7, 4):
             case = lemma_classify(ci)
-            assert (case is not LemmaCase.NONVANISHING) == vanishes_at_i(ci)
+            vanishes = compute_invariants(ci).value_at_i.is_zero
+            assert (case is not LemmaCase.NONVANISHING) == vanishes
 
 
 class TestTheoremVerdict:
@@ -130,8 +135,22 @@ class TestHomogeneousParity:
 
 
 class TestDimensionLeq1Catalog:
+    """The rationally connected (d <= n) types of dimension <= 1 among the
+    records of ``scan_theorem(4, 3)``: every such type with n <= 4 has its
+    degrees <= 3, so the scan holds all of them."""
+
+    @staticmethod
+    def verdicts():
+        report = scan_theorem(4, 3)
+        assert report.ok
+        return {rec.ci: rec.kind for rec in report.records}
+
+    def catalog(self):
+        return [ci for ci in self.verdicts()
+                if ci.dimension <= 1 and ci.total_degree <= ci.ambient_dim]
+
     def test_lines_and_conics_only(self):
-        catalog = dimension_leq1_catalog(4)
+        catalog = self.catalog()
         for ci in catalog:
             reduced = tuple(d for d in ci.degrees if d > 1)
             assert reduced in ((), (2,))
@@ -143,10 +162,14 @@ class TestDimensionLeq1Catalog:
         assert CIType(2, (1, 1)) in catalog      # a point
 
     def test_plane_cubic_excluded(self):
-        assert CIType(2, (3,)) not in dimension_leq1_catalog(4)  # d = 3 > 2
+        cubic = CIType(2, (3,))  # d = 3 > 2
+        assert self.verdicts()[cubic] is VerdictKind.NOT_RATIONALLY_CONNECTED
+        assert cubic not in self.catalog()
 
     def test_elliptic_quartic_excluded(self):
-        assert CIType(3, (2, 2)) not in dimension_leq1_catalog(4)  # d = 4 > 3
+        quartic = CIType(3, (2, 2))  # d = 4 > 3
+        assert self.verdicts()[quartic] is VerdictKind.NOT_RATIONALLY_CONNECTED
+        assert quartic not in self.catalog()
 
 
 class TestIterTypes:
@@ -204,7 +227,7 @@ class TestScanTheorem:
         a = scan_theorem(5, 3)
         b = scan_theorem(5, 3)
         assert a == b
-        assert json.dumps(a.to_json_obj()) == json.dumps(b.to_json_obj())
+        assert json.dumps(json_object(a)) == json.dumps(json_object(b))
 
     def test_records_equal_direct_computation(self):
         # The d > n records the view rebuilds, cross-checked type by type.
@@ -270,7 +293,7 @@ class TestScanLemma:
             ci = CIType(k + 2, (2, 2))
             assert lemma_classify(ci) is LemmaCase.NONVANISHING
             expected = k + 1 if k % 2 else k + 4
-            assert middle_betti(ci) == expected
+            assert compute_invariants(ci).middle_betti == expected
 
     def test_degenerate_scan(self):
         report = scan_lemma(1, 2)
@@ -293,12 +316,14 @@ class TestScanLemma:
         assert len(report.records) == 50387
         first_of_class = {}
         for rec in report.records:
-            first_of_class.setdefault(reduce_type(rec.ci), rec.ci)
+            first_of_class.setdefault(reduce_type(rec.ci.ambient_dim, rec.ci.degrees), rec.ci)
         assert calls == list(first_of_class.values())
         assert len(calls) == len(first_of_class) == 18564
         # The first type of a class is its reduced type, except for the
         # point, whose reduced type P^0 lies below the scan's n >= 1.
-        assert [ci for ci in calls if reduce_type(ci) != ci] == [CIType(1, (1,))]
+        assert [ci for ci in calls
+                if reduce_type(ci.ambient_dim, ci.degrees) != (ci.ambient_dim, ci.degrees)
+                ] == [CIType(1, (1,))]
 
     def test_records_equal_direct_computation(self):
         # The per-class shortcut, cross-checked type by type at scan scale.
@@ -326,7 +351,7 @@ class TestScanLemma:
         assert rec.line().endswith("b_k=- p(i)=- case=internal_check_failed")
         (row,) = [row for row in report.csv_rows() if row[:2] == ["3", "3"]]
         assert row[3:] == ["-", "-", "internal_check_failed"]
-        (entry,) = [e for e in report.to_json_obj()["records"]
+        (entry,) = [e for e in json_object(report)["records"]
                     if e["n"] == "3" and e["degrees"] == ["3"]]
         assert entry["middle_betti"] is None and entry["p_at_i"] is None
 
@@ -402,7 +427,7 @@ class TestScanReportSerialization:
 
     def test_json_integers_are_strings(self):
         report = scan_lemma(3, 2)
-        obj = report.to_json_obj()
+        obj = json_object(report)
         blob = json.dumps(obj)
         parsed = json.loads(blob)
         for rec, entry in zip(report.records, parsed["records"]):

@@ -54,7 +54,7 @@ class TestInvariantsCommand:
     def test_invalid_degree_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--n", "3", "--type", "0")
         assert code == 2
-        assert "degrees must be >= 1" in err
+        assert "argument --type: expected an integer >= 1, got '0'" in err
 
     def test_invalid_type_for_ambient_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "invariants", "--n", "2", "--type", "1,1,1")
@@ -358,7 +358,7 @@ def _invariants_json(report):
     return {
         "type": {"ambient_dim": str(report.ci.ambient_dim),
                  "degrees": [str(d) for d in report.ci.degrees]},
-        "dimension": str(report.dimension),
+        "dimension": str(report.ci.dimension),
         "euler_characteristic": str(report.euler_char),
         "middle_betti": str(report.middle_betti),
         "poincare_coefficients": [str(c) for c in report.poincare.coefficients],
@@ -384,11 +384,11 @@ def past_the_digit_line():
                 _invariants_json(report),
                 [["n", "degrees", "dimension", "euler_characteristic", "middle_betti",
                   "poincare", "value_at_i"],
-                 head + [str(report.dimension), str(report.euler_char),
+                 head + [str(ci.dimension), str(report.euler_char),
                          str(report.middle_betti),
                          " ".join(str(c) for c in report.poincare.coefficients),
                          str(report.value_at_i)]],
-                [f"type: {ci}", f"dimension: {report.dimension}",
+                [f"type: {ci}", f"dimension: {ci.dimension}",
                  f"euler characteristic: {report.euler_char}",
                  f"middle Betti number: {report.middle_betti}",
                  f"Poincare polynomial: {report.poincare}",
@@ -464,6 +464,23 @@ class TestBounds:
         assert f"argument --n: expected an integer in [0, {cli.MAX_N}]" in error
         assert len(error) < 200
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", "5", "--type", "1_0"],      # int() reads 10
+        ["--n", "5", "--type", "\u0663"],   # ARABIC-INDIC DIGIT THREE; int() reads 3
+        ["--n", "1_000", "--type", "3"],    # int() reads 1000
+        ["--n", "10", "--type", "2," + "7" * 300 + "x"],
+        ["--n", "10", "--type", "x" * 300],
+    ])
+    def test_malformed_integers_are_usage_errors(self, capsys, argv):
+        # Only an optional minus sign and ASCII digits make an integer, and a
+        # bad value is echoed shortened.
+        code, out, err = run_cli(capsys, "invariants", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        (error,) = [line for line in err.splitlines() if "error:" in line]
+        assert "expected an integer" in error
+        assert len(error) < 120
 
     def test_n_maximum_is_accepted(self):
         for command in ("invariants", "classify", "fiber"):

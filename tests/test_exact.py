@@ -1,43 +1,22 @@
-"""Tests for the exact arithmetic layer.
+"""Tests for the exact arithmetic layer, and for the building blocks of the
+test-side reference route that shares no code with the package.
 
-Expected values are either hand expansions or come from the brute-force
-convolution oracle defined at the top of this file, which shares no code
-with the package.
+Expected values are either hand expansions or come from ``reference``.
 """
 
 from __future__ import annotations
 
 import random
-from math import comb
+from itertools import product
+from math import comb, prod
 
 import pytest
 
-from ci_invariants import (
-    GaussianInteger,
-    I,
-    IntPolynomial,
-    ONE_PLUS_T_SQUARED,
-    TruncatedSeries,
-    binomial,
-    series_coefficient,
-)
+from ci_invariants import GaussianInteger, IntPolynomial, ONE_PLUS_T_SQUARED
+from reference import horner, horner_at_i, series_coefficient, truncated_product
 
-
-def oracle_series_coefficient(degrees, n):
-    """Plain-list convolution: [H^n] (1+H)^(n+1) prod d*H/(1+d*H)."""
-    def conv(a, b):
-        out = [0] * (n + 1)
-        for i, x in enumerate(a[: n + 1]):
-            if x:
-                for j, y in enumerate(b[: n + 1 - i]):
-                    out[i + j] += x * y
-        return out
-
-    acc = [comb(n + 1, j) for j in range(n + 1)]
-    for d in degrees:
-        acc = conv(acc, [(-d) ** j for j in range(n + 1)])
-        acc = [0] + [d * c for c in acc[:n]]
-    return acc[n] if acc else 0
+#: i^j for j = 0, 1, 2, 3, as (real part, imaginary part).
+POWERS_OF_I = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 def random_poly(rng, max_degree=12, max_coeff=50):
@@ -85,23 +64,23 @@ class TestIntPolynomial:
             assert a + (-a) == IntPolynomial()
 
     def test_eval_gaussian_examples(self):
-        assert ONE_PLUS_T_SQUARED.eval_gaussian(I) == GaussianInteger(0, 0)
-        assert IntPolynomial([1, 0, 1, 0, 1, 0, 1]).eval_gaussian(I).is_zero
+        assert horner_at_i(ONE_PLUS_T_SQUARED.coefficients) == (0, 0)
+        assert horner_at_i(IntPolynomial([1, 0, 1, 0, 1, 0, 1]).coefficients) == (0, 0)
         cubic_threefold = IntPolynomial([1, 0, 1, 10, 1, 0, 1])
-        assert cubic_threefold.eval_gaussian(I) == GaussianInteger(0, -10)
+        assert horner_at_i(cubic_threefold.coefficients) == (0, -10)
 
     def test_horner_matches_power_summation(self):
         rng = random.Random(4711)
         for _ in range(100):
-            p = random_poly(rng)
+            coeffs = random_poly(rng).coefficients
             x = rng.randint(-9, 9)
-            naive = sum(c * x ** j for j, c in enumerate(p.coefficients))
-            assert p(x) == naive
-            z = GaussianInteger(rng.randint(-5, 5), rng.randint(-5, 5))
-            naive_g = GaussianInteger(0, 0)
-            for j, c in enumerate(p.coefficients):
-                naive_g = naive_g + (z ** j) * c
-            assert p.eval_gaussian(z) == naive_g
+            assert horner(coeffs, x) == sum(c * x ** j for j, c in enumerate(coeffs))
+            naive = [0, 0]
+            for j, c in enumerate(coeffs):
+                re, im = POWERS_OF_I[j % 4]
+                naive[0] += c * re
+                naive[1] += c * im
+            assert horner_at_i(coeffs) == tuple(naive)
 
     def test_divisible_examples(self):
         assert IntPolynomial([1, 0, 2, 0, 1]).divisible_by(ONE_PLUS_T_SQUARED)
@@ -132,7 +111,7 @@ class TestIntPolynomial:
             p = random_poly(rng, max_degree=20)
             if rng.random() < 0.5:
                 p = p * ONE_PLUS_T_SQUARED
-            assert p.divisible_by(ONE_PLUS_T_SQUARED) == p.eval_gaussian(I).is_zero
+            assert p.divisible_by(ONE_PLUS_T_SQUARED) == (horner_at_i(p.coefficients) == (0, 0))
 
     def test_str_ascending(self):
         assert str(IntPolynomial()) == "0"
@@ -143,33 +122,9 @@ class TestIntPolynomial:
 
 class TestGaussianInteger:
     def test_i_squared(self):
-        assert I * I == GaussianInteger(-1, 0)
-        assert I ** 2 == GaussianInteger(-1, 0)
-
-    def test_ring_laws_random(self):
-        rng = random.Random(8)
-        for _ in range(300):
-            a = GaussianInteger(rng.randint(-99, 99), rng.randint(-99, 99))
-            b = GaussianInteger(rng.randint(-99, 99), rng.randint(-99, 99))
-            c = GaussianInteger(rng.randint(-99, 99), rng.randint(-99, 99))
-            assert a + b == b + a
-            assert a * b == b * a
-            assert (a + b) + c == a + (b + c)
-            assert (a * b) * c == a * (b * c)
-            assert a * (b + c) == a * b + a * c
-            assert a + (-a) == GaussianInteger(0, 0)
-
-    def test_int_mixing(self):
-        assert GaussianInteger(2, 3) + 1 == GaussianInteger(3, 3)
-        assert 1 + GaussianInteger(2, 3) == GaussianInteger(3, 3)
-        assert 2 * GaussianInteger(2, 3) == GaussianInteger(4, 6)
-        assert 1 - GaussianInteger(2, 3) == GaussianInteger(-1, -3)
-
-    def test_pow(self):
-        assert I ** 0 == GaussianInteger(1, 0)
-        assert I ** 3 == GaussianInteger(0, -1)
-        with pytest.raises(ValueError):
-            I ** -1
+        # t^2 at i, by the reference's Horner rule on plain ints
+        assert horner_at_i([0, 0, 1]) == (-1, 0)
+        assert GaussianInteger(*horner_at_i([0, 0, 1])) == GaussianInteger(-1, 0)
 
     def test_str(self):
         assert str(GaussianInteger(0, -10)) == "0-10i"
@@ -177,55 +132,17 @@ class TestGaussianInteger:
         assert str(GaussianInteger(-2, 5)) == "-2+5i"
 
 
-class TestBinomial:
-    def test_examples(self):
-        assert binomial(3, 1) == 3
-        assert binomial(7, 0) == 1
-        assert binomial(10, 5) == 252
-
-    def test_boundaries(self):
-        assert binomial(5, -1) == 0
-        assert binomial(5, 6) == 0
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    def test_pascal_recurrence(self):
-        row = [1]
-        for n in range(1, 30):
-            row = [1] + [row[j] + row[j + 1] for j in range(len(row) - 1)] + [1]
-            assert row == [binomial(n, k) for k in range(n + 1)]
-
-
 class TestTruncatedSeries:
+    """The reference series route: truncated products of coefficient lists."""
+
     def test_inverse_is_alternating_geometric(self):
+        # (1 + d H) * sum_j (-d)^j H^j = 1 up to the truncation order
         for d in (1, 2, 3, 5):
-            inv = TruncatedSeries((1, d), 10).inverse()
-            assert inv.coefficients == tuple((-d) ** j for j in range(11))
-
-    def test_inverse_round_trip(self):
-        s = TruncatedSeries((1, 4, -3, 2, 7), 8)
-        assert s * s.inverse() == TruncatedSeries.one(8)
-        neg = TruncatedSeries((-1, 2, 5), 6)
-        assert neg * neg.inverse() == TruncatedSeries.one(6)
-
-    def test_inverse_requires_unit_constant(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries((2, 1), 4).inverse()
-        with pytest.raises(ValueError):
-            TruncatedSeries((0, 1), 4).inverse()
+            geometric = [(-d) ** j for j in range(11)]
+            assert truncated_product([1, d], geometric, 10) == [1] + [0] * 10
 
     def test_mul_truncates_exactly(self):
-        a = TruncatedSeries((1, 1, 1, 1), 3)
-        assert (a * a).coefficients == (1, 2, 3, 4)
-
-    def test_mul_order_mismatch(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries((1,), 3) * TruncatedSeries((1,), 4)
-
-    def test_shift_and_scale(self):
-        s = TruncatedSeries((1, 2, 3), 2)
-        assert s.shifted(1).coefficients == (0, 1, 2)
-        assert s.scaled(-2).coefficients == (-2, -4, -6)
+        assert truncated_product([1, 1, 1, 1], [1, 1, 1, 1], 3) == [1, 2, 3, 4]
 
 
 class TestSeriesCoefficient:
@@ -240,15 +157,29 @@ class TestSeriesCoefficient:
         assert series_coefficient((3,), 3) == 9
 
     def test_matches_brute_force_oracle(self):
+        # the same coefficient from the expanded product, term by term
         cases = [
             ((2,), 3), ((3,), 4), ((5,), 4), ((2, 2), 5), ((1, 2, 3), 6),
             ((4, 4), 8), ((1, 1, 1), 7), ((6,), 10), ((2, 3, 4), 12),
         ]
         for degrees, n in cases:
-            assert series_coefficient(degrees, n) == oracle_series_coefficient(degrees, n)
+            assert series_coefficient(degrees, n) == expanded_coefficient(degrees, n)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             series_coefficient((2,), -1)
         with pytest.raises(ValueError):
             series_coefficient((0,), 3)
+
+
+def expanded_coefficient(degrees, n):
+    """[H^n] of (1+H)^(n+1) prod_d d H sum_j (-d)^j H^j, summed over every
+    choice of one term per factor: C(n+1, a) prod_d d (-d)^(j_d), over all
+    a + sum_d (1 + j_d) = n."""
+    l = len(degrees)
+    total = 0
+    for js in product(range(n + 1), repeat=l):
+        a = n - l - sum(js)
+        if a >= 0:
+            total += comb(n + 1, a) * prod(d * (-d) ** j for d, j in zip(degrees, js))
+    return total

@@ -14,11 +14,21 @@ from ci_invariants import (
     fiber_type,
     iter_types,
     line_geometry,
-    middle_betti,
-    poincare_polynomial,
     product_obstruction,
-    reduce_type,
 )
+from reference import reduce_type
+
+
+def middle_betti(ci: CIType) -> int:
+    return compute_invariants(ci).middle_betti
+
+
+def poincare_polynomial(ci: CIType) -> IntPolynomial:
+    return compute_invariants(ci).poincare
+
+
+def reduced(ci: CIType) -> CIType:
+    return CIType(*reduce_type(ci.ambient_dim, ci.degrees))
 
 
 class TestLineGeometry:
@@ -80,8 +90,8 @@ class TestFiberType:
         # reducing before or after taking fibers yields identical invariants
         cases = [CIType(6, (1, 2)), CIType(7, (1, 1, 3)), CIType(8, (1, 2, 2))]
         for ci in cases:
-            a = reduce_type(fiber_type(ci))
-            b = fiber_type(reduce_type(ci))
+            a = reduced(fiber_type(ci))
+            b = fiber_type(reduced(ci))
             assert euler_characteristic(a) == euler_characteristic(b)
             assert middle_betti(a) == middle_betti(b)
             assert poincare_polynomial(a) == poincare_polynomial(b)

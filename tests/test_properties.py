@@ -1,7 +1,7 @@
 """Property tests for the Euler-characteristic engine and the invariants
-derived from it, against the independent truncated-series route; for the
-CLI's JSON big-integer round trips; and for its exit codes on malformed
-arguments."""
+derived from it, against the independent truncated-series route of
+``reference``; for the CLI's JSON big-integer round trips; and for its exit
+codes on malformed arguments."""
 
 from __future__ import annotations
 
@@ -14,19 +14,18 @@ from hypothesis import given, strategies as st
 
 from ci_invariants import (
     CIType,
-    I,
+    GaussianInteger,
     IntPolynomial,
     compute_invariants,
     euler_characteristic,
     fiber_type,
     homogeneous_parity_report,
     line_geometry,
-    reduce_type,
-    series_coefficient,
     theorem_verdict,
 )
 from ci_invariants.cli import main
 from ci_invariants.topology import _values_at_units
+from reference import horner, horner_at_i, reduce_type, series_coefficient
 
 
 @st.composite
@@ -57,7 +56,8 @@ def test_invariant_under_permutation(case, data):
 def test_invariant_under_reduce_type(case):
     n, degrees = case
     ci = CIType(n, tuple(degrees))
-    full, reduced = compute_invariants(ci), compute_invariants(reduce_type(ci))
+    reduced_type = CIType(*reduce_type(n, degrees))
+    full, reduced = compute_invariants(ci), compute_invariants(reduced_type)
     assert reduced.euler_char == full.euler_char
     assert reduced.middle_betti == full.middle_betti
     assert reduced.poincare == full.poincare
@@ -71,14 +71,17 @@ def test_poincare_polynomial_at_plus_and_minus_one(case):
     report = compute_invariants(ci)
     k, b = ci.dimension, report.middle_betti
     delta = 1 if k % 2 == 0 else 0
-    assert report.poincare(-1) == series_coefficient(degrees, n)
-    assert report.poincare(1) == (k + 1) + b - delta
+    coeffs = report.poincare.coefficients
+    assert horner(coeffs, -1) == series_coefficient(degrees, n)
+    assert horner(coeffs, 1) == (k + 1) + b - delta
 
 
 @given(st.lists(st.integers(-(10**30), 10**30), max_size=40))
 def test_strided_values_equal_horner(coeffs):
     p = IntPolynomial(coeffs)
-    assert _values_at_units(p) == (p(-1), p(1), p.eval_gaussian(I))
+    c = p.coefficients
+    assert _values_at_units(p) == (horner(c, -1), horner(c, 1),
+                                   GaussianInteger(*horner_at_i(c)))
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -121,7 +124,7 @@ def assert_gauss_json(obj: dict | None, value) -> None:
 def assert_invariants_json(obj: dict, ci: CIType) -> None:
     report = compute_invariants(ci)
     assert_type_json(obj["type"], ci)
-    assert int(obj["dimension"]) == report.dimension
+    assert int(obj["dimension"]) == ci.dimension
     assert int(obj["euler_characteristic"]) == report.euler_char
     assert int(obj["middle_betti"]) == report.middle_betti
     assert [int(c) for c in obj["poincare_coefficients"]] == list(report.poincare.coefficients)

@@ -141,12 +141,6 @@ def test_out_file_equals_stdout(tmp_path, capsys, fmt):
     assert target.read_bytes() == stdout.encode()
 
 
-@pytest.mark.parametrize("kind", ["theorem", "lemma"])
-def test_to_json_obj_matches_independent_dict(kind):
-    report = _reports(kind, MAX_N, MAX_DEGREE)[0]
-    assert report.to_json_obj() == _scan_obj(report)
-
-
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_internal_check_failure_document(monkeypatch, capsys, fmt):
     # A wrong Euler characteristic for one type makes its lemma record carry

@@ -2,7 +2,8 @@
 
 Classical anchor values (cubic surface, quadrics, quintic threefold, cubic
 threefold) were derived with the independent series oracle before the main
-build and are frozen here as literals.
+build and are frozen here as literals.  The independent routes themselves
+live in ``reference``, which shares no code with the package.
 """
 
 from __future__ import annotations
@@ -15,20 +16,28 @@ import pytest
 from ci_invariants import (
     CIType,
     GaussianInteger,
-    I,
     IntPolynomial,
     chi22,
     compute_invariants,
     euler_characteristic,
-    hypersurface_middle_betti,
-    middle_betti,
-    poincare_polynomial,
-    reduce_type,
-    series_coefficient,
-    vanishes_at_i,
     verify_expansion_identity,
 )
 from ci_invariants.topology import _values_at_units
+from reference import (
+    horner,
+    horner_at_i,
+    hypersurface_middle_betti,
+    reduce_type,
+    series_coefficient,
+)
+
+
+def middle_betti(ci: CIType) -> int:
+    return compute_invariants(ci).middle_betti
+
+
+def poincare_polynomial(ci: CIType) -> IntPolynomial:
+    return compute_invariants(ci).poincare
 
 
 class TestCIType:
@@ -169,11 +178,15 @@ class TestPoincarePolynomial:
                 if len(degrees) > n:
                     continue
                 ci = CIType(n, degrees)
-                p = poincare_polynomial(ci)
-                assert p(-1) == euler_characteristic(ci)
+                p = poincare_polynomial(ci).coefficients
+                assert horner(p, -1) == euler_characteristic(ci)
                 k, b = ci.dimension, middle_betti(ci)
                 delta = 1 if k % 2 == 0 else 0
-                assert p(1) == (k + 1) + b - delta
+                assert horner(p, 1) == (k + 1) + b - delta
+
+
+def vanishes_at_i(ci: CIType) -> bool:
+    return compute_invariants(ci).value_at_i.is_zero
 
 
 class TestVanishesAtI:
@@ -188,7 +201,7 @@ class TestVanishesAtI:
                 if len(degrees) > n:
                     continue
                 ci = CIType(n, degrees)
-                direct = poincare_polynomial(ci).eval_gaussian(I).is_zero
+                direct = horner_at_i(poincare_polynomial(ci).coefficients) == (0, 0)
                 assert vanishes_at_i(ci) == direct
 
 
@@ -230,14 +243,14 @@ class TestExpansionIdentity:
 
 class TestReduceType:
     def test_drops_ones(self):
-        assert reduce_type(CIType(5, (1, 1, 2))) == CIType(3, (2,))
-        assert reduce_type(CIType(4, (1, 1))) == CIType(2)
+        assert reduce_type(5, (1, 1, 2)) == (3, (2,))
+        assert reduce_type(4, (1, 1)) == (2, ())
 
     def test_invariants_unchanged(self):
         cases = [CIType(5, (1, 2)), CIType(6, (1, 1, 3)), CIType(7, (1, 2, 2)),
                  CIType(9, (1, 1, 1, 4))]
         for ci in cases:
-            red = reduce_type(ci)
+            red = CIType(*reduce_type(ci.ambient_dim, ci.degrees))
             assert euler_characteristic(red) == euler_characteristic(ci)
             assert middle_betti(red) == middle_betti(ci)
             assert poincare_polynomial(red) == poincare_polynomial(ci)
@@ -252,7 +265,7 @@ class TestInvariantReport:
 
     def test_quintic_threefold(self):
         report = compute_invariants(CIType(4, (5,)))
-        assert report.dimension == 3
+        assert report.ci.dimension == 3
         assert report.euler_char == -200
         assert report.middle_betti == 204
         assert report.value_at_i == GaussianInteger(0, -204)
@@ -278,11 +291,12 @@ class TestLargeMagnitudes:
         assert via_chi == hypersurface_middle_betti(64, 63)
         assert via_chi == (63 * (63 ** 64 - 1)) // 64
         report = compute_invariants(CIType(64, (64,)))
-        assert report.poincare(-1) == report.euler_char
+        assert horner(report.poincare.coefficients, -1) == report.euler_char
 
     def test_strided_values_equal_horner_at_n_20000(self):
         report = compute_invariants(CIType(20000, (2, 5, 6)))
         p = report.poincare
-        horner = (p(-1), p(1), p.eval_gaussian(I))
-        assert _values_at_units(p) == horner
-        assert (report.euler_char, report.value_at_i) == (horner[0], horner[2])
+        c = p.coefficients
+        by_horner = (horner(c, -1), horner(c, 1), GaussianInteger(*horner_at_i(c)))
+        assert _values_at_units(p) == by_horner
+        assert (report.euler_char, report.value_at_i) == (by_horner[0], by_horner[2])
