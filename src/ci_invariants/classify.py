@@ -21,16 +21,20 @@ cross-checks once per class (reduced degrees, k), not once per type.
 
 Each scan makes two passes.  The first walks the types, runs every check
 and keeps only the counts, the violations and a small table: the verdicts
-not decided by the d > n gate, or the lemma scan's fields per class.
-``ScanReport.records`` is then a re-iterable view whose every iteration
-re-walks the types and builds each record from that table, with no check
-re-run, so a scan's memory grows with its classes and its d <= n
-verdicts, not with one record per type.
+not decided by the d > n gate, or the lemma scan's fields per class.  The
+second, run each time the scan is written or its records are read,
+re-walks the types and yields one row per type, the type's n, k, degrees
+and degree strings with its fields from that table; no check is re-run,
+so a scan's memory grows with its classes and its d <= n verdicts, not
+with the types.
 
-The theorem scan's records are ``Verdict``s, the lemma scan's
-``LemmaRecord``s.  Each renders its own CSV row, table line and JSON text,
-and ``write_scans`` writes a scan document record by record, in exactly
-the layout of ``json.dump(..., indent=2)``.
+``write_scans`` renders each row straight to the stream, in exactly the
+layout of ``json.dump(..., indent=2)`` for JSON, and builds no record.
+``ScanReport.records`` is a re-iterable view that wraps the same rows into
+records, ``Verdict``s for the theorem scan and ``LemmaRecord``s for the
+lemma scan, only when a caller iterates it.  A record renders itself
+through the same row renderers, so a single type's CSV row, table line
+and JSON text and a scan's share one code path.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import combinations_with_replacement, starmap
+from itertools import chain, combinations_with_replacement, count, repeat, starmap
 from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence, TextIO
 
 from .exact import GaussianInteger
@@ -74,6 +78,9 @@ class VerdictKind(Enum):
     NOT_RATIONALLY_CONNECTED = "not_rationally_connected"
     NORMAL_BUNDLE_OBSTRUCTION = "normal_bundle_obstruction"
     POINCARE_OBSTRUCTION = "poincare_obstruction"
+
+    # Members are singletons, looked up once per scanned type.
+    __hash__ = object.__hash__
 
 
 def _reduced(ci: CIType) -> tuple[int, ...]:
@@ -243,14 +250,18 @@ _LEMMA_JSON = _json_container("{", [
 ], "}", _RECORD_DEPTH)
 
 
-def _json_degrees(degrees: tuple[int, ...]) -> str:
-    if not degrees:
+def _json_degrees(texts: tuple[str, ...]) -> str:
+    if not texts:
         return "[]"
-    return _DEGREES_OPEN + _DEGREES_SEP.join(map(str, degrees)) + _DEGREES_CLOSE
+    return _DEGREES_OPEN + _DEGREES_SEP.join(texts) + _DEGREES_CLOSE
 
 
 def _json_gauss(g: GaussianInteger | None) -> str:
     return "null" if g is None else _GAUSS_JSON % (g.re, g.im)
+
+
+def _text(value: int | GaussianInteger | None) -> str:
+    return str(value) if value is not None else "-"
 
 
 #: The reason of each verdict kind, filled in from the type and the values
@@ -275,6 +286,52 @@ _OUTCOME_TEXT = {
 }
 
 
+# The renderers of a scan row ((n, k, degrees, texts), fields), with
+# ``texts`` the degrees as decimal strings and ``fields`` the record's other
+# fields.  A scan writes its rows through them, and each record renders
+# itself through them, so both share one code path per format.
+
+def _verdict_line(row: tuple) -> str:
+    (n, k, degrees, texts), (kind, p_x, p_f) = row
+    return (f"n={n} type=({','.join(texts)}) d={sum(degrees)} k={k} "
+            f"verdict={_OUTCOME_TEXT[kind]} p_X(i)={_text(p_x)} p_F(i)={_text(p_f)}")
+
+
+def _verdict_csv(row: tuple) -> list[str]:
+    (n, k, degrees, texts), (kind, p_x, p_f) = row
+    return [str(n), " ".join(texts), str(sum(degrees)), str(k),
+            _OUTCOME_TEXT[kind], _text(p_x), _text(p_f)]
+
+
+def _verdict_json(row: tuple) -> str:
+    (n, k, degrees, texts), (kind, p_x, p_f) = row
+    return _VERDICT_JSON % (n, _json_degrees(texts), k, sum(degrees),
+                            _OUTCOME_TEXT[kind], _json_gauss(p_x), _json_gauss(p_f))
+
+
+def _lemma_line(row: tuple) -> str:
+    (n, k, _, texts), (betti, value, case) = row
+    return (f"n={n} type=({','.join(texts)}) k={k} b_k={_text(betti)} "
+            f"p(i)={_text(value)} case={_OUTCOME_TEXT[case]}")
+
+
+def _lemma_csv(row: tuple) -> list[str]:
+    (n, k, _, texts), (betti, value, case) = row
+    return [str(n), " ".join(texts), str(k), _text(betti), _text(value),
+            _OUTCOME_TEXT[case]]
+
+
+def _lemma_json(row: tuple) -> str:
+    (n, k, _, texts), (betti, value, case) = row
+    return _LEMMA_JSON % (n, _json_degrees(texts), k,
+                          "null" if betti is None else f'"{betti}"',
+                          _json_gauss(value), _OUTCOME_TEXT[case])
+
+
+def _type_row(ci: CIType) -> tuple:
+    return ci.ambient_dim, ci.dimension, ci.degrees, tuple(map(str, ci.degrees))
+
+
 @dataclass(frozen=True)
 class Verdict:
     """Classification outcome for one type, with the witnessing values at i,
@@ -297,33 +354,17 @@ class Verdict:
             n=n, d=d, normal=n - d - 1, p_x=self.p_x_at_i, p_f=self.p_f_at_i
         )
 
+    def _row(self) -> tuple:
+        return _type_row(self.ci), (self.kind, self.p_x_at_i, self.p_f_at_i)
+
     def line(self) -> str:
-        return (
-            f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
-            f"d={self.ci.total_degree} k={self.ci.dimension} "
-            f"verdict={_OUTCOME_TEXT[self.kind]} "
-            f"p_X(i)={_text(self.p_x_at_i)} p_F(i)={_text(self.p_f_at_i)}"
-        )
+        return _verdict_line(self._row())
 
     def csv_row(self) -> list[str]:
-        n, degrees = self.ci.ambient_dim, self.ci.degrees
-        return [
-            str(n),
-            _degree_cell(self.ci),
-            str(sum(degrees)),
-            str(n - len(degrees)),
-            _OUTCOME_TEXT[self.kind],
-            _text(self.p_x_at_i),
-            _text(self.p_f_at_i),
-        ]
+        return _verdict_csv(self._row())
 
     def json_text(self) -> str:
-        n, degrees = self.ci.ambient_dim, self.ci.degrees
-        return _VERDICT_JSON % (
-            n, _json_degrees(degrees), n - len(degrees), sum(degrees),
-            _OUTCOME_TEXT[self.kind], _json_gauss(self.p_x_at_i),
-            _json_gauss(self.p_f_at_i),
-        )
+        return _verdict_json(self._row())
 
 
 @dataclass(frozen=True)
@@ -341,66 +382,54 @@ class LemmaRecord:
     value_at_i: GaussianInteger | None
     case: LemmaCase | None
 
+    def _row(self) -> tuple:
+        return _type_row(self.ci), (self.middle_betti, self.value_at_i, self.case)
+
     def line(self) -> str:
-        return (
-            f"n={self.ci.ambient_dim} type=({_degree_text(self.ci)}) "
-            f"k={self.ci.dimension} b_k={_text(self.middle_betti)} "
-            f"p(i)={_text(self.value_at_i)} case={_OUTCOME_TEXT[self.case]}"
-        )
+        return _lemma_line(self._row())
 
     def csv_row(self) -> list[str]:
-        n = self.ci.ambient_dim
-        return [
-            str(n),
-            _degree_cell(self.ci),
-            str(n - len(self.ci.degrees)),
-            _text(self.middle_betti),
-            _text(self.value_at_i),
-            _OUTCOME_TEXT[self.case],
-        ]
+        return _lemma_csv(self._row())
 
     def json_text(self) -> str:
-        n, degrees = self.ci.ambient_dim, self.ci.degrees
-        betti = "null" if self.middle_betti is None else f'"{self.middle_betti}"'
-        return _LEMMA_JSON % (
-            n, _json_degrees(degrees), n - len(degrees), betti,
-            _json_gauss(self.value_at_i), _OUTCOME_TEXT[self.case],
-        )
-
-
-def _degree_text(ci: CIType) -> str:
-    return ",".join(map(str, ci.degrees))
+        return _lemma_json(self._row())
 
 
 def _degree_cell(ci: CIType) -> str:
     return " ".join(map(str, ci.degrees))
 
 
-def _text(value: int | GaussianInteger | None) -> str:
-    return str(value) if value is not None else "-"
-
-
 _RECORD_TYPES = {"theorem": Verdict, "lemma": LemmaRecord}
+
+#: The row renderers of each scan kind, by output format.
+_RENDERERS = {
+    "theorem": {"csv": _verdict_csv, "table": _verdict_line, "json": _verdict_json},
+    "lemma": {"csv": _lemma_csv, "table": _lemma_line, "json": _lemma_json},
+}
 
 
 class ScanRecords:
     """The records of a finished scan, one per type in canonical order, as a
-    sized, re-iterable view.  Each iteration re-walks the types and builds
-    every record from the scan's table, with no check re-run, so the view
+    sized, re-iterable view.  Each iteration re-walks the types and wraps
+    each of the scan's rows into a record, with no check re-run, so the view
     holds no record: it supports ``len``, ``iter``, ``bool`` and ``==``
     against another view or a tuple, but no indexing or slicing."""
 
-    __slots__ = ("_walk", "_len")
+    __slots__ = ("_rows", "_record_type", "_len")
 
-    def __init__(self, walk: Callable[[], Iterator], length: int) -> None:
-        self._walk = walk
+    def __init__(self, rows: Callable[[], Iterator[tuple]], record_type: type,
+                 length: int) -> None:
+        self._rows = rows
+        self._record_type = record_type
         self._len = length
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator:
-        return self._walk()
+        record_type = self._record_type
+        for (n, _, degrees, _), fields in self._rows():
+            yield record_type(_unchecked_type(n, degrees), *fields)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (ScanRecords, tuple)):
@@ -413,12 +442,14 @@ class ScanReport:
     """Deterministic result of an exhaustive scan: its records, outcome
     counts, and any internal-check violations (always expected to be empty).
     ``records`` is a ``ScanRecords`` view, one record per type in canonical
-    order; the counts and violations are final when the report is built."""
+    order; the counts and violations are final when the report is built.
+    The writer renders a view's rows straight from the scan's walk, and a
+    plain tuple of records from the records themselves."""
 
     kind: str
     max_n: int
     max_degree: int
-    records: ScanRecords
+    records: ScanRecords | tuple
     counts: dict[str, int]
     violations: tuple[str, ...]
 
@@ -426,14 +457,19 @@ class ScanReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def _rows(self) -> Iterator[tuple]:
+        if isinstance(self.records, ScanRecords):
+            return self.records._rows()
+        return (rec._row() for rec in self.records)
+
     def csv_header(self) -> list[str]:
         return list(_RECORD_TYPES[self.kind].CSV_HEADER)
 
     def csv_rows(self) -> Iterator[list[str]]:
-        return (rec.csv_row() for rec in self.records)
+        return map(_RENDERERS[self.kind]["csv"], self._rows())
 
     def record_lines(self) -> Iterator[str]:
-        return (rec.line() for rec in self.records)
+        return map(_RENDERERS[self.kind]["table"], self._rows())
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -446,12 +482,12 @@ class ScanReport:
         return lines
 
     def write(self, fmt: str, stream: TextIO) -> None:
-        """Write the records in ``fmt``, one at a time, straight to ``stream``.
+        """Write the records in ``fmt``, each rendered from its row straight
+        to ``stream``, with no record object and no intermediate document.
 
         ``csv`` writes the header row and one row per record, ``table`` one
         line per record, and ``json`` this scan's object as an item of the
-        ``scans`` list of the document that ``write_scans`` frames; no
-        intermediate document is built.
+        ``scans`` list of the document that ``write_scans`` frames.
         """
         if fmt == "csv":
             writer = csv.writer(stream, lineterminator="\n")
@@ -476,12 +512,16 @@ class ScanReport:
                 '"records": ',
             ]
             stream.write("{" + field + ("," + field).join(head))
-            sep = "[" + _NEWLINE[_RECORD_DEPTH]
-            for rec in self.records:
-                stream.write(sep + rec.json_text())
-                sep = "," + _NEWLINE[_RECORD_DEPTH]
-            close = _NEWLINE[_SCAN_DEPTH + 1] + "]" if self.records else "[]"
-            stream.write(close + _NEWLINE[_SCAN_DEPTH] + "}")
+            render, rows = _RENDERERS[self.kind]["json"], self._rows()
+            first = next(rows, None)
+            if first is None:
+                stream.write("[]")
+            else:
+                stream.write("[" + _NEWLINE[_RECORD_DEPTH] + render(first))
+                stream.writelines(map(("," + _NEWLINE[_RECORD_DEPTH]).__add__,
+                                      map(render, rows)))
+                stream.write(_NEWLINE[_SCAN_DEPTH + 1] + "]")
+            stream.write(_NEWLINE[_SCAN_DEPTH] + "}")
         else:
             raise ValueError(f"unknown output format {fmt!r}")
 
@@ -522,6 +562,21 @@ def _scan_report(
     return ScanReport(kind, max_n, max_degree, records, counts, tuple(violations))
 
 
+def _type_rows(max_n: int, max_degree: int) -> Iterator[tuple]:
+    """(n, k, degrees, texts) of every type ``iter_types`` yields, in its
+    order, for bounds already checked.  ``texts`` holds the degrees as
+    decimal strings: a second enumeration over the pre-rendered strings,
+    zipped with the first, so that the two stay in one order."""
+    degree_range = range(1, max_degree + 1)
+    degree_texts = tuple(map(str, degree_range))
+    return chain.from_iterable(
+        zip(repeat(n), repeat(n - l),
+            combinations_with_replacement(degree_range, l),
+            combinations_with_replacement(degree_texts, l))
+        for n in range(1, max_n + 1)
+        for l in range(n + 1))
+
+
 def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     """Classify every type within the bounds and re-verify the survivor set.
 
@@ -534,11 +589,11 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
 
     ``theorem_verdict`` runs on every type.  A type with d > n whose verdict
     is ``NOT_RATIONALLY_CONNECTED`` is only counted, because its record is
-    that verdict again; every other verdict is kept, by the type's position,
-    for the records view.
+    that verdict again; the fields of every other verdict are kept, by the
+    type's position, for the records view.
     """
     not_rc = VerdictKind.NOT_RATIONALLY_CONNECTED
-    kept: dict[int, Verdict] = {}
+    kept: dict[int, tuple] = {}
     skipped = 0
     violations: list[str] = []
     for index, ci in enumerate(iter_types(max_n, max_degree)):
@@ -551,7 +606,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
         if d > n and verdict.kind is not_rc:
             skipped += 1
             continue
-        kept[index] = verdict
+        kept[index] = (verdict.kind, verdict.p_x_at_i, verdict.p_f_at_i)
 
         # Finite-scale re-statement of the classification itself.  Every
         # check below needs a type that passed or is rationally connected.
@@ -572,22 +627,17 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 f"dimension <= 1 rationally connected type is not a "
                 f"point/line/conic: {ci}"
             )
-    tally = Counter(verdict.kind for verdict in kept.values())
+    tally = Counter(fields[0] for fields in kept.values())
     tally[not_rc] += skipped
-    records = ScanRecords(partial(_theorem_records, max_n, max_degree, kept),
+    records = ScanRecords(partial(_theorem_rows, max_n, max_degree, kept), Verdict,
                           skipped + len(kept))
     return _scan_report("theorem", max_n, max_degree, records, violations,
                         VerdictKind, tally)
 
 
-def _theorem_records(
-    max_n: int, max_degree: int, kept: dict[int, Verdict]
-) -> Iterator[Verdict]:
-    not_rc = VerdictKind.NOT_RATIONALLY_CONNECTED
-    for index, ci in enumerate(iter_types(max_n, max_degree)):
-        verdict = kept.get(index)
-        yield Verdict(ci, not_rc) if verdict is None else verdict
-
+def _theorem_rows(max_n: int, max_degree: int, kept: dict[int, tuple]) -> Iterator[tuple]:
+    not_rc = (VerdictKind.NOT_RATIONALLY_CONNECTED, None, None)
+    return zip(_type_rows(max_n, max_degree), map(kept.get, count(), repeat(not_rc)))
 
 
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
@@ -627,23 +677,22 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
         else:
             failed[n, degrees] = (betti, value, case)
         tally[case] += 1
-    records = ScanRecords(
-        partial(_lemma_records, max_n, max_degree, classes, failed),
-        sum(tally.values()))
+    records = ScanRecords(partial(_lemma_rows, max_n, max_degree, classes, failed),
+                          LemmaRecord, sum(tally.values()))
     return _scan_report("lemma", max_n, max_degree, records, violations,
                         LemmaCase, tally)
 
 
-def _lemma_records(
+def _lemma_rows(
     max_n: int,
     max_degree: int,
     classes: dict[tuple[tuple[int, ...], int], tuple],
     failed: dict[tuple[int, tuple[int, ...]], tuple],
-) -> Iterator[LemmaRecord]:
+) -> Iterator[tuple]:
     # A failed type's class may be kept later, by another of its types.
-    for n, degrees in _type_pairs(max_n, max_degree):
+    for row in _type_rows(max_n, max_degree):
+        n, k, degrees, _ = row
         if failed and (n, degrees) in failed:
-            fields = failed[n, degrees]
+            yield row, failed[n, degrees]
         else:
-            fields = classes[degrees[degrees.count(1):], n - len(degrees)]
-        yield LemmaRecord(_unchecked_type(n, degrees), *fields)
+            yield row, classes[degrees[degrees.count(1):], k]

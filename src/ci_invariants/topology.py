@@ -95,6 +95,12 @@ def _unchecked_type(n: int, degrees: tuple[int, ...]) -> CIType:
     return ci
 
 
+#: The Euler characteristic's recurrence runs over blocks of this many
+#: coefficients, so it holds one block plus one carry per degree >= 2, not
+#: k + 1 growing coefficients per degree.
+_CHI_BLOCK = 512
+
+
 def euler_characteristic(ci: CIType) -> int:
     """Euler characteristic of a nonsingular complete intersection of the
     given type; the ambient space itself gives n + 1.
@@ -102,18 +108,22 @@ def euler_characteristic(ci: CIType) -> int:
     chi = prod(d_i) * [z^k] (1 - z)^-2 * prod_{d_i >= 2} 1 / (1 + (d_i - 1) z):
     the coefficients 1, 2, ..., k + 1 of (1 - z)^-2 are divided by each
     1 + (d - 1) z in place, c_j <- c_j - (d - 1) c_{j-1}.  Degree-1 entries
-    only shift n, so they skip the loop.
+    only shift n, so they skip the loop.  The coefficients are taken in
+    blocks of ``_CHI_BLOCK``, and each division carries its last c_j from
+    one block to the next, so memory is linear in k.
     """
     k = ci.dimension
-    coeffs = list(range(1, k + 2))
-    for d in ci.degrees:
-        if d > 1:
-            r = d - 1
-            prev = 0
-            for j in range(k + 1):
+    ratios = [d - 1 for d in ci.degrees if d > 1]
+    carries = [0] * len(ratios)
+    for start in range(0, k + 1, _CHI_BLOCK):
+        coeffs = list(range(start + 1, min(start + _CHI_BLOCK, k + 1) + 1))
+        for f, r in enumerate(ratios):
+            prev = carries[f]
+            for j in range(len(coeffs)):
                 prev = coeffs[j] - r * prev
                 coeffs[j] = prev
-    return math.prod(ci.degrees) * coeffs[k]
+            carries[f] = prev
+    return math.prod(ci.degrees) * coeffs[-1]
 
 
 def chi22(k: int) -> int:

@@ -487,6 +487,13 @@ class TestBounds:
             args = cli.build_parser().parse_args([command, "--n", str(cli.MAX_N)])
             assert args.n == cli.MAX_N == 100_000
 
+    def test_max_k_past_the_bound_is_a_usage_error(self, capsys):
+        assert cli.MAX_K == 400
+        code, out, err = run_cli(capsys, "verify-identities", "--max-k", "401")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: ")
+        assert "argument --max-k: expected an integer in [0, 400], got '401'" in err
+
     @pytest.mark.parametrize("argv", [
         ["scan", "--max-n", "0", "--max-degree", "2"],
         ["scan", "--max-n", "2", "--max-degree", "1.5"],

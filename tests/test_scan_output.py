@@ -2,18 +2,31 @@
 
 Each expected document is built here, independently of the writer, from
 the scan records alone: JSON with ``json.dumps(..., indent=2)`` over plain
-dicts, CSV with the ``csv`` module, and table lines with f-strings.
+dicts, CSV with the ``csv`` module, and table lines with f-strings.  Since
+those records come from the same scan table as the document, pinned sha256
+digests of whole documents also guard the record content itself.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import hashlib
 import io
 import json
 
 import pytest
 
-from ci_invariants import CIType, ScanReport, scan_lemma, scan_theorem, topology, write_scans
+from ci_invariants import (
+    CIType,
+    LemmaRecord,
+    ScanReport,
+    Verdict,
+    scan_lemma,
+    scan_theorem,
+    topology,
+    write_scans,
+)
 from ci_invariants.cli import main
 
 MAX_N, MAX_DEGREE = 6, 3
@@ -168,3 +181,56 @@ def test_empty_scan_object_layout():
     buffer = io.StringIO()
     write_scans([], "json", buffer)
     assert buffer.getvalue() == json.dumps({"scans": []}, indent=2) + "\n"
+
+
+#: sha256 of the stdout of ``scan --max-n 10 --max-degree 5 --which both
+#: --quiet`` in each format (5,945,743, 775,060 and 1,255,375 bytes), taken
+#: when each record was still built as an object and rendered by its own
+#: methods.
+GOLDEN_10_5 = {
+    "json": "f0a1c58a42a852efb06eb16db01d028e1c73dc661b1a60500136c131f130b7f0",
+    "csv": "c6b5907d7f8ae07524e3bd4f1ba65c06a20d20bafa00451e7d423ee3dba1b3bd",
+    "table": "64a7dcb37a8a9866aa9bdd876199d80c117693802f2e02534a1c6b15c7329a21",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_scan_document_digest(capsys, fmt):
+    code = main(["scan", "--max-n", "10", "--max-degree", "5", "--which", "both",
+                 "--format", fmt, "--quiet"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0
+    assert hashlib.sha256(out).hexdigest() == GOLDEN_10_5[fmt]
+
+
+def _written(report: ScanReport, fmt: str) -> str:
+    buffer = io.StringIO()
+    report.write(fmt, buffer)
+    return buffer.getvalue()
+
+
+def _assert_view_and_tuple_write_alike(report: ScanReport) -> None:
+    # The view is rendered from the scan's walk, a tuple from its records.
+    rebuilt = dataclasses.replace(report, records=tuple(report.records))
+    for fmt in FORMATS:
+        assert _written(report, fmt) == _written(rebuilt, fmt)
+
+
+@pytest.mark.parametrize("scan", [scan_theorem, scan_lemma])
+def test_view_and_tuple_records_write_alike(scan):
+    _assert_view_and_tuple_write_alike(scan(8, 4))
+
+
+def test_view_and_tuple_records_write_alike_with_failed_types(monkeypatch):
+    # A wrong Euler characteristic for a quadric fourfold fails its checks
+    # in both scans, so each has a failed-type row.
+    real = topology.euler_characteristic
+    bad = CIType(5, (2,))
+    monkeypatch.setattr(topology, "euler_characteristic",
+                        lambda ci: -100 if ci == bad else real(ci))
+    theorem, lemma = scan_theorem(8, 4), scan_lemma(8, 4)
+    assert Verdict(bad, None) in tuple(theorem.records)
+    assert LemmaRecord(bad, None, None, None) in tuple(lemma.records)
+    for report in (theorem, lemma):
+        assert report.violations
+        _assert_view_and_tuple_write_alike(report)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,9 +21,10 @@ from ci_invariants import (
     chi22,
     compute_invariants,
     euler_characteristic,
+    fiber_type,
     verify_expansion_identity,
 )
-from ci_invariants.topology import _values_at_units
+from ci_invariants.topology import _CHI_BLOCK, _values_at_units
 from reference import (
     horner,
     horner_at_i,
@@ -124,6 +126,30 @@ class TestEulerCharacteristic:
     def test_long_degree_list(self):
         ci = CIType(2000, (2,) * 1500)
         assert euler_characteristic(ci) == self._all_quadrics(2000, 1500)
+
+    @pytest.mark.parametrize("k", [_CHI_BLOCK - 1, _CHI_BLOCK, _CHI_BLOCK + 1,
+                                   2 * _CHI_BLOCK, 2 * _CHI_BLOCK + 1])
+    def test_block_edges(self, k):
+        # The recurrence runs over blocks of coefficients and carries one
+        # value per degree from block to block; k on either side of an edge.
+        assert euler_characteristic(CIType(k + 3, (2, 2, 2))) == self._all_quadrics(k + 3, 3)
+        assert middle_betti(CIType(k + 1, (5,))) == hypersurface_middle_betti(5, k)
+
+    def test_mixed_degrees_across_a_block_edge(self):
+        for n, degrees in ((_CHI_BLOCK + 3, (2, 5)), (_CHI_BLOCK + 2, (1, 3, 6))):
+            assert euler_characteristic(CIType(n, degrees)) == series_coefficient(degrees, n)
+
+    def test_memory_is_linear_in_k(self):
+        # Holding k + 1 growing coefficients per degree, chi of this fiber
+        # (k = 19,986, ten degrees >= 2) peaked at 59.7 MB.
+        fiber = fiber_type(CIType(20000, (2, 5, 6)))
+        tracemalloc.start()
+        try:
+            euler_characteristic(fiber)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMiddleBetti:
