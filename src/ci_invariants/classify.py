@@ -30,11 +30,11 @@ with the types.
 
 ``write_scans`` renders each row straight to the stream, in exactly the
 layout of ``json.dump(..., indent=2)`` for JSON, and builds no record.
-``ScanReport.records`` is a re-iterable view that wraps the same rows into
-records, ``Verdict``s for the theorem scan and ``LemmaRecord``s for the
-lemma scan, only when a caller iterates it.  A record renders itself
-through the same row renderers, so a single type's CSV row, table line
-and JSON text and a scan's share one code path.
+Records, ``Verdict``s for the theorem scan and ``LemmaRecord``s for the
+lemma scan, are built only by the ``ScanReport.records`` view, which
+wraps the same rows when a caller iterates it.  A record does not render
+itself, except ``Verdict.csv_row``: the single-type ``classify --format
+csv`` row, through the scan's CSV row renderer.
 """
 
 from __future__ import annotations
@@ -288,8 +288,8 @@ _OUTCOME_TEXT = {
 
 # The renderers of a scan row ((n, k, degrees, texts), fields), with
 # ``texts`` the degrees as decimal strings and ``fields`` the record's other
-# fields.  A scan writes its rows through them, and each record renders
-# itself through them, so both share one code path per format.
+# fields.  A scan writes its rows through them, and ``Verdict.csv_row``
+# renders a single verdict through ``_verdict_csv``.
 
 def _verdict_line(row: tuple) -> str:
     (n, k, degrees, texts), (kind, p_x, p_f) = row
@@ -357,14 +357,8 @@ class Verdict:
     def _row(self) -> tuple:
         return _type_row(self.ci), (self.kind, self.p_x_at_i, self.p_f_at_i)
 
-    def line(self) -> str:
-        return _verdict_line(self._row())
-
     def csv_row(self) -> list[str]:
         return _verdict_csv(self._row())
-
-    def json_text(self) -> str:
-        return _verdict_json(self._row())
 
 
 @dataclass(frozen=True)
@@ -381,18 +375,6 @@ class LemmaRecord:
     middle_betti: int | None
     value_at_i: GaussianInteger | None
     case: LemmaCase | None
-
-    def _row(self) -> tuple:
-        return _type_row(self.ci), (self.middle_betti, self.value_at_i, self.case)
-
-    def line(self) -> str:
-        return _lemma_line(self._row())
-
-    def csv_row(self) -> list[str]:
-        return _lemma_csv(self._row())
-
-    def json_text(self) -> str:
-        return _lemma_json(self._row())
 
 
 def _degree_cell(ci: CIType) -> str:
@@ -442,14 +424,14 @@ class ScanReport:
     """Deterministic result of an exhaustive scan: its records, outcome
     counts, and any internal-check violations (always expected to be empty).
     ``records`` is a ``ScanRecords`` view, one record per type in canonical
-    order; the counts and violations are final when the report is built.
-    The writer renders a view's rows straight from the scan's walk, and a
-    plain tuple of records from the records themselves."""
+    order, and the only place records are built; the counts and violations
+    are final when the report is built.  The writer renders the view's rows
+    straight from the scan's walk, never from records."""
 
     kind: str
     max_n: int
     max_degree: int
-    records: ScanRecords | tuple
+    records: ScanRecords
     counts: dict[str, int]
     violations: tuple[str, ...]
 
@@ -458,9 +440,7 @@ class ScanReport:
         return not self.violations
 
     def _rows(self) -> Iterator[tuple]:
-        if isinstance(self.records, ScanRecords):
-            return self.records._rows()
-        return (rec._row() for rec in self.records)
+        return self.records._rows()
 
     def csv_header(self) -> list[str]:
         return list(_RECORD_TYPES[self.kind].CSV_HEADER)
@@ -512,16 +492,12 @@ class ScanReport:
                 '"records": ',
             ]
             stream.write("{" + field + ("," + field).join(head))
+            # A scan's bounds are >= 1, so it has at least one record.
             render, rows = _RENDERERS[self.kind]["json"], self._rows()
-            first = next(rows, None)
-            if first is None:
-                stream.write("[]")
-            else:
-                stream.write("[" + _NEWLINE[_RECORD_DEPTH] + render(first))
-                stream.writelines(map(("," + _NEWLINE[_RECORD_DEPTH]).__add__,
-                                      map(render, rows)))
-                stream.write(_NEWLINE[_SCAN_DEPTH + 1] + "]")
-            stream.write(_NEWLINE[_SCAN_DEPTH] + "}")
+            stream.write("[" + _NEWLINE[_RECORD_DEPTH] + render(next(rows)))
+            stream.writelines(map(("," + _NEWLINE[_RECORD_DEPTH]).__add__,
+                                  map(render, rows)))
+            stream.write(_NEWLINE[_SCAN_DEPTH + 1] + "]" + _NEWLINE[_SCAN_DEPTH] + "}")
         else:
             raise ValueError(f"unknown output format {fmt!r}")
 

@@ -52,11 +52,6 @@ class IntPolynomial:
         return self._coeffs
 
     @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self._coeffs) - 1
-
-    @property
     def is_zero(self) -> bool:
         return not self._coeffs
 
@@ -121,33 +116,28 @@ class IntPolynomial:
             e >>= 1
         return result
 
-    def __divmod__(self, divisor: IntPolynomial) -> tuple[IntPolynomial, IntPolynomial]:
-        """Exact long division; the divisor's leading coefficient must be +-1."""
-        if not isinstance(divisor, IntPolynomial):
-            return NotImplemented
+    def divisible_by(self, divisor: IntPolynomial) -> bool:
+        """True iff exact division over the integers leaves zero remainder;
+        the divisor's leading coefficient must be +-1.  Only the remainder
+        is kept: each step pops the top coefficient and subtracts its
+        multiple of the divisor's lower terms, so no quotient is built."""
         if divisor.is_zero:
             raise ValueError("division by the zero polynomial")
-        lead = divisor._coeffs[-1]
+        *lower, lead = divisor._coeffs
         if lead not in (1, -1):
             raise ValueError(
                 "divisor leading coefficient must be +1 or -1 for exact integer division"
             )
-        m = divisor.degree
+        m = len(lower)
+        terms = [(j, c) for j, c in enumerate(lower) if c]
         rem = list(self._coeffs)
-        if len(rem) <= m:
-            return IntPolynomial(), self
-        quo = [0] * (len(rem) - m)
-        for top in range(len(rem) - 1, m - 1, -1):
-            factor = rem[top] * lead  # lead is its own inverse
-            quo[top - m] = factor
+        while len(rem) > m:
+            factor = rem.pop() * lead  # lead is its own inverse
             if factor:
-                for j, c in enumerate(divisor._coeffs):
-                    rem[top - m + j] -= factor * c
-        return IntPolynomial(quo), IntPolynomial(rem[:m])
-
-    def divisible_by(self, divisor: IntPolynomial) -> bool:
-        """True iff exact division over the integers leaves zero remainder."""
-        return divmod(self, divisor)[1].is_zero
+                base = len(rem) - m
+                for j, c in terms:
+                    rem[base + j] -= factor * c
+        return not any(rem)
 
     def __repr__(self) -> str:
         return f"IntPolynomial({list(self._coeffs)!r})"

@@ -7,6 +7,7 @@ import dataclasses
 import io
 import json
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -45,7 +46,7 @@ def assert_smaller_scan_is_a_prefix(scan, max_n, max_degree):
     assert keys == sorted(set(keys))
     head = [r for r in full.records if r.ci.ambient_dim < max_n]
     assert smaller.records == tuple(head)
-    assert list(smaller.csv_rows()) == [r.csv_row() for r in head]
+    assert list(smaller.csv_rows()) == list(islice(full.csv_rows(), len(head)))
 
 
 class TestLemmaClassify:
@@ -348,7 +349,9 @@ class TestScanLemma:
         assert report.counts["internal_check_failed"] == 1
         (rec,) = [rec for rec in report.records if rec.ci == bad]
         assert (rec.middle_betti, rec.value_at_i, rec.case) == (None, None, None)
-        assert rec.line().endswith("b_k=- p(i)=- case=internal_check_failed")
+        (line,) = [line for line in report.record_lines()
+                   if line.startswith("n=3 type=(3) ")]
+        assert line.endswith("b_k=- p(i)=- case=internal_check_failed")
         (row,) = [row for row in report.csv_rows() if row[:2] == ["3", "3"]]
         assert row[3:] == ["-", "-", "internal_check_failed"]
         (entry,) = [e for e in json_object(report)["records"]

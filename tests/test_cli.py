@@ -9,6 +9,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from math import comb
 
 import pytest
 
@@ -19,6 +21,7 @@ from ci_invariants import (
     cli,
     compute_invariants,
     fiber_type,
+    iter_types,
     lemma_classify,
     line_geometry,
     lines,
@@ -493,6 +496,28 @@ class TestBounds:
         assert (code, out) == (2, "")
         assert err.startswith("usage: ")
         assert "argument --max-k: expected an integer in [0, 400], got '401'" in err
+
+    def test_scan_type_count_is_the_closed_form(self):
+        for max_n in range(1, 9):
+            for max_degree in range(1, 7):
+                walked = sum(1 for _ in iter_types(max_n, max_degree))
+                assert walked == comb(max_n + max_degree + 1, max_n) - 1
+                assert cli._scan_type_count(max_n, max_degree) == walked
+        assert cli._scan_type_count(14, 6) == 116_279
+        assert cli._scan_type_count(20, 6) == 888_029 <= cli.MAX_SCAN_TYPES
+        assert cli._scan_type_count(21, 6) == cli.MAX_SCAN_TYPES + 1
+
+    @pytest.mark.parametrize("bounds", [("40", "6"), ("1000000000", "1000000000")])
+    def test_scan_past_the_bound_is_a_usage_error(self, tmp_path, capsys, bounds):
+        target = tmp_path / "scan.csv"
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "scan", "--max-n", bounds[0], "--max-degree",
+                                 bounds[1], "--out", str(target))
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: --max-n {bounds[0]} --max-degree {bounds[1]} spans "
+                       f"more than MAX_SCAN_TYPES = 1,000,000 types\n")
+        assert not target.exists()
 
     @pytest.mark.parametrize("argv", [
         ["scan", "--max-n", "0", "--max-degree", "2"],

@@ -7,12 +7,20 @@ Expected values are either hand expansions or come from ``reference``.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 from math import comb, prod
 
 import pytest
 
-from ci_invariants import GaussianInteger, IntPolynomial, ONE_PLUS_T_SQUARED
+from ci_invariants import (
+    CIType,
+    GaussianInteger,
+    IntPolynomial,
+    ONE_PLUS_T_SQUARED,
+    compute_invariants,
+    fiber_type,
+)
 from reference import horner, horner_at_i, series_coefficient, truncated_product
 
 #: i^j for j = 0, 1, 2, 3, as (real part, imaginary part).
@@ -30,9 +38,9 @@ class TestIntPolynomial:
         assert IntPolynomial([1, 2, 0, 0]).coefficients == (1, 2)
         assert IntPolynomial([0, 0, 0]).coefficients == ()
         assert IntPolynomial().is_zero
-        assert IntPolynomial([0]).degree == -1
-        assert IntPolynomial([5]).degree == 0
-        assert IntPolynomial([0, 0, 3]).degree == 2
+        assert IntPolynomial([0]).coefficients == ()
+        assert IntPolynomial([5]).coefficients == (5,)
+        assert IntPolynomial([0, 0, 3]).coefficients == (0, 0, 3)
 
     def test_mul_identity(self):
         one = IntPolynomial([1])
@@ -95,14 +103,29 @@ class TestIntPolynomial:
         with pytest.raises(ValueError):
             IntPolynomial([1, 1]).divisible_by(IntPolynomial([1, 2]))
 
-    def test_divmod_reconstructs(self):
+    def test_divisible_by_exact_multiples_only(self):
+        # D = t^3 - 2t^2 + 3, and -D for a leading coefficient of -1.
         rng = random.Random(99)
-        divisor = IntPolynomial([3, 0, -2, 1])
-        for _ in range(50):
-            p = random_poly(rng)
-            q, r = divmod(p, divisor)
-            assert q * divisor + r == p
-            assert r.degree < divisor.degree
+        cubic = IntPolynomial([3, 0, -2, 1])
+        for divisor in (cubic, -cubic):
+            for _ in range(50):
+                p = random_poly(rng)
+                r = IntPolynomial(rng.randint(-9, 9) for _ in range(3))
+                assert (p * divisor).divisible_by(divisor)
+                if r:
+                    assert not (p * divisor + r).divisible_by(divisor)
+
+    def test_divisibility_memory_is_linear(self):
+        # The quotient of long division held about k/2 coefficients of O(k)
+        # bits: 60.5 MB for this fiber's p (k = 19,986).
+        p = compute_invariants(fiber_type(CIType(20000, (2, 5, 6)))).poincare
+        tracemalloc.start()
+        try:
+            p.divisible_by(ONE_PLUS_T_SQUARED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_divisibility_iff_vanishing_at_i(self):
         # 1+t^2 is monic, so remainder zero and p(i) = 0 are the same thing

@@ -10,7 +10,6 @@ digests of whole documents also guard the record content itself.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -20,7 +19,6 @@ import pytest
 from ci_invariants import (
     CIType,
     LemmaRecord,
-    ScanReport,
     Verdict,
     scan_lemma,
     scan_theorem,
@@ -156,28 +154,30 @@ def test_out_file_equals_stdout(tmp_path, capsys, fmt):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_internal_check_failure_document(monkeypatch, capsys, fmt):
-    # A wrong Euler characteristic for one type makes its lemma record carry
-    # null fields and puts one violation into the document.
+    # A wrong Euler characteristic for one type makes its records carry null
+    # fields and puts its violations into the document: the cubic surface
+    # fails the lemma scan, and a quadric fourfold fails both scans.
     real = topology.euler_characteristic
-    bad = CIType(3, (3,))
-    monkeypatch.setattr(topology, "euler_characteristic",
-                        lambda ci: -100 if ci == bad else real(ci))
-    code, out = _scan_cli(capsys, "lemma", fmt)
-    assert code == 1
-    (report,) = _reports("lemma", MAX_N, MAX_DEGREE)
-    assert len(report.violations) == 1
-    assert out == expected_document([report], fmt)
-    if fmt == "json":
-        (entry,) = [e for e in json.loads(out)["scans"][0]["records"]
-                    if e["n"] == "3" and e["degrees"] == ["3"]]
-        assert entry["middle_betti"] is None and entry["p_at_i"] is None
+    for which, bad in (("lemma", CIType(3, (3,))), ("both", CIType(5, (2,)))):
+        monkeypatch.setattr(topology, "euler_characteristic",
+                            lambda ci, bad=bad: -100 if ci == bad else real(ci))
+        code, out = _scan_cli(capsys, which, fmt)
+        assert code == 1
+        reports = _reports(which, MAX_N, MAX_DEGREE)
+        failed = {"theorem": Verdict(bad, None),
+                  "lemma": LemmaRecord(bad, None, None, None)}
+        for report in reports:
+            assert report.violations
+            assert failed[report.kind] in report.records
+        assert out == expected_document(reports, fmt)
+        if fmt == "json":
+            (entry,) = [e for e in json.loads(out)["scans"][-1]["records"]
+                        if e["n"] == str(bad.ambient_dim)
+                        and e["degrees"] == [str(d) for d in bad.degrees]]
+            assert entry["middle_betti"] is None and entry["p_at_i"] is None
 
 
 def test_empty_scan_object_layout():
-    report = ScanReport("theorem", 1, 1, (), {}, ())
-    buffer = io.StringIO()
-    write_scans([report], "json", buffer)
-    assert buffer.getvalue() == expected_document([report], "json")
     buffer = io.StringIO()
     write_scans([], "json", buffer)
     assert buffer.getvalue() == json.dumps({"scans": []}, indent=2) + "\n"
@@ -201,36 +201,3 @@ def test_scan_document_digest(capsys, fmt):
     out = capsys.readouterr().out.encode()
     assert code == 0
     assert hashlib.sha256(out).hexdigest() == GOLDEN_10_5[fmt]
-
-
-def _written(report: ScanReport, fmt: str) -> str:
-    buffer = io.StringIO()
-    report.write(fmt, buffer)
-    return buffer.getvalue()
-
-
-def _assert_view_and_tuple_write_alike(report: ScanReport) -> None:
-    # The view is rendered from the scan's walk, a tuple from its records.
-    rebuilt = dataclasses.replace(report, records=tuple(report.records))
-    for fmt in FORMATS:
-        assert _written(report, fmt) == _written(rebuilt, fmt)
-
-
-@pytest.mark.parametrize("scan", [scan_theorem, scan_lemma])
-def test_view_and_tuple_records_write_alike(scan):
-    _assert_view_and_tuple_write_alike(scan(8, 4))
-
-
-def test_view_and_tuple_records_write_alike_with_failed_types(monkeypatch):
-    # A wrong Euler characteristic for a quadric fourfold fails its checks
-    # in both scans, so each has a failed-type row.
-    real = topology.euler_characteristic
-    bad = CIType(5, (2,))
-    monkeypatch.setattr(topology, "euler_characteristic",
-                        lambda ci: -100 if ci == bad else real(ci))
-    theorem, lemma = scan_theorem(8, 4), scan_lemma(8, 4)
-    assert Verdict(bad, None) in tuple(theorem.records)
-    assert LemmaRecord(bad, None, None, None) in tuple(lemma.records)
-    for report in (theorem, lemma):
-        assert report.violations
-        _assert_view_and_tuple_write_alike(report)
