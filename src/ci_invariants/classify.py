@@ -354,11 +354,8 @@ class Verdict:
             n=n, d=d, normal=n - d - 1, p_x=self.p_x_at_i, p_f=self.p_f_at_i
         )
 
-    def _row(self) -> tuple:
-        return _type_row(self.ci), (self.kind, self.p_x_at_i, self.p_f_at_i)
-
     def csv_row(self) -> list[str]:
-        return _verdict_csv(self._row())
+        return _verdict_csv((_type_row(self.ci), (self.kind, self.p_x_at_i, self.p_f_at_i)))
 
 
 @dataclass(frozen=True)
@@ -439,17 +436,14 @@ class ScanReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def _rows(self) -> Iterator[tuple]:
-        return self.records._rows()
-
     def csv_header(self) -> list[str]:
         return list(_RECORD_TYPES[self.kind].CSV_HEADER)
 
     def csv_rows(self) -> Iterator[list[str]]:
-        return map(_RENDERERS[self.kind]["csv"], self._rows())
+        return map(_RENDERERS[self.kind]["csv"], self.records._rows())
 
     def record_lines(self) -> Iterator[str]:
-        return map(_RENDERERS[self.kind]["table"], self._rows())
+        return map(_RENDERERS[self.kind]["table"], self.records._rows())
 
     def summary_lines(self) -> list[str]:
         lines = [
@@ -493,7 +487,7 @@ class ScanReport:
             ]
             stream.write("{" + field + ("," + field).join(head))
             # A scan's bounds are >= 1, so it has at least one record.
-            render, rows = _RENDERERS[self.kind]["json"], self._rows()
+            render, rows = _RENDERERS[self.kind]["json"], self.records._rows()
             stream.write("[" + _NEWLINE[_RECORD_DEPTH] + render(next(rows)))
             stream.writelines(map(("," + _NEWLINE[_RECORD_DEPTH]).__add__,
                                   map(render, rows)))

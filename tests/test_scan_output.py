@@ -156,9 +156,11 @@ def test_out_file_equals_stdout(tmp_path, capsys, fmt):
 def test_internal_check_failure_document(monkeypatch, capsys, fmt):
     # A wrong Euler characteristic for one type makes its records carry null
     # fields and puts its violations into the document: the cubic surface
-    # fails the lemma scan, and a quadric fourfold fails both scans.
+    # fails the lemma scan, and a quadric fourfold fails both scans (the
+    # theorem scan also records that the homogeneous type failed a gate).
     real = topology.euler_characteristic
-    for which, bad in (("lemma", CIType(3, (3,))), ("both", CIType(5, (2,)))):
+    for which, bad, counts in (("lemma", CIType(3, (3,)), [1]),
+                               ("both", CIType(5, (2,)), [2, 1])):
         monkeypatch.setattr(topology, "euler_characteristic",
                             lambda ci, bad=bad: -100 if ci == bad else real(ci))
         code, out = _scan_cli(capsys, which, fmt)
@@ -166,8 +168,8 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
         reports = _reports(which, MAX_N, MAX_DEGREE)
         failed = {"theorem": Verdict(bad, None),
                   "lemma": LemmaRecord(bad, None, None, None)}
+        assert [len(report.violations) for report in reports] == counts
         for report in reports:
-            assert report.violations
             assert failed[report.kind] in report.records
         assert out == expected_document(reports, fmt)
         if fmt == "json":
