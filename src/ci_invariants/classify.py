@@ -16,17 +16,19 @@ Scan bounds are a verification budget, not a completeness claim: the
 classification holds for all types, the scans re-check it mechanically on
 everything within the bounds.  Each scan walks the types serially, in
 canonical (n, l, degrees) order.  Degree-1 entries only lower the ambient
-space, so the lemma scan computes the invariants and runs their
-cross-checks once per class (reduced degrees, k), not once per type.
+space, so the lemma scan keys its table by the reduced multiset D, the
+degrees >= 2: one run of the recurrence per D gives a row of chi for
+every dimension k, and the invariants and their cross-checks run once per
+class (D, k), on that chi, not once per type.
 
 Each scan makes two passes.  The first walks the types, runs every check
 and keeps only the counts, the violations and a small table: the verdicts
-not decided by the d > n gate, or the lemma scan's fields per class.  The
-second, run each time the scan is written or its records are read,
-re-walks the types and yields one row per type, the type's n, k, degrees
-and degree strings with its fields from that table; no check is re-run,
-so a scan's memory grows with its classes and its d <= n verdicts, not
-with the types.
+not decided by the d > n gate, or the lemma scan's rows per D, holding
+each class's fields.  The second, run each time the scan is written or
+its records are read, re-walks the types and yields one row per type, the
+type's n, k, degrees and degree strings with its fields from that table;
+no check is re-run, so a scan's memory grows with its classes and its
+d <= n verdicts, not with the types.
 
 ``write_scans`` renders each row straight to the stream, in exactly the
 layout of ``json.dump(..., indent=2)`` for JSON, and builds no record.
@@ -39,7 +41,6 @@ csv`` row, through the scan's CSV row renderer.
 
 from __future__ import annotations
 
-import csv
 import json
 import operator
 from collections import Counter
@@ -57,6 +58,7 @@ from .topology import (
     InvariantReport,
     _unchecked_type,
     compute_invariants,
+    euler_characteristic_row,
 )
 
 
@@ -84,7 +86,8 @@ class VerdictKind(Enum):
 
 
 def _reduced(ci: CIType) -> tuple[int, ...]:
-    return tuple(d for d in ci.degrees if d > 1)
+    # ``degrees`` is sorted ascending, so its degree-1 entries lead.
+    return ci.degrees[ci.degrees.count(1):]
 
 
 def _is_homogeneous_shape(ci: CIType) -> bool:
@@ -464,9 +467,10 @@ class ScanReport:
         ``scans`` list of the document that ``write_scans`` frames.
         """
         if fmt == "csv":
-            writer = csv.writer(stream, lineterminator="\n")
-            writer.writerow(self.csv_header())
-            writer.writerows(self.csv_rows())
+            # Every cell is made of digits, spaces, "+", "-", "i" and "_",
+            # so none needs quoting.
+            stream.write(",".join(self.csv_header()) + "\n")
+            stream.writelines(",".join(cells) + "\n" for cells in self.csv_rows())
         elif fmt == "table":
             stream.writelines(line + "\n" for line in self.record_lines())
         elif fmt == "json":
@@ -614,26 +618,34 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     """Evaluate p(i) for every type within the bounds and verify that it
     vanishes exactly on the three allowed shapes and nowhere else.
 
-    The first type scanned in a class (reduced degrees, k) runs the checks,
-    and the rest of the class reuses its fields; only that first type is
-    built as a ``CIType``.  A class whose checks recorded a violation is not
-    kept, so each of its types runs the checks and reports its own; their
-    fields are kept by (n, degrees) for the records view."""
-    classes: dict[tuple[tuple[int, ...], int], tuple] = {}
+    The class table holds one row per reduced multiset D, the degrees
+    >= 2, indexed by the dimension k.  The first type scanned with D fills
+    its row with chi for k = 0 .. max_n - |D|, from one run of the
+    recurrence.  The first type scanned in a class (D, k) runs the checks
+    on that chi and replaces its slot with the class's fields, which the
+    rest of the class reuses; only that first type is built as a
+    ``CIType``.  A class whose checks recorded a violation keeps its chi,
+    so each of its types runs the checks and reports its own; their fields
+    are kept by (n, degrees) for the records view."""
+    table: dict[tuple[int, ...], list] = {}
     failed: dict[tuple[int, tuple[int, ...]], tuple] = {}
     violations: list[str] = []
     tally: Counter = Counter()
     for n, degrees in _type_pairs(max_n, max_degree):
-        key = (degrees[degrees.count(1):], n - len(degrees))
-        fields = classes.get(key)
-        if fields is not None:
+        reduced = degrees[degrees.count(1):]
+        row = table.get(reduced)
+        if row is None:
+            row = table[reduced] = euler_characteristic_row(reduced, max_n - len(reduced))
+        k = n - len(degrees)
+        fields = row[k]
+        if type(fields) is tuple:
             tally[fields[2]] += 1
             continue
         ci = _unchecked_type(n, degrees)
         seen = len(violations)
         betti = value = case = None
         try:
-            report = compute_invariants(ci)
+            report = compute_invariants(ci, fields)
             betti, value = report.middle_betti, report.value_at_i
             case = lemma_classify(ci, report)
         except InternalCheckError as exc:
@@ -643,11 +655,11 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
         if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
             violations.append(f"excluded shape vanishes at i: {ci}")
         if len(violations) == seen:
-            classes[key] = (betti, value, case)
+            row[k] = (betti, value, case)
         else:
             failed[n, degrees] = (betti, value, case)
         tally[case] += 1
-    records = ScanRecords(partial(_lemma_rows, max_n, max_degree, classes, failed),
+    records = ScanRecords(partial(_lemma_rows, max_n, max_degree, table, failed),
                           LemmaRecord, sum(tally.values()))
     return _scan_report("lemma", max_n, max_degree, records, violations,
                         LemmaCase, tally)
@@ -656,7 +668,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
 def _lemma_rows(
     max_n: int,
     max_degree: int,
-    classes: dict[tuple[tuple[int, ...], int], tuple],
+    table: dict[tuple[int, ...], list],
     failed: dict[tuple[int, tuple[int, ...]], tuple],
 ) -> Iterator[tuple]:
     # A failed type's class may be kept later, by another of its types.
@@ -665,4 +677,4 @@ def _lemma_rows(
         if failed and (n, degrees) in failed:
             yield row, failed[n, degrees]
         else:
-            yield row, classes[degrees[degrees.count(1):], k]
+            yield row, table[degrees[degrees.count(1):]][k]

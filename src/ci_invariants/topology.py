@@ -9,9 +9,12 @@ function (Topological Methods in Algebraic Geometry, section 22)
     sum_n chi(D in P^n) z^n = (1 - z)^-2 * prod_i d_i z / (1 + (d_i - 1) z),
 
 which expands with one first-order integer recurrence per degree, in
-O(k * l) exact steps.  The tests compare it with the coefficient of H^n in
-(1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)), an independent route kept
-in ``tests/reference.py``, outside the package.
+O(k * l) exact steps.  Degree-1 entries only shift n, so one run of the
+recurrence for the degrees >= 2 gives chi at every k up to its length:
+``euler_characteristic`` reads one value off it, and
+``euler_characteristic_row`` the whole row.  The tests compare both with
+the coefficient of H^n in (1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)),
+an independent route kept in ``tests/reference.py``, outside the package.
 
 Every Betti number except the middle one is forced by the Lefschetz
 hyperplane theorem together with Poincare duality: rank 1 in each even
@@ -101,29 +104,47 @@ def _unchecked_type(n: int, degrees: tuple[int, ...]) -> CIType:
 _CHI_BLOCK = 512
 
 
+def _divide_series(coeffs: list[int], ratios: list[int], carries: list[int]) -> None:
+    """Divide a block of series coefficients in place by each 1 + r z, for
+    r in ``ratios``: c_j <- c_j - r c_{j-1}, where ``carries`` holds, per
+    ratio, the c_{j-1} of the block's first coefficient and, on return,
+    the block's last c_j, to carry into the next block."""
+    for f, r in enumerate(ratios):
+        prev = carries[f]
+        for j, c in enumerate(coeffs):
+            prev = c - r * prev
+            coeffs[j] = prev
+        carries[f] = prev
+
+
 def euler_characteristic(ci: CIType) -> int:
     """Euler characteristic of a nonsingular complete intersection of the
     given type; the ambient space itself gives n + 1.
 
     chi = prod(d_i) * [z^k] (1 - z)^-2 * prod_{d_i >= 2} 1 / (1 + (d_i - 1) z):
-    the coefficients 1, 2, ..., k + 1 of (1 - z)^-2 are divided by each
-    1 + (d - 1) z in place, c_j <- c_j - (d - 1) c_{j-1}.  Degree-1 entries
-    only shift n, so they skip the loop.  The coefficients are taken in
-    blocks of ``_CHI_BLOCK``, and each division carries its last c_j from
-    one block to the next, so memory is linear in k.
+    the coefficients 1, 2, ..., k + 1 of (1 - z)^-2 go through
+    ``_divide_series`` in blocks of ``_CHI_BLOCK``, so memory is linear in
+    k.  Degree-1 entries only shift n, so they skip the recurrence.
     """
     k = ci.dimension
     ratios = [d - 1 for d in ci.degrees if d > 1]
     carries = [0] * len(ratios)
     for start in range(0, k + 1, _CHI_BLOCK):
         coeffs = list(range(start + 1, min(start + _CHI_BLOCK, k + 1) + 1))
-        for f, r in enumerate(ratios):
-            prev = carries[f]
-            for j in range(len(coeffs)):
-                prev = coeffs[j] - r * prev
-                coeffs[j] = prev
-            carries[f] = prev
+        _divide_series(coeffs, ratios, carries)
     return math.prod(ci.degrees) * coeffs[-1]
+
+
+def euler_characteristic_row(reduced: tuple[int, ...], max_k: int) -> list[int]:
+    """The Euler characteristics of every type whose degrees >= 2 are
+    ``reduced``, indexed by its dimension k = 0 .. max_k: the degree-1
+    entries change neither the product of the degrees nor the series, so
+    one run of ``euler_characteristic``'s recurrence, over one block of
+    max_k + 1 coefficients, gives the whole row."""
+    coeffs = list(range(1, max_k + 2))
+    _divide_series(coeffs, [d - 1 for d in reduced], [0] * len(reduced))
+    scale = math.prod(reduced)
+    return [scale * c for c in coeffs]
 
 
 def chi22(k: int) -> int:
@@ -189,16 +210,21 @@ def _values_at_units(p: IntPolynomial) -> tuple[int, int, GaussianInteger]:
     return even - odd, even + odd, at_i
 
 
-def compute_invariants(ci: CIType) -> InvariantReport:
+def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
     """Bundle every invariant of a type from one Euler characteristic.
 
     Runs each built-in cross-check once: b_k >= 0, p(-1) equals chi, p(1)
     equals the total Betti sum, and p(i) vanishes exactly when k is odd
     with b_k = 0 or k = 2 mod 4 with b_k = 2.  The three values come from
     ``_values_at_units``, in time linear in the size of p.
+
+    ``chi`` is the type's Euler characteristic when the caller already has
+    it, as the lemma scan does from ``euler_characteristic_row``; otherwise
+    it is computed here.
     """
     k = ci.dimension
-    chi = euler_characteristic(ci)
+    if chi is None:
+        chi = euler_characteristic(ci)
     b = (k + 1) - chi if k % 2 else chi - k
     if b < 0:
         raise InternalCheckError(f"negative middle Betti number {b} for {ci}")

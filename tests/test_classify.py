@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import random
 import tracemalloc
 from itertools import islice
 
@@ -27,7 +28,7 @@ from ci_invariants import (
     theorem_verdict,
     write_scans,
 )
-from ci_invariants import classify, topology
+from ci_invariants import classify, lines, topology
 from reference import reduce_type
 
 
@@ -173,6 +174,24 @@ class TestDimensionLeq1Catalog:
         assert quartic not in self.catalog()
 
 
+class TestReduced:
+    @staticmethod
+    def filtered(ci):
+        return tuple(d for d in ci.degrees if d > 1)
+
+    def test_slice_equals_filter_on_scanned_types(self):
+        for ci in iter_types(10, 6):
+            assert classify._reduced(ci) == self.filtered(ci)
+
+    def test_slice_equals_filter_on_shuffled_degrees(self):
+        rng = random.Random(2718)
+        for _ in range(300):
+            degrees = [rng.randint(1, 7) for _ in range(rng.randint(0, 9))]
+            rng.shuffle(degrees)
+            ci = CIType(len(degrees) + rng.randint(0, 3), tuple(degrees))
+            assert classify._reduced(ci) == self.filtered(ci)
+
+
 class TestIterTypes:
     def test_types_equal_validated_types(self):
         for ci in iter_types(10, 6):
@@ -305,24 +324,42 @@ class TestScanLemma:
 
     def test_one_euler_characteristic_per_class(self, monkeypatch):
         # A class is a reduced type: its degrees >= 2 and its dimension k.
-        real = topology.euler_characteristic
-        calls = []
+        # The scan runs the recurrence once per reduced multiset D, for a row
+        # of chi over every k, and the checks once per class, on that chi.
+        real_row, real_checks = classify.euler_characteristic_row, classify.compute_invariants
+        real_chi = topology.euler_characteristic
+        rows, checks, single = [], [], []
 
-        def counting(ci):
-            calls.append(ci)
-            return real(ci)
+        def counting_row(reduced, max_k):
+            rows.append((reduced, max_k))
+            return real_row(reduced, max_k)
 
-        monkeypatch.setattr(topology, "euler_characteristic", counting)
+        def counting_checks(ci, chi=None):
+            checks.append(ci)
+            return real_checks(ci, chi)
+
+        def counting_chi(ci):
+            single.append(ci)
+            return real_chi(ci)
+
+        monkeypatch.setattr(classify, "euler_characteristic_row", counting_row)
+        monkeypatch.setattr(classify, "compute_invariants", counting_checks)
+        monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
         report = scan_lemma(12, 6)
         assert len(report.records) == 50387
-        first_of_class = {}
+        first_of_class, first_of_reduced = {}, {}
         for rec in report.records:
-            first_of_class.setdefault(reduce_type(rec.ci.ambient_dim, rec.ci.degrees), rec.ci)
-        assert calls == list(first_of_class.values())
-        assert len(calls) == len(first_of_class) == 18564
+            n, degrees = reduce_type(rec.ci.ambient_dim, rec.ci.degrees)
+            first_of_class.setdefault((n, degrees), rec.ci)
+            first_of_reduced.setdefault(degrees, 12 - len(degrees))
+        assert rows == list(first_of_reduced.items())
+        assert len(rows) == 6188
+        assert checks == list(first_of_class.values())
+        assert len(checks) == len(first_of_class) == 18564
+        assert single == []
         # The first type of a class is its reduced type, except for the
         # point, whose reduced type P^0 lies below the scan's n >= 1.
-        assert [ci for ci in calls
+        assert [ci for ci in checks
                 if reduce_type(ci.ambient_dim, ci.degrees) != (ci.ambient_dim, ci.degrees)
                 ] == [CIType(1, (1,))]
 
@@ -334,13 +371,16 @@ class TestScanLemma:
             assert rec == LemmaRecord(rec.ci, report.middle_betti, report.value_at_i, case)
 
     def test_internal_check_failure_is_a_violation(self, monkeypatch):
-        real = topology.euler_characteristic
+        # The fault enters where chi becomes invariants, the step that both
+        # scans share: the lemma scan passes each class its chi from the row.
+        real = topology.compute_invariants
         bad = CIType(3, (3,))
 
-        def wrong_for_one_type(ci):
-            return -100 if ci == bad else real(ci)
+        def wrong_for_one_type(ci, chi=None):
+            return real(ci, -100 if ci == bad else chi)
 
-        monkeypatch.setattr(topology, "euler_characteristic", wrong_for_one_type)
+        for module in (classify, lines):
+            monkeypatch.setattr(module, "compute_invariants", wrong_for_one_type)
         report = scan_lemma(4, 3)
         assert not report.ok
         assert len(report.violations) == 1
@@ -365,8 +405,8 @@ class TestScanLemma:
         real = classify.compute_invariants
         cubic = CIType(4, (3,))   # excluded: an entry >= 3
 
-        def vanishing_for_cubic(ci):
-            report = real(ci)
+        def vanishing_for_cubic(ci, chi=None):
+            report = real(ci, chi)
             if ci == cubic:
                 return dataclasses.replace(report, value_at_i=GaussianInteger(0, 0))
             return report

@@ -115,6 +115,52 @@ class TestIntPolynomial:
                 if r:
                     assert not (p * divisor + r).divisible_by(divisor)
 
+    @staticmethod
+    def long_division_divisible(p, divisor):
+        """The remainder loop that ``divisible_by`` ran on every coefficient
+        before wide coefficients were reduced on their own."""
+        *lower, lead = divisor.coefficients
+        m = len(lower)
+        rem = list(p.coefficients)
+        while len(rem) > m:
+            factor = rem.pop() * lead
+            if factor:
+                base = len(rem) - m
+                for j, c in enumerate(lower):
+                    rem[base + j] -= factor * c
+        return not any(rem)
+
+    @pytest.mark.parametrize("divisor", [
+        ONE_PLUS_T_SQUARED,
+        -ONE_PLUS_T_SQUARED,
+        IntPolynomial([-2, 1]),                # t - 2: t^j mod it is 2^j
+        IntPolynomial([3, 0, -2, 1]),          # t^3 - 2t^2 + 3
+        IntPolynomial([-7, 5, 0, 0, -1]),      # -t^4 + 5t - 7
+        IntPolynomial([1, 1, 1, 1, 1, 0, 1]),  # t^6 + t^4 + t^3 + t^2 + t + 1
+        IntPolynomial([1]),
+    ])
+    def test_matches_long_division_on_huge_coefficients(self, divisor):
+        # Coefficients from a few bits to thousands, so that the narrow ones
+        # ride the loop and the wide ones are reduced on their own.
+        rng = random.Random(1618)
+
+        def huge_poly(length):
+            return IntPolynomial(
+                rng.choice((-1, 1)) * rng.getrandbits(rng.choice((3, 60, 300, 3000)))
+                for _ in range(length))
+
+        divisible = 0
+        for _ in range(40):
+            p = huge_poly(rng.randint(0, 40))
+            if rng.random() < 0.5:
+                p = p * divisor
+            if rng.random() < 0.3:
+                p = p + huge_poly(len(divisor.coefficients) - 1)
+            expected = self.long_division_divisible(p, divisor)
+            assert p.divisible_by(divisor) == expected
+            divisible += expected
+        assert divisible
+
     def test_divisibility_memory_is_linear(self):
         # The quotient of long division held about k/2 coefficients of O(k)
         # bits: 60.5 MB for this fiber's p (k = 19,986).

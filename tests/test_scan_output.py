@@ -22,9 +22,9 @@ from ci_invariants import (
     Verdict,
     scan_lemma,
     scan_theorem,
-    topology,
     write_scans,
 )
+from ci_invariants import classify, lines, topology
 from ci_invariants.cli import main
 
 MAX_N, MAX_DEGREE = 6, 3
@@ -158,11 +158,15 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
     # fields and puts its violations into the document: the cubic surface
     # fails the lemma scan, and a quadric fourfold fails both scans (the
     # theorem scan also records that the homogeneous type failed a gate).
-    real = topology.euler_characteristic
+    # The fault enters where chi becomes invariants, the step both scans
+    # share.
+    real = topology.compute_invariants
     for which, bad, counts in (("lemma", CIType(3, (3,)), [1]),
                                ("both", CIType(5, (2,)), [2, 1])):
-        monkeypatch.setattr(topology, "euler_characteristic",
-                            lambda ci, bad=bad: -100 if ci == bad else real(ci))
+        for module in (classify, lines):
+            monkeypatch.setattr(module, "compute_invariants",
+                                lambda ci, chi=None, bad=bad:
+                                real(ci, -100 if ci == bad else chi))
         code, out = _scan_cli(capsys, which, fmt)
         assert code == 1
         reports = _reports(which, MAX_N, MAX_DEGREE)

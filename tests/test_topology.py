@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -24,7 +25,7 @@ from ci_invariants import (
     fiber_type,
     verify_expansion_identity,
 )
-from ci_invariants.topology import _CHI_BLOCK, _values_at_units
+from ci_invariants.topology import _CHI_BLOCK, _values_at_units, euler_characteristic_row
 from reference import (
     horner,
     horner_at_i,
@@ -150,6 +151,28 @@ class TestEulerCharacteristic:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+class TestEulerCharacteristicRow:
+    def test_matches_series_oracle(self):
+        # Every reduced multiset with entries 2..6 and at most five entries,
+        # at every k <= 8: the type in P^(k + |D|).
+        for size in range(6):
+            for reduced in combinations_with_replacement(range(2, 7), size):
+                assert euler_characteristic_row(reduced, 8) == [
+                    series_coefficient(reduced, k + size) for k in range(9)]
+
+    @pytest.mark.parametrize("reduced", [(2,), (3, 3), (2, 5, 6)])
+    def test_equals_euler_characteristic_across_blocks(self, reduced):
+        # k up to 600 crosses the first block edge at _CHI_BLOCK.
+        assert 600 > _CHI_BLOCK
+        row = euler_characteristic_row(reduced, 600)
+        assert row == [euler_characteristic(CIType(k + len(reduced), reduced))
+                       for k in range(601)]
+        # Degree-1 entries only shift n, so they read the same row.
+        for k in (0, 7, _CHI_BLOCK, 600):
+            assert row[k] == euler_characteristic(CIType(k + len(reduced) + 2,
+                                                         (1, 1) + reduced))
 
 
 class TestMiddleBetti:
