@@ -43,12 +43,11 @@ from __future__ import annotations
 
 import json
 import operator
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from enum import Enum
 from functools import partial
 from itertools import chain, combinations_with_replacement, count, repeat, starmap
-from typing import Callable, ClassVar, Iterator, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .exact import GaussianInteger
 from .lines import ProductObstruction, product_obstruction
@@ -158,13 +157,10 @@ def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -
     return Verdict(ci, kind, obstruction.p_x_at_i, obstruction.p_f_at_i)
 
 
-class ParityOutcome(NamedTuple):
+class ParityOutcome(namedtuple("ParityOutcome", "p_x_at_i p_f_at_i x_vanishes f_vanishes")):
     """Which of p_X(i), p_F(i) vanish for a homogeneous type."""
 
-    p_x_at_i: GaussianInteger
-    p_f_at_i: GaussianInteger
-    x_vanishes: bool
-    f_vanishes: bool
+    __slots__ = ()
 
 
 def homogeneous_parity_report(
@@ -335,20 +331,16 @@ def _type_row(ci: CIType) -> tuple:
     return ci.ambient_dim, ci.dimension, ci.degrees, tuple(map(str, ci.degrees))
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "ci kind p_x_at_i p_f_at_i", defaults=(None, None))):
     """Classification outcome for one type, with the witnessing values at i,
     and the theorem scan's record of that type.  ``kind`` is None only in a
     scan record whose internal check failed (recorded as a violation)."""
 
-    CSV_HEADER: ClassVar[tuple[str, ...]] = (
+    __slots__ = ()
+
+    CSV_HEADER = (
         "n", "degrees", "total_degree", "dimension", "verdict", "p_x_at_i", "p_f_at_i",
     )
-
-    ci: CIType
-    kind: VerdictKind | None
-    p_x_at_i: GaussianInteger | None = None
-    p_f_at_i: GaussianInteger | None = None
 
     @property
     def reason(self) -> str:
@@ -361,20 +353,14 @@ class Verdict:
         return _verdict_csv((_type_row(self.ci), (self.kind, self.p_x_at_i, self.p_f_at_i)))
 
 
-@dataclass(frozen=True)
-class LemmaRecord:
+class LemmaRecord(namedtuple("LemmaRecord", "ci middle_betti value_at_i case")):
     """One scanned type with its middle Betti number, its Poincare value at
     i, and the vanishing case it falls in.  A field is None when an internal
     check failed before it was computed (recorded as a violation)."""
 
-    CSV_HEADER: ClassVar[tuple[str, ...]] = (
-        "n", "degrees", "dimension", "middle_betti", "p_at_i", "case",
-    )
+    __slots__ = ()
 
-    ci: CIType
-    middle_betti: int | None
-    value_at_i: GaussianInteger | None
-    case: LemmaCase | None
+    CSV_HEADER = ("n", "degrees", "dimension", "middle_betti", "p_at_i", "case")
 
 
 def _degree_cell(ci: CIType) -> str:
@@ -419,8 +405,8 @@ class ScanRecords:
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(namedtuple(
+        "ScanReport", "kind max_n max_degree records counts violations")):
     """Deterministic result of an exhaustive scan: its records, outcome
     counts, and any internal-check violations (always expected to be empty).
     ``records`` is a ``ScanRecords`` view, one record per type in canonical
@@ -428,12 +414,7 @@ class ScanReport:
     are final when the report is built.  The writer renders the view's rows
     straight from the scan's walk, never from records."""
 
-    kind: str
-    max_n: int
-    max_degree: int
-    records: ScanRecords
-    counts: dict[str, int]
-    violations: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -9,16 +9,15 @@ arbitrary-precision ``int``, so results are exact at any magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianInteger:
-    """Complex number with exact integer real and imaginary parts."""
+class GaussianInteger(namedtuple("GaussianInteger", "re im", defaults=(0, 0))):
+    """Complex number with exact integer real and imaginary parts: the
+    named tuple (re, im), true iff nonzero."""
 
-    re: int = 0
-    im: int = 0
+    __slots__ = ()
 
     @property
     def is_zero(self) -> bool:

@@ -16,22 +16,19 @@ For type (d_1, ..., d_l) in P^n with total degree d:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
 
-from .exact import GaussianInteger, ONE_PLUS_T_SQUARED
+from .exact import ONE_PLUS_T_SQUARED
 from .topology import CIType, InternalCheckError, InvariantReport, compute_invariants
 
 
-@dataclass(frozen=True)
-class LineGeometry:
-    """Numerical line-geometry data of a type."""
+class LineGeometry(namedtuple(
+        "LineGeometry", "ci moduli_dim fiber_dim normal_degree rationally_connected")):
+    """Numerical line-geometry data of a type: the dimensions of its lines
+    and of the lines through a point, the normal-bundle degree of a line,
+    and whether a generic member is rationally connected."""
 
-    ci: CIType
-    moduli_dim: int
-    fiber_dim: int
-    normal_degree: int
-    rationally_connected: bool
+    __slots__ = ()
 
 
 def line_geometry(ci: CIType) -> LineGeometry:
@@ -70,13 +67,11 @@ def fiber_type(ci: CIType) -> CIType:
     return CIType(n - 1, blocks)
 
 
-class ProductObstruction(NamedTuple):
+class ProductObstruction(namedtuple("ProductObstruction", "p_x_at_i p_f_at_i passes")):
     """Evaluations at i of the Poincare polynomials of the variety and of
     its fiber of lines, plus whether at least one vanishes."""
 
-    p_x_at_i: GaussianInteger
-    p_f_at_i: GaussianInteger
-    passes: bool
+    __slots__ = ()
 
 
 def product_obstruction(

@@ -31,7 +31,8 @@ built-in cross-checks once per type; read the invariants from its report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Iterable
 
 from .exact import GaussianInteger, IntPolynomial
 
@@ -41,35 +42,43 @@ class InternalCheckError(RuntimeError):
     never a property of the input."""
 
 
-@dataclass(frozen=True)
-class CIType:
+class CIType(namedtuple("CIType", "ambient_dim degrees")):
     """A complete intersection type: ambient projective dimension plus a
     multiset of hypersurface degrees, stored sorted ascending.
 
     The empty degree multiset means the ambient space itself.  Permuting
     the input degrees never changes the value: construction canonicalizes.
+    A type is an immutable named tuple (n, degrees), with the tuple's
+    equality and hashing.  ``__new__`` validates, and ``_make``,
+    ``_replace``, pickling and copying all go through it.
     """
 
-    ambient_dim: int
-    degrees: tuple[int, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, ambient_dim: int, degrees: Iterable[int] = ()) -> CIType:
         # Exact type tests: coercing 2.7 or "2" would change the type
         # silently, and bool is an int subclass that is no dimension or degree.
-        n = self.ambient_dim
+        n = ambient_dim
         if type(n) is not int or n < 0:
             raise ValueError(f"ambient dimension must be an integer >= 0, got {n!r}")
-        degs = tuple(self.degrees)
+        degs = tuple(degrees)
         for d in degs:
             if type(d) is not int:
                 raise ValueError(f"degrees must be integers, got {d!r}")
             if d < 1:
                 raise ValueError(f"degrees must be >= 1, got {d}")
-        object.__setattr__(self, "degrees", tuple(sorted(degs)))
         if len(degs) > n:
             raise ValueError(
                 f"{len(degs)} hypersurfaces in P^{n} would have negative dimension"
             )
+        return tuple.__new__(cls, (n, tuple(sorted(degs))))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> CIType:
+        return cls(*iterable)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(self)
 
     @property
     def codimension(self) -> int:
@@ -90,12 +99,10 @@ class CIType:
 
 
 def _unchecked_type(n: int, degrees: tuple[int, ...]) -> CIType:
-    """A ``CIType`` built without ``__post_init__``, for a caller that
-    generates sorted tuples of ints >= 1, of length <= n, itself."""
-    ci = object.__new__(CIType)
-    object.__setattr__(ci, "ambient_dim", n)
-    object.__setattr__(ci, "degrees", degrees)
-    return ci
+    """A ``CIType`` built without the validation in ``CIType.__new__``, for
+    a caller that generates sorted tuples of ints >= 1, of length <= n,
+    itself."""
+    return tuple.__new__(CIType, (n, degrees))
 
 
 #: The Euler characteristic's recurrence runs over blocks of this many
@@ -187,15 +194,14 @@ def verify_expansion_identity(k: int) -> bool:
     return lhs == IntPolynomial(rhs_coeffs)
 
 
-@dataclass(frozen=True)
-class InvariantReport:
-    """All computed invariants of one complete intersection type."""
+class InvariantReport(namedtuple(
+        "InvariantReport", "ci euler_char middle_betti poincare value_at_i")):
+    """All computed invariants of one complete intersection type: its Euler
+    characteristic and middle Betti number (ints), its Poincare polynomial
+    (an ``IntPolynomial``) and that polynomial's ``GaussianInteger`` value
+    at i."""
 
-    ci: CIType
-    euler_char: int
-    middle_betti: int
-    poincare: IntPolynomial
-    value_at_i: GaussianInteger
+    __slots__ = ()
 
 
 def _values_at_units(p: IntPolynomial) -> tuple[int, int, GaussianInteger]:

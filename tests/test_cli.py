@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -330,10 +331,127 @@ class TestUsage:
         assert proc.returncode == 0
         assert "euler characteristic: 9" in proc.stdout
 
+    def test_import_footprint(self):
+        # dataclasses (with inspect) and csv cost start-up time on every
+        # call and do no work the package needs.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; before = set(sys.modules); import ci_invariants.cli; "
+             "print(*sorted(set(sys.modules) - before))"],
+            capture_output=True, text=True, check=True,
+        )
+        added = set(proc.stdout.split())
+        assert "ci_invariants.cli" in added
+        assert not added & {"dataclasses", "inspect", "csv"}
+
     def test_identical_invocations_byte_identical(self, capsys):
         results = [run_cli(capsys, "classify", "--n", "6", "--type", "2,2",
                            "--format", "json") for _ in range(2)]
         assert results[0] == results[1]
+
+
+#: sha256 of the stdout of ``COMMAND --n N --type TYPE --format FORMAT``, by
+#: (COMMAND, N, TYPE), for the table, json and csv formats in that order,
+#: taken while the records were frozen dataclasses and single-type CSV went
+#: through ``csv.writer``.  Each call exits 0, except ``classify`` and
+#: ``fiber`` of P^0 (None): they exit 2 and write nothing to stdout.
+GOLDEN_SINGLE_TYPE = {
+    ("invariants", "0", ""): (
+        "faf70dc27d1589e7a6b579d503aa4004b15a3eef4a910c9970436c59cdc7f624",
+        "0f28b3cea907877ffbed33f541cfc0176823832befa5e4dcdb223db546d926dc",
+        "f6ee9c0c422d5cab281c7297919f4fd1969daf33209ba93a918ed5339d7897c7",
+    ),
+    ("invariants", "1", "1"): (
+        "9bb3e754c4d451dd40c04bb196ed9189755b531eb3bd8779d69a3b985460d7a5",
+        "8f90e7b6f4da6b0c87cc6a58b77d623f9e1b5abee5413b9a7c00a8bce02407bf",
+        "7a88b838f22aced67c5329368df9648a70d0707077cadca0e3b69014d51f4b42",
+    ),
+    ("invariants", "4", "3"): (
+        "d907dc9f4bc789b873e0c26fecfc81f4d9f2522c6d9fd2d80a33d536a80f9209",
+        "a59f7939963ca7b08e22f1c780a171734ec8f383f04375441e6eb3e8f6bc89e0",
+        "d47c38abb56759d47c8db66bc54d84256a654521e0bcf9f05a03dcbe579553e0",
+    ),
+    ("invariants", "5", "1,2"): (
+        "276f60a1fa6d46510492ad1e5fc50109162663b4105ce77633e5cc0339d58020",
+        "2ff326799f8486c308e7dcaba7ad688c0340474a5b2ab9c5f85fb1f9d598dc7e",
+        "da9f4157e89a9740539ec9b9b1b1359353b7e7e1c41b118cbe729c55f7f9b880",
+    ),
+    ("invariants", "4", "5"): (
+        "2f22bbe9c6738caed2ec0cbff12450cd681e54c358f1e1cbd16db065ff81fd8d",
+        "35abdb59d4ed02eba86c7e5756f8d6261e55921dc4f96791b92a236dabaf3daf",
+        "7eee3d837411207ec9860e47520e3cdb94d3947f67f36e41d98659ee01111d8c",
+    ),
+    ("invariants", "850", "2,5,6"): (
+        "eef07cfc914e01046057078b88d64656cdadcd89e36dd99ed650a6eaff283794",
+        "ad693197ae2155adb87dcb29ab330fbaab9f013314fc55e7cde298d7892a1947",
+        "6c141265a01358aee9213cd5c103814c3e22205a7f068b8c2eb59a91fe37b12e",
+    ),
+    ("classify", "0", ""): None,
+    ("classify", "1", "1"): (
+        "7c8c024b689e2c1c72c69b6751548f3a32d203f895e6c3500a03e8d0eb014021",
+        "843b9463a7b4d4cdc348ec7a0676354a41f641e3c2a505c609b04f4e61f6fd8e",
+        "9ecd8d64a135ff7b09963c8ee608d752c88de9c463a3360c7ef4940724c8c44e",
+    ),
+    ("classify", "4", "3"): (
+        "72c563672666d33e2851d9c43f2dca8fd41047a909b9d676e3b0c7e638ef5e68",
+        "91114d1e8b192be733f12e3b318bb02f8dc849da774039f83a7d1947c9007338",
+        "c82166a410d1641b65ae3d7aedb1fec46583a8c23a645f414e662ed490bb850d",
+    ),
+    ("classify", "5", "1,2"): (
+        "5960c92f09484a34dcb769d9732b2274ca19d486675865c1b5af8ed5afbda889",
+        "ec51b6cb9f9627dfe33abc4639978ea5794607a92e9ac940e8cb89abc8714645",
+        "cda2b01a06769755f46550d33919d2020c16d24c4b17a88f9be0de49ec03976d",
+    ),
+    ("classify", "4", "5"): (
+        "450c9c34e75814bf9c92e47f782cce9c5e32ec8b59279c4a74e989a378043fb0",
+        "1bc02e1a146703a11a42d7f75d195f8401ed959c1e4bd1e279fb3ac432305d2d",
+        "3d1aa8f76ccecf79ca5619925753a505858809bf414b643d71d2c12bc267024a",
+    ),
+    ("classify", "850", "2,5,6"): (
+        "fbeb4b2868b27a210886a1e3695d720cb41e24b772d0d1fa187d1adfbe089df4",
+        "1ad19b3e06ce01ae484ab6eab96edd40091ff04c765b74ea590ba43827369484",
+        "441433975b09c1dd03b08af4da1201cfd391efecb23afdb7b22a2285c4b5f8f8",
+    ),
+    ("fiber", "0", ""): None,
+    ("fiber", "1", "1"): (
+        "fbedc57cdf35328a8ce27b9998687bbb7ea2edb1b35f6804b144ec8ae0eccf74",
+        "f81a5e0d09f6407ca93f3347ca61345043c3ddec7b62dbe8ccccbcd47f802c75",
+        "06a5b4076a2476f54c441e600d3577436f6341e775b019787ae3c42aabce48af",
+    ),
+    ("fiber", "4", "3"): (
+        "1938a1be6a4ac8bf2b9fe98452b50e8934908942d04e3afe3aec404b531e12db",
+        "cb8fc866b9fd478876cf8178d8a795a18b535c17576bc3e6a7c17c8cae68ad09",
+        "7329350a49774b00914d933bfca120c3824fcde1f4dce08e9b6fc1bc153a430d",
+    ),
+    ("fiber", "5", "1,2"): (
+        "e4e6586c4b8d4989b89c5a69c4421ed17e27bb65d9e48dec84c0bace35b077f6",
+        "d96d450f9ae96f18fb87d174e2b67ac23856de97707d0994fd04606ac50a6e13",
+        "0842224ade38f67e5a413e85fbffd67321da64ac0aac7ca6f1a20a99ad0bcdbb",
+    ),
+    ("fiber", "4", "5"): (
+        "592625775504ba396541bf6ab71bbc05e8b6e4d2aaf59f37488c11550dd8bcc8",
+        "951a6986a30a65f96465459569e5aa769c42af9517db01b01a2ab168ce598fcd",
+        "2dab93dfa53c604d75be8b92d3e3e8b06057426af933b7efb02d708d6cd68e08",
+    ),
+    ("fiber", "850", "2,5,6"): (
+        "ffd6d4fc3a1c5f5042ec522d8610a9c197ed91875f05fb41e853db207690f27e",
+        "b1144c3f128f51ab6c5ace4e6a4870261af48754b65e9c24652c83f074f919b6",
+        "d0c5d12e062174dfb1aeb17234303d833502c4a0d40940015c30ac7b10a2e611",
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("command, n, degrees", list(GOLDEN_SINGLE_TYPE))
+def test_single_type_document_digest(capsys, command, n, degrees, fmt):
+    code, out, err = run_cli(capsys, command, "--n", n, "--type", degrees, "--format", fmt)
+    golden = GOLDEN_SINGLE_TYPE[command, n, degrees]
+    if golden is None:
+        assert (code, out) == (2, "") and err.startswith("error: ")
+    else:
+        assert (code, err) == (0, "")
+        digest = golden[("table", "json", "csv").index(fmt)]
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _digit_limit() -> int:

@@ -8,7 +8,9 @@ live in ``reference``, which shares no code with the package.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import tracemalloc
 from itertools import combinations_with_replacement
@@ -87,6 +89,34 @@ class TestCIType:
     def test_str(self):
         assert str(CIType(4, (3,))) == "(3) in P^4"
         assert str(CIType(3)) == "() in P^3"
+
+    @pytest.mark.parametrize("route", [
+        "make", "replace", "copy", "deepcopy",
+        *(f"pickle-{protocol}" for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+    ])
+    @pytest.mark.parametrize("n, degrees", [
+        (3, (0,)), (3, (2.0,)), (3, (True,)), (3, ("2",)), (1, (2, 2)), (5, (3, 1, 2)),
+    ])
+    def test_every_route_validates(self, route, n, degrees):
+        # ``tuple.__new__`` builds the record as given, unvalidated, so a
+        # copy or a pickle of it is valid only if rebuilt through __new__.
+        raw = tuple.__new__(CIType, (n, degrees))
+        rebuild = {
+            "make": lambda: CIType._make((n, degrees)),
+            "replace": lambda: CIType(n)._replace(degrees=degrees),
+            "copy": lambda: copy.copy(raw),
+            "deepcopy": lambda: copy.deepcopy(raw),
+        }.get(route, lambda: pickle.loads(pickle.dumps(raw, int(route[7:]))))
+        try:
+            expected = CIType(n, degrees)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                rebuild()
+            assert str(got.value) == str(exc)
+        else:
+            rebuilt = rebuild()
+            assert type(rebuilt) is CIType and rebuilt == expected
+            assert rebuilt.degrees == tuple(sorted(degrees))
 
 
 class TestEulerCharacteristic:
