@@ -18,7 +18,7 @@ from .topology import (
     chi22,
     compute_invariants,
     euler_characteristic,
-    verify_expansion_identity,
+    verify_expansion_identities,
 )
 from .lines import (
     LineGeometry,
@@ -55,7 +55,7 @@ __all__ = [
     "chi22",
     "compute_invariants",
     "euler_characteristic",
-    "verify_expansion_identity",
+    "verify_expansion_identities",
     "LineGeometry",
     "ProductObstruction",
     "fiber_type",

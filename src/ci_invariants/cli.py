@@ -43,15 +43,17 @@ from .topology import (
     InvariantReport,
     chi22,
     compute_invariants,
-    verify_expansion_identity,
+    verify_expansion_identities,
 )
 
 
 #: The largest ``--n``; a larger value is a usage error, not a long hang.
 MAX_N = 100_000
 
-#: The largest ``verify-identities --max-k``: the check's cost grows about
-#: 12-fold per doubling of k, to some 6 s at 400 and 76 s at 800.
+#: The largest ``verify-identities --max-k``.  ``--max-k 400`` takes about
+#: 0.55 s wall (2-vCPU Xeon VM, Python 3.11.7).  Most of it is chi22's sum of
+#: binomial terms, which grows about 10-fold per doubling of k: 0.31 s of
+#: the 0.38 s in process at 400, and 3.9 s of 4.2 s at 800.
 MAX_K = 400
 
 #: The most types one ``scan`` may walk.  ``scan --max-n 20 --max-degree 6
@@ -304,8 +306,8 @@ def run_verify_identities(args) -> int:
     expansion_ok = True
     chi22_ok = True
     first_failure = None
-    for k in range(args.max_k + 1):
-        if not verify_expansion_identity(k):
+    for k, holds in enumerate(verify_expansion_identities(args.max_k)):
+        if not holds:
             expansion_ok = False
             first_failure = first_failure or f"expansion identity fails at k={k}"
         try:

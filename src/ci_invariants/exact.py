@@ -3,8 +3,12 @@ integers.
 
 A polynomial is a tuple of coefficients indexed by degree, trimmed of
 trailing zeros so that equality and hashing are structural; the zero
-polynomial is the empty tuple.  Everything is built on Python's
-arbitrary-precision ``int``, so results are exact at any magnitude.
+polynomial is the empty tuple.  ``IntPolynomial`` holds what the engine
+needs of a Poincare polynomial and no more: its coefficients, the test for
+divisibility by a monic divisor such as 1 + t^2, and its printed form.  It
+has no ring arithmetic; a caller that multiplies polynomials does so on
+coefficient lists.  Everything is built on Python's arbitrary-precision
+``int``, so results are exact at any magnitude.
 """
 
 from __future__ import annotations
@@ -64,56 +68,6 @@ class IntPolynomial:
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
-
-    def __neg__(self) -> IntPolynomial:
-        return IntPolynomial(-c for c in self._coeffs)
-
-    def __add__(self, other: IntPolynomial) -> IntPolynomial:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for j, c in enumerate(b):
-            out[j] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: IntPolynomial) -> IntPolynomial:
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: IntPolynomial | int) -> IntPolynomial:
-        if isinstance(other, int):
-            return IntPolynomial(other * c for c in self._coeffs)
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self._coeffs) + len(other._coeffs) - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    out[i + j] += a * b
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> IntPolynomial:
-        if exponent < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        result = IntPolynomial([1])
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def divisible_by(self, divisor: IntPolynomial) -> bool:
         """True iff exact division over the integers leaves zero remainder;

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .exact import GaussianInteger, IntPolynomial
 
@@ -175,23 +175,43 @@ def chi22(k: int) -> int:
     return total
 
 
-def verify_expansion_identity(k: int) -> bool:
-    """Check, as exact polynomial equality, that
+def verify_expansion_identities(max_k: int) -> Iterator[bool]:
+    """For each k = 0 .. max_k in turn, whether the exact polynomial identity
 
         (k+3)(t-1)^(k+2) - (t-1)^(k+3) + (-1)^(k+3)
-            = sum_{i=0}^{k+2} t^(k+2-i) (-1)^i (k+3-i-t) C(k+3, i).
+            = sum_{i=0}^{k+2} t^(k+2-i) (-1)^i (k+3-i-t) C(k+3, i)
+
+    holds.  Both sides are coefficient lists built by multiplication:
+    (t-1)^(k+2) is carried from one k to the next by one multiplication by
+    t - 1, and row k+3 of Pascal's triangle by one multiplication by t + 1
+    (Pascal's rule).  ``max_k`` is checked here, not at the first value.
     """
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    t_minus_1 = IntPolynomial([-1, 1])
-    base = t_minus_1 ** (k + 2)
-    lhs = (k + 3) * base - base * t_minus_1 + IntPolynomial([(-1) ** (k + 3)])
-    rhs_coeffs = [0] * (k + 4)
-    for i in range(k + 3):
-        c = (-1) ** i * math.comb(k + 3, i)
-        rhs_coeffs[k + 2 - i] += c * (k + 3 - i)
-        rhs_coeffs[k + 3 - i] -= c
-    return lhs == IntPolynomial(rhs_coeffs)
+    if max_k < 0:
+        raise ValueError(f"max_k must be >= 0, got {max_k}")
+    return _expansion_identities(max_k)
+
+
+def _times_t_plus(p: list[int], c: int) -> list[int]:
+    """The coefficients of p(t) (t + c), lowest degree first."""
+    return [a + c * b for a, b in zip([0] + p, p + [0])]
+
+
+def _expansion_identities(max_k: int) -> Iterator[bool]:
+    power = [1, -2, 1]  # (t-1)^(k+2)
+    row = [1, 3, 3, 1]  # C(k+3, i), i = 0 .. k+3
+    for k in range(max_k + 1):
+        n = k + 3
+        higher = _times_t_plus(power, -1)
+        lhs = [n * a - b for a, b in zip(power + [0], higher)]
+        lhs[0] += (-1) ** n
+        rhs = [0] * (n + 1)
+        for i, c in enumerate(row[:n]):
+            c = -c if i % 2 else c
+            rhs[n - 1 - i] += c * (n - i)
+            rhs[n - i] -= c
+        yield lhs == rhs
+        power = higher
+        row = _times_t_plus(row, 1)
 
 
 class InvariantReport(namedtuple(

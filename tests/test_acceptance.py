@@ -28,15 +28,17 @@ from ci_invariants import (
     iter_types,
     scan_lemma,
     scan_theorem,
-    verify_expansion_identity,
+    verify_expansion_identities,
     write_scans,
 )
+from ci_invariants.cli import MAX_K
 from reference import (
     horner,
     horner_at_i,
     hypersurface_middle_betti,
     reduce_type,
     series_coefficient,
+    truncated_product,
 )
 
 SCAN_MAX_N = 14
@@ -142,10 +144,11 @@ def test_criterion_3_chi22_identity():
 
 def test_criterion_4_expansion_identity():
     start = time.perf_counter()
-    ok = all(verify_expansion_identity(k) for k in range(0, 101))
+    holds = list(verify_expansion_identities(MAX_K))
     elapsed = time.perf_counter() - start
+    ok = len(holds) == MAX_K + 1 and all(holds)
     announce(4, ok and elapsed < 2.0,
-             f"expansion identity exact for k<=100 ({elapsed:.2f}s)")
+             f"expansion identity exact for k<={MAX_K} ({elapsed:.2f}s)")
 
 
 def test_criterion_5_lemma_scan():
@@ -237,7 +240,8 @@ def test_criterion_8_property_suites():
         p = IntPolynomial(rng.randint(-99, 99)
                           for _ in range(rng.randint(0, 41)))
         if rng.random() < 0.5:
-            p = p * ONE_PLUS_T_SQUARED
+            c = p.coefficients
+            p = IntPolynomial(truncated_product(c, (1, 0, 1), len(c) + 1))
         ok &= p.divisible_by(ONE_PLUS_T_SQUARED) == zero_at_i(p)
 
     # degree-1 reduction leaves every invariant unchanged

@@ -17,6 +17,7 @@ import pytest
 
 from ci_invariants import (
     CIType,
+    InternalCheckError,
     Verdict,
     classify,
     cli,
@@ -313,6 +314,53 @@ class TestVerifyIdentitiesCommand:
         obj = json.loads(out)
         assert obj["expansion_identity_ok"] is True
         assert obj["chi22_closed_form_ok"] is True
+
+    CHI22_MESSAGE = "binomial sum 1 != closed form 0 at k=3"
+
+    @classmethod
+    def inject(cls, monkeypatch, expansion_at: int, chi22_at: int | None) -> None:
+        """The expansion identity fails at k = ``expansion_at`` and chi22's
+        check, unless ``chi22_at`` is None, at k = ``chi22_at``."""
+        identities, chi22 = cli.verify_expansion_identities, cli.chi22
+
+        def failing_identities(max_k):
+            return (holds and k != expansion_at
+                    for k, holds in enumerate(identities(max_k)))
+
+        def failing_chi22(k):
+            if k == chi22_at:
+                raise InternalCheckError(cls.CHI22_MESSAGE)
+            return chi22(k)
+
+        monkeypatch.setattr(cli, "verify_expansion_identities", failing_identities)
+        monkeypatch.setattr(cli, "chi22", failing_chi22)
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_lower_k_failure_is_reported(self, capsys, monkeypatch, fmt):
+        self.inject(monkeypatch, expansion_at=5, chi22_at=3)
+        code, out, err = run_cli(capsys, "verify-identities", "--max-k", "8",
+                                 "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out) == {"max_k": "8", "expansion_identity_ok": False,
+                                       "chi22_closed_form_ok": False}
+        else:
+            assert out == ("checked k = 0 .. 8\nexpansion identity: FAILED\n"
+                           "chi22 sum vs closed form: FAILED\n")
+        assert err == f"error: {self.CHI22_MESSAGE}\n"
+
+    def test_expansion_failure_alone(self, capsys, monkeypatch):
+        self.inject(monkeypatch, expansion_at=5, chi22_at=None)
+        code, out, err = run_cli(capsys, "verify-identities", "--max-k", "8")
+        assert code == 1
+        assert out == ("checked k = 0 .. 8\nexpansion identity: FAILED\n"
+                       "chi22 sum vs closed form: ok\n")
+        assert err == "error: expansion identity fails at k=5\n"
+
+    def test_expansion_comes_first_at_equal_k(self, capsys, monkeypatch):
+        self.inject(monkeypatch, expansion_at=3, chi22_at=3)
+        code, _, err = run_cli(capsys, "verify-identities", "--max-k", "8")
+        assert (code, err) == (1, "error: expansion identity fails at k=3\n")
 
 
 class TestUsage:

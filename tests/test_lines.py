@@ -16,7 +16,7 @@ from ci_invariants import (
     line_geometry,
     product_obstruction,
 )
-from reference import reduce_type
+from reference import reduce_type, truncated_product
 
 
 def middle_betti(ci: CIType) -> int:
@@ -128,7 +128,9 @@ class TestProductObstruction:
             if ci.ambient_dim - 1 - ci.total_degree < 0:
                 continue
             obs = product_obstruction(ci)
-            product = poincare_polynomial(ci) * poincare_polynomial(fiber_type(ci))
+            p_x = poincare_polynomial(ci).coefficients
+            p_f = poincare_polynomial(fiber_type(ci)).coefficients
+            product = IntPolynomial(truncated_product(p_x, p_f, len(p_x) + len(p_f) - 2))
             assert obs.passes == product.divisible_by(ONE_PLUS_T_SQUARED)
             checked += 1
         assert checked == 567

@@ -25,7 +25,8 @@ from ci_invariants import (
     compute_invariants,
     euler_characteristic,
     fiber_type,
-    verify_expansion_identity,
+    topology,
+    verify_expansion_identities,
 )
 from ci_invariants.topology import _CHI_BLOCK, _values_at_units, euler_characteristic_row
 from reference import (
@@ -306,18 +307,41 @@ class TestChi22:
 class TestExpansionIdentity:
     def test_k0_both_sides(self):
         # hand expansion: 3(t-1)^2 - (t-1)^3 - 1 = -t^3 + 6t^2 - 9t + 3
-        t_minus_1 = IntPolynomial([-1, 1])
-        lhs = 3 * t_minus_1 ** 2 - t_minus_1 ** 3 + IntPolynomial([-1])
-        assert lhs == IntPolynomial([3, -9, 6, -1])
-        assert verify_expansion_identity(0)
+        lhs = [3 * a - b for a, b in zip([1, -2, 1, 0], [-1, 3, -3, 1])]
+        lhs[0] -= 1
+        assert lhs == [3, -9, 6, -1]
+        assert list(verify_expansion_identities(0)) == [True]
 
     def test_small_and_large(self):
-        assert verify_expansion_identity(1)
-        assert verify_expansion_identity(100)
+        # one value per k, each True
+        for max_k in (0, 1, 100):
+            holds = list(verify_expansion_identities(max_k))
+            assert holds == [True] * (max_k + 1)
 
     def test_rejects_negative(self):
+        # at the call, before any value is asked for
         with pytest.raises(ValueError):
-            verify_expansion_identity(-1)
+            verify_expansion_identities(-1)
+
+    def test_broken_t_minus_1_step_fails(self, monkeypatch):
+        # carry (t-1)^(k+2) by t + 1 instead: no k survives
+        step = topology._times_t_plus
+        monkeypatch.setattr(topology, "_times_t_plus",
+                            lambda p, c: step(p, 1 if c == -1 else c))
+        assert list(verify_expansion_identities(5)) == [False] * 6
+
+    def test_broken_pascal_step_fails(self, monkeypatch):
+        # one wrong entry in each new row: k = 0 uses only the seed row 3
+        step = topology._times_t_plus
+
+        def wrong_row(p, c):
+            out = step(p, c)
+            if c == 1:
+                out[1] += 1
+            return out
+
+        monkeypatch.setattr(topology, "_times_t_plus", wrong_row)
+        assert list(verify_expansion_identities(5)) == [True] + [False] * 5
 
 
 class TestReduceType:
