@@ -24,30 +24,30 @@ class (D, k), on that chi, not once per type.
 Each scan makes two passes.  The first walks the types, runs every check
 and keeps only the counts, the violations and a small table: the verdicts
 not decided by the d > n gate, or the lemma scan's rows per D, holding
-each class's fields.  The second, run each time the scan is written or
-its records are read, re-walks the types and yields one row per type, the
-type's n, k, degrees and degree strings with its fields from that table;
-no check is re-run, so a scan's memory grows with its classes and its
-d <= n verdicts, not with the types.
+each class's fields.  A ``ScanReport`` is plain data: those results, the
+number of types, and that table as its ``table`` field, whose layout is
+not a contract.  The second pass, ``ScanReport.rows``, run each time the
+scan is written or its records are read, re-walks the types and yields
+one row per type, the type's n, k, degrees and degree strings with its
+fields from the table; no check is re-run, so a scan's memory grows with
+its classes and its d <= n verdicts, not with the types.
 
-``write_scans`` renders each row straight to the stream, in exactly the
-layout of ``json.dump(..., indent=2)`` for JSON, and builds no record.
-Records, ``Verdict``s for the theorem scan and ``LemmaRecord``s for the
-lemma scan, are built only by the ``ScanReport.records`` view, which
-wraps the same rows when a caller iterates it.  A record does not render
-itself, except ``Verdict.csv_row``: the single-type ``classify --format
-csv`` row, through the scan's CSV row renderer.
+``write_scans`` is the one scan writer: it renders each row straight to
+the stream, in exactly the layout of ``json.dump(..., indent=2)`` for
+JSON, and builds no record.  Records, ``Verdict``s for the theorem scan
+and ``LemmaRecord``s for the lemma scan, are built only by the generator
+``ScanReport.records``, which wraps the same rows.  A record does not
+render itself, except ``Verdict.csv_row``: the single-type ``classify
+--format csv`` row, through the scan's CSV row renderer.
 """
 
 from __future__ import annotations
 
 import json
-import operator
 from collections import Counter, namedtuple
 from enum import Enum
-from functools import partial
 from itertools import chain, combinations_with_replacement, count, repeat, starmap
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from .exact import GaussianInteger
 from .lines import ProductObstruction, product_obstruction
@@ -376,43 +376,13 @@ _RENDERERS = {
 }
 
 
-class ScanRecords:
-    """The records of a finished scan, one per type in canonical order, as a
-    sized, re-iterable view.  Each iteration re-walks the types and wraps
-    each of the scan's rows into a record, with no check re-run, so the view
-    holds no record: it supports ``len``, ``iter``, ``bool`` and ``==``
-    against another view or a tuple, but no indexing or slicing."""
-
-    __slots__ = ("_rows", "_record_type", "_len")
-
-    def __init__(self, rows: Callable[[], Iterator[tuple]], record_type: type,
-                 length: int) -> None:
-        self._rows = rows
-        self._record_type = record_type
-        self._len = length
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self) -> Iterator:
-        record_type = self._record_type
-        for (n, _, degrees, _), fields in self._rows():
-            yield record_type(_unchecked_type(n, degrees), *fields)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (ScanRecords, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-
 class ScanReport(namedtuple(
-        "ScanReport", "kind max_n max_degree records counts violations")):
-    """Deterministic result of an exhaustive scan: its records, outcome
-    counts, and any internal-check violations (always expected to be empty).
-    ``records`` is a ``ScanRecords`` view, one record per type in canonical
-    order, and the only place records are built; the counts and violations
-    are final when the report is built.  The writer renders the view's rows
-    straight from the scan's walk, never from records."""
+        "ScanReport", "kind max_n max_degree types counts violations table")):
+    """Deterministic result of an exhaustive scan: the number of types
+    walked, the outcome counts and any internal-check violations (always
+    expected to be empty), all final when the report is built.  ``table`` is
+    the first pass's state from which ``rows`` re-walks the types; its
+    layout is not a contract.  Two reports of the same scan are equal."""
 
     __slots__ = ()
 
@@ -420,101 +390,96 @@ class ScanReport(namedtuple(
     def ok(self) -> bool:
         return not self.violations
 
-    def csv_header(self) -> list[str]:
-        return list(_RECORD_TYPES[self.kind].CSV_HEADER)
-
-    def csv_rows(self) -> Iterator[list[str]]:
-        return map(_RENDERERS[self.kind]["csv"], self.records._rows())
-
-    def record_lines(self) -> Iterator[str]:
-        return map(_RENDERERS[self.kind]["table"], self.records._rows())
-
     def summary_lines(self) -> list[str]:
         lines = [
             f"scan={self.kind} max_n={self.max_n} max_degree={self.max_degree}",
-            f"types={len(self.records)}",
+            f"types={self.types}",
         ]
         lines.extend(f"{name}={count}" for name, count in self.counts.items())
         lines.append(f"violations={len(self.violations)}")
         lines.extend(f"violation: {v}" for v in self.violations)
         return lines
 
-    def write(self, fmt: str, stream: TextIO) -> None:
-        """Write the records in ``fmt``, each rendered from its row straight
-        to ``stream``, with no record object and no intermediate document.
+    def rows(self) -> Iterator[tuple]:
+        """One row ((n, k, degrees, texts), fields) per type, in canonical
+        order, re-walked from ``table`` with no check re-run."""
+        walk = _theorem_rows if self.kind == "theorem" else _lemma_rows
+        return walk(self.max_n, self.max_degree, *self.table)
 
-        ``csv`` writes the header row and one row per record, ``table`` one
-        line per record, and ``json`` this scan's object as an item of the
-        ``scans`` list of the document that ``write_scans`` frames.
-        """
+    def records(self) -> Iterator:
+        """The scan's records, one per type in canonical order, each built
+        from its row when the caller reaches it."""
+        record_type = _RECORD_TYPES[self.kind]
+        for (n, _, degrees, _), fields in self.rows():
+            yield record_type(_unchecked_type(n, degrees), *fields)
+
+
+def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None:
+    """Write one document holding every report, each row rendered straight
+    to ``stream`` with no record object: for ``json`` the object
+    {"scans": [...]}, for ``csv`` one table (header and rows) per report
+    separated by a blank line, for ``table`` one line per record of each
+    report in turn.  An unknown ``fmt`` raises ValueError before anything
+    is written."""
+    if fmt not in ("csv", "table", "json"):
+        raise ValueError(f"unknown output format {fmt!r}")
+    if fmt == "json":
+        stream.write("{" + _NEWLINE[1] + '"scans": [')
+    for idx, report in enumerate(reports):
+        render, rows = _RENDERERS[report.kind][fmt], report.rows()
         if fmt == "csv":
             # Every cell is made of digits, spaces, "+", "-", "i" and "_",
             # so none needs quoting.
-            stream.write(",".join(self.csv_header()) + "\n")
-            stream.writelines(",".join(cells) + "\n" for cells in self.csv_rows())
+            stream.write(("\n" if idx else "")
+                         + ",".join(_RECORD_TYPES[report.kind].CSV_HEADER) + "\n")
+            stream.writelines(",".join(cells) + "\n" for cells in map(render, rows))
         elif fmt == "table":
-            stream.writelines(line + "\n" for line in self.record_lines())
-        elif fmt == "json":
+            stream.writelines(line + "\n" for line in map(render, rows))
+        else:
             field = _NEWLINE[_SCAN_DEPTH + 1]
             head = [
-                f'"scan": {json.dumps(self.kind)}',
-                f'"max_n": "{self.max_n}"',
-                f'"max_degree": "{self.max_degree}"',
-                f'"types": "{len(self.records)}"',
+                f'"scan": {json.dumps(report.kind)}',
+                f'"max_n": "{report.max_n}"',
+                f'"max_degree": "{report.max_degree}"',
+                f'"types": "{report.types}"',
                 '"counts": ' + _json_container("{", [
                     f'{json.dumps(name)}: "{count}"'
-                    for name, count in self.counts.items()
+                    for name, count in report.counts.items()
                 ], "}", _SCAN_DEPTH + 1),
                 '"violations": ' + _json_container(
-                    "[", [json.dumps(v) for v in self.violations], "]",
+                    "[", [json.dumps(v) for v in report.violations], "]",
                     _SCAN_DEPTH + 1),
                 '"records": ',
             ]
-            stream.write("{" + field + ("," + field).join(head))
+            stream.write(("," if idx else "") + _NEWLINE[_SCAN_DEPTH]
+                         + "{" + field + ("," + field).join(head))
             # A scan's bounds are >= 1, so it has at least one record.
-            render, rows = _RENDERERS[self.kind]["json"], self.records._rows()
             stream.write("[" + _NEWLINE[_RECORD_DEPTH] + render(next(rows)))
             stream.writelines(map(("," + _NEWLINE[_RECORD_DEPTH]).__add__,
                                   map(render, rows)))
             stream.write(_NEWLINE[_SCAN_DEPTH + 1] + "]" + _NEWLINE[_SCAN_DEPTH] + "}")
-        else:
-            raise ValueError(f"unknown output format {fmt!r}")
-
-
-def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None:
-    """Write one document holding every report: for ``json`` the object
-    {"scans": [...]}, for ``csv`` one table per report separated by a blank
-    line, for ``table`` the record lines of each report in turn."""
     if fmt == "json":
-        stream.write("{" + _NEWLINE[1] + '"scans": [')
-        for idx, report in enumerate(reports):
-            stream.write(("," if idx else "") + _NEWLINE[_SCAN_DEPTH])
-            report.write(fmt, stream)
         stream.write((_NEWLINE[1] if reports else "") + "]" + _NEWLINE[0] + "}\n")
-        return
-    for idx, report in enumerate(reports):
-        if idx and fmt == "csv":
-            stream.write("\n")
-        report.write(fmt, stream)
 
 
 def _scan_report(
     kind: str,
     max_n: int,
     max_degree: int,
-    records: ScanRecords,
+    table: tuple,
     violations: list[str],
     outcomes: type[Enum],
     tally: Counter,
 ) -> ScanReport:
-    """The report of a finished scan.  ``tally`` counts the records by
+    """The report of a finished scan.  ``tally`` counts the types by
     outcome, a member of ``outcomes`` or None for a failed internal check;
     the counts list every member of ``outcomes`` in order, then the failed
     checks if there were any."""
     counts = {outcome.value: tally[outcome] for outcome in outcomes}
     if tally[None]:
         counts["internal_check_failed"] = tally[None]
-    return ScanReport(kind, max_n, max_degree, records, counts, tuple(violations))
+    return ScanReport(kind, max_n, max_degree, sum(tally.values()), counts,
+                      tuple(violations), table)
 
 
 def _type_rows(max_n: int, max_degree: int) -> Iterator[tuple]:
@@ -545,7 +510,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     ``theorem_verdict`` runs on every type.  A type with d > n whose verdict
     is ``NOT_RATIONALLY_CONNECTED`` is only counted, because its record is
     that verdict again; the fields of every other verdict are kept, by the
-    type's position, for the records view.
+    type's position, for the second pass.
     """
     not_rc = VerdictKind.NOT_RATIONALLY_CONNECTED
     kept: dict[int, tuple] = {}
@@ -584,9 +549,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
             )
     tally = Counter(fields[0] for fields in kept.values())
     tally[not_rc] += skipped
-    records = ScanRecords(partial(_theorem_rows, max_n, max_degree, kept), Verdict,
-                          skipped + len(kept))
-    return _scan_report("theorem", max_n, max_degree, records, violations,
+    return _scan_report("theorem", max_n, max_degree, (kept,), violations,
                         VerdictKind, tally)
 
 
@@ -607,7 +570,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     rest of the class reuses; only that first type is built as a
     ``CIType``.  A class whose checks recorded a violation keeps its chi,
     so each of its types runs the checks and reports its own; their fields
-    are kept by (n, degrees) for the records view."""
+    are kept by (n, degrees) for the second pass."""
     table: dict[tuple[int, ...], list] = {}
     failed: dict[tuple[int, tuple[int, ...]], tuple] = {}
     violations: list[str] = []
@@ -640,9 +603,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
         else:
             failed[n, degrees] = (betti, value, case)
         tally[case] += 1
-    records = ScanRecords(partial(_lemma_rows, max_n, max_degree, table, failed),
-                          LemmaRecord, sum(tally.values()))
-    return _scan_report("lemma", max_n, max_degree, records, violations,
+    return _scan_report("lemma", max_n, max_degree, (table, failed), violations,
                         LemmaCase, tally)
 
 

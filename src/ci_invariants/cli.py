@@ -51,9 +51,9 @@ from .topology import (
 MAX_N = 100_000
 
 #: The largest ``verify-identities --max-k``.  ``--max-k 400`` takes about
-#: 0.55 s wall (2-vCPU Xeon VM, Python 3.11.7).  Most of it is chi22's sum of
-#: binomial terms, which grows about 10-fold per doubling of k: 0.31 s of
-#: the 0.38 s in process at 400, and 3.9 s of 4.2 s at 800.
+#: 0.18 s wall (2-vCPU Xeon VM, Python 3.11.7), most of it start-up.  In
+#: process the expansion identity takes 0.07 s and chi22 0.03 s at 400, and
+#: 0.32 s and 0.17 s at 800: about 5-fold per doubling of k.
 MAX_K = 400
 
 #: The most types one ``scan`` may walk.  ``scan --max-n 20 --max-degree 6
@@ -130,7 +130,7 @@ def _report_json(report: InvariantReport) -> dict:
 
 def _emit_csv(header: list[str], row: list[str]) -> None:
     # No cell holds a comma, a quote or a line break, so, as in
-    # ``ScanReport.write``, none needs quoting.
+    # ``write_scans``, none needs quoting.
     sys.stdout.write(",".join(header) + "\n" + ",".join(row) + "\n")
 
 

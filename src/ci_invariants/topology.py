@@ -160,13 +160,18 @@ def chi22(k: int) -> int:
 
         sum_{i=0}^{k} 2^(k+2-i) (-1)^(k-i) (k+1-i) C(k+3, i),
 
-    checked on every call against the closed form (k+2)(1 + (-1)^k)."""
+    checked on every call against the closed form (k+2)(1 + (-1)^k).
+
+    Since 2^(k+2-i) (-1)^(k-i) = 4 (-2)^(k-i), the sum is 4 times a
+    polynomial in -2, evaluated by Horner's rule, with C(k+3, i) carried
+    from one term to the next."""
     if k < 0:
         raise ValueError(f"dimension must be >= 0, got {k}")
-    total = sum(
-        2 ** (k + 2 - i) * (-1) ** (k - i) * (k + 1 - i) * math.comb(k + 3, i)
-        for i in range(k + 1)
-    )
+    total, binomial = 0, 1
+    for i in range(k + 1):
+        total = -2 * total + (k + 1 - i) * binomial
+        binomial = binomial * (k + 3 - i) // (i + 1)
+    total *= 4
     closed = ((-1) ** k) * ((k + 2) + ((-1) ** k) * (k + 2))
     if total != closed:
         raise InternalCheckError(

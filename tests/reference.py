@@ -53,6 +53,16 @@ def hypersurface_middle_betti(e: int, k: int) -> int:
     return (1 if k % 2 == 0 else 0) + numerator // e
 
 
+def chi22_terms(k: int) -> int:
+    """Euler characteristic of a type-(2,2) complete intersection in
+    P^(k+2), as the binomial sum with each term built anew:
+    sum_{i=0}^{k} 2^(k+2-i) (-1)^(k-i) (k+1-i) C(k+3, i)."""
+    return sum(
+        2 ** (k + 2 - i) * (-1) ** (k - i) * (k + 1 - i) * comb(k + 3, i)
+        for i in range(k + 1)
+    )
+
+
 def horner(coeffs, x: int) -> int:
     """The polynomial with these coefficients, lowest degree first, at x."""
     acc = 0

@@ -156,7 +156,7 @@ def test_criterion_5_lemma_scan():
     report = scan_lemma(SCAN_MAX_N, SCAN_MAX_DEGREE)
     elapsed = time.perf_counter() - start
     ok = report.ok
-    for rec in report.records:
+    for rec in report.records():
         vanishes = rec.value_at_i.is_zero
         if (rec.case is not LemmaCase.NONVANISHING) != vanishes:
             ok = False
@@ -173,7 +173,7 @@ def test_criterion_5_lemma_scan():
             ok = False
     announce(5, ok and elapsed < 60.0,
              f"lemma scan ({SCAN_MAX_N},{SCAN_MAX_DEGREE}): vanishing exactly on "
-             f"the three shapes, {len(report.records)} types, "
+             f"the three shapes, {report.types} types, "
              f"{len(report.violations)} violations ({elapsed:.1f}s)")
 
 
@@ -181,7 +181,7 @@ def test_criterion_6_theorem_scan(theorem_report):
     report, elapsed = theorem_report
     ok = report.ok  # includes: the never-fire check fired zero times
     survivors = []
-    for rec in report.records:
+    for rec in report.records():
         passed = rec.kind in (
             VerdictKind.HOMOGENEOUS_LINEAR, VerdictKind.HOMOGENEOUS_QUADRIC
         )
@@ -312,7 +312,7 @@ def test_criterion_10_determinism(theorem_report):
     ok &= report.summary_lines() == again.summary_lines()
     # Records come out in strictly increasing canonical order.
     keys = [(rec.ci.ambient_dim, rec.ci.codimension, rec.ci.degrees)
-            for rec in report.records]
+            for rec in report.records()]
     ok &= all(a < b for a, b in zip(keys, keys[1:]))
     # A smaller scan reproduces exactly the rows of its own types.
     header, *rows = full.splitlines(keepends=True)

@@ -7,7 +7,6 @@ import io
 import json
 import random
 import tracemalloc
-from itertools import islice
 
 import pytest
 
@@ -31,22 +30,33 @@ from ci_invariants import classify, lines, topology
 from reference import reduce_type
 
 
-def json_object(report):
-    """A scan's JSON object, parsed back from the text ``write`` renders."""
+def rendered(report, fmt):
+    """The text ``write_scans`` renders for this one report."""
     buffer = io.StringIO()
-    report.write("json", buffer)
-    return json.loads(buffer.getvalue())
+    write_scans([report], fmt, buffer)
+    return buffer.getvalue()
+
+
+def json_object(report):
+    """A scan's JSON object, parsed back from its ``write_scans`` document."""
+    (obj,) = json.loads(rendered(report, "json"))["scans"]
+    return obj
+
+
+def csv_rows(report):
+    """The header and the rows of a scan's ``write_scans`` CSV, as cells."""
+    return [line.split(",") for line in rendered(report, "csv").splitlines()]
 
 
 def assert_smaller_scan_is_a_prefix(scan, max_n, max_degree):
     """A scan's records are in strictly increasing (n, l, degrees) order, and
     the scan one size down gives exactly its leading records and CSV rows."""
     full, smaller = scan(max_n, max_degree), scan(max_n - 1, max_degree)
-    keys = [(r.ci.ambient_dim, r.ci.codimension, r.ci.degrees) for r in full.records]
+    keys = [(r.ci.ambient_dim, r.ci.codimension, r.ci.degrees) for r in full.records()]
     assert keys == sorted(set(keys))
-    head = [r for r in full.records if r.ci.ambient_dim < max_n]
-    assert smaller.records == tuple(head)
-    assert list(smaller.csv_rows()) == list(islice(full.csv_rows(), len(head)))
+    head = [r for r in full.records() if r.ci.ambient_dim < max_n]
+    assert tuple(smaller.records()) == tuple(head)
+    assert csv_rows(smaller) == csv_rows(full)[:len(head) + 1]
 
 
 class TestLemmaClassify:
@@ -144,7 +154,7 @@ class TestDimensionLeq1Catalog:
     def verdicts():
         report = scan_theorem(4, 3)
         assert report.ok
-        return {rec.ci: rec.kind for rec in report.records}
+        return {rec.ci: rec.kind for rec in report.records()}
 
     def catalog(self):
         return [ci for ci in self.verdicts()
@@ -219,8 +229,8 @@ class TestScanTheorem:
     def test_small_scan_clean(self):
         report = scan_theorem(5, 3)
         assert report.ok
-        assert len(report.records) == sum(1 for _ in iter_types(5, 3))
-        for rec in report.records:
+        assert report.types == sum(1 for _ in iter_types(5, 3))
+        for rec in report.records():
             reduced = tuple(d for d in rec.ci.degrees if d > 1)
             passed = rec.kind in (
                 VerdictKind.HOMOGENEOUS_LINEAR, VerdictKind.HOMOGENEOUS_QUADRIC
@@ -231,13 +241,13 @@ class TestScanTheorem:
     def test_degenerate_scan(self):
         report = scan_theorem(1, 1)
         assert report.ok
-        verdicts = {tuple(r.ci.degrees): r.kind for r in report.records}
+        verdicts = {tuple(r.ci.degrees): r.kind for r in report.records()}
         assert verdicts[()] is VerdictKind.HOMOGENEOUS_LINEAR       # P^1 passes
         assert verdicts[(1,)] is VerdictKind.NORMAL_BUNDLE_OBSTRUCTION  # a point
 
     def test_counts_add_up(self):
         report = scan_theorem(4, 3)
-        assert sum(report.counts.values()) == len(report.records)
+        assert sum(report.counts.values()) == report.types
 
     def test_smaller_scan_is_a_prefix(self):
         assert_smaller_scan_is_a_prefix(scan_theorem, 8, 4)
@@ -249,9 +259,9 @@ class TestScanTheorem:
         assert json.dumps(json_object(a)) == json.dumps(json_object(b))
 
     def test_records_equal_direct_computation(self):
-        # The d > n records the view rebuilds, cross-checked type by type.
+        # The d > n records that records() rebuilds, cross-checked type by type.
         report = scan_theorem(10, 6)
-        for ci, rec in zip(iter_types(10, 6), report.records, strict=True):
+        for ci, rec in zip(iter_types(10, 6), report.records(), strict=True):
             assert rec == theorem_verdict(ci)
 
     def test_wrong_verdicts_are_violations(self, monkeypatch):
@@ -288,7 +298,7 @@ class TestScanTheorem:
         assert len(report.violations) == 1
         assert "negative middle Betti number" in report.violations[0]
         assert report.counts["internal_check_failed"] == 1
-        (rec,) = [rec for rec in report.records if rec.ci == bad]
+        (rec,) = [rec for rec in report.records() if rec.ci == bad]
         assert rec == Verdict(bad, None)
         assert rec.reason == "an internal check failed for the type"
         assert rec.csv_row()[4:] == ["internal_check_failed", "-", "-"]
@@ -304,7 +314,7 @@ class TestScanLemma:
     def test_small_scan_clean(self):
         report = scan_lemma(6, 4)
         assert report.ok
-        for rec in report.records:
+        for rec in report.records():
             assert (rec.case is not LemmaCase.NONVANISHING) == rec.value_at_i.is_zero
 
     def test_two_quadrics_never_vanish(self):
@@ -317,7 +327,7 @@ class TestScanLemma:
     def test_degenerate_scan(self):
         report = scan_lemma(1, 2)
         assert report.ok
-        vanishing = [r for r in report.records if r.case is not LemmaCase.NONVANISHING]
+        vanishing = [r for r in report.records() if r.case is not LemmaCase.NONVANISHING]
         assert [v.ci for v in vanishing] == [CIType(1)]
         assert vanishing[0].case is LemmaCase.LINEAR_ODD
 
@@ -345,9 +355,9 @@ class TestScanLemma:
         monkeypatch.setattr(classify, "compute_invariants", counting_checks)
         monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
         report = scan_lemma(12, 6)
-        assert len(report.records) == 50387
+        assert report.types == 50387
         first_of_class, first_of_reduced = {}, {}
-        for rec in report.records:
+        for rec in report.records():
             n, degrees = reduce_type(rec.ci.ambient_dim, rec.ci.degrees)
             first_of_class.setdefault((n, degrees), rec.ci)
             first_of_reduced.setdefault(degrees, 12 - len(degrees))
@@ -364,7 +374,7 @@ class TestScanLemma:
 
     def test_records_equal_direct_computation(self):
         # The per-class shortcut, cross-checked type by type at scan scale.
-        for rec in scan_lemma(10, 6).records:
+        for rec in scan_lemma(10, 6).records():
             report = compute_invariants(rec.ci)
             case = lemma_classify(rec.ci, report)
             assert rec == LemmaRecord(rec.ci, report.middle_betti, report.value_at_i, case)
@@ -386,12 +396,12 @@ class TestScanLemma:
         assert "negative middle Betti number" in report.violations[0]
         assert str(bad) in report.violations[0]
         assert report.counts["internal_check_failed"] == 1
-        (rec,) = [rec for rec in report.records if rec.ci == bad]
+        (rec,) = [rec for rec in report.records() if rec.ci == bad]
         assert (rec.middle_betti, rec.value_at_i, rec.case) == (None, None, None)
-        (line,) = [line for line in report.record_lines()
+        (line,) = [line for line in rendered(report, "table").splitlines()
                    if line.startswith("n=3 type=(3) ")]
         assert line.endswith("b_k=- p(i)=- case=internal_check_failed")
-        (row,) = [row for row in report.csv_rows() if row[:2] == ["3", "3"]]
+        (row,) = [row for row in csv_rows(report) if row[:2] == ["3", "3"]]
         assert row[3:] == ["-", "-", "internal_check_failed"]
         (entry,) = [e for e in json_object(report)["records"]
                     if e["n"] == "3" and e["degrees"] == ["3"]]
@@ -425,18 +435,17 @@ class _NullStream(io.TextIOBase):
 
 class TestScanRecords:
     @pytest.mark.parametrize("scan", [scan_theorem, scan_lemma])
-    def test_view_is_sized_and_re_iterable(self, scan):
-        records = scan(6, 4).records
-        first, second = tuple(records), tuple(records)
+    def test_records_are_rebuilt_and_reports_compare_by_value(self, scan):
+        report = scan(6, 4)
+        first, second = tuple(report.records()), tuple(report.records())
         assert first == second
-        assert len(records) == len(first) == sum(1 for _ in iter_types(6, 4))
-        assert records and records == first and first == records
-        assert records == scan(6, 4).records
-        assert records != scan(5, 4).records and records != first[:-1]
+        assert report.types == len(first) == sum(1 for _ in iter_types(6, 4))
+        assert report == scan(6, 4)
+        assert report != scan(5, 4) and report != scan(6, 3)
 
     def test_memory_is_bounded_by_the_tables(self):
         # Holding one record per type, both 10/6 scans and their document
-        # peaked at 13.4 MB; the views keep only the per-class tables.
+        # peaked at 13.4 MB; the reports keep only the per-class tables.
         tracemalloc.start()
         try:
             write_scans([scan_theorem(10, 6), scan_lemma(10, 6)], "json", _NullStream())
@@ -449,16 +458,15 @@ class TestScanRecords:
 class TestScanReportSerialization:
     def test_csv_shape(self):
         report = scan_theorem(3, 2)
-        header = report.csv_header()
-        rows = list(report.csv_rows())
+        header, *rows = csv_rows(report)
         assert header[0] == "n"
         assert all(len(row) == len(header) for row in rows)
-        assert len(rows) == len(report.records)
+        assert len(rows) == report.types
 
     def test_record_lines_one_per_type(self):
         report = scan_lemma(3, 2)
-        lines = list(report.record_lines())
-        assert len(lines) == len(report.records)
+        lines = rendered(report, "table").splitlines()
+        assert len(lines) == report.types
         assert all(line.startswith("n=") for line in lines)
 
     def test_summary_mentions_violations(self):
@@ -472,7 +480,7 @@ class TestScanReportSerialization:
         obj = json_object(report)
         blob = json.dumps(obj)
         parsed = json.loads(blob)
-        for rec, entry in zip(report.records, parsed["records"]):
+        for rec, entry in zip(report.records(), parsed["records"]):
             assert int(entry["middle_betti"]) == rec.middle_betti
             assert int(entry["p_at_i"]["re"]) == rec.value_at_i.re
             assert int(entry["p_at_i"]["im"]) == rec.value_at_i.im

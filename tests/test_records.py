@@ -28,7 +28,7 @@ def test_records_are_immutable_tuples_with_tuple_equality():
         product_obstruction(quadric),
         theorem_verdict(quadric),
         homogeneous_parity_report(quadric),
-        next(iter(scan_lemma(3, 2).records)),
+        next(scan_lemma(3, 2).records()),
         scan_theorem(3, 2),
     ]
     assert len({type(record).__name__ for record in records}) == len(records)

@@ -64,14 +64,15 @@ def _record_obj(kind: str, rec) -> dict:
 
 
 def _scan_obj(report) -> dict:
+    records = [_record_obj(report.kind, rec) for rec in report.records()]
     return {
         "scan": report.kind,
         "max_n": str(report.max_n),
         "max_degree": str(report.max_degree),
-        "types": str(len(report.records)),
+        "types": str(len(records)),
         "counts": {name: str(count) for name, count in report.counts.items()},
         "violations": list(report.violations),
-        "records": [_record_obj(report.kind, rec) for rec in report.records],
+        "records": records,
     }
 
 
@@ -81,7 +82,7 @@ def _csv_rows(report):
                "p_x_at_i", "p_f_at_i"]
     else:
         yield ["n", "degrees", "dimension", "middle_betti", "p_at_i", "case"]
-    for rec in report.records:
+    for rec in report.records():
         ci = rec.ci
         degrees = " ".join(str(d) for d in ci.degrees)
         if report.kind == "theorem":
@@ -116,7 +117,7 @@ def expected_document(reports, fmt: str) -> str:
             csv.writer(buffer, lineterminator="\n").writerows(_csv_rows(report))
             tables.append(buffer.getvalue())
         return "\n".join(tables)
-    return "".join(_table_line(r.kind, rec) + "\n" for r in reports for rec in r.records)
+    return "".join(_table_line(r.kind, rec) + "\n" for r in reports for rec in r.records())
 
 
 def _reports(which: str, max_n: int, max_degree: int):
@@ -174,7 +175,7 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
                   "lemma": LemmaRecord(bad, None, None, None)}
         assert [len(report.violations) for report in reports] == counts
         for report in reports:
-            assert failed[report.kind] in report.records
+            assert failed[report.kind] in report.records()
         assert out == expected_document(reports, fmt)
         if fmt == "json":
             (entry,) = [e for e in json.loads(out)["scans"][-1]["records"]
@@ -187,6 +188,15 @@ def test_empty_scan_object_layout():
     buffer = io.StringIO()
     write_scans([], "json", buffer)
     assert buffer.getvalue() == json.dumps({"scans": []}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 2])
+def test_unknown_format_is_rejected_before_writing(count):
+    reports = [scan_theorem(2, 2), scan_lemma(2, 2)][:count]
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="unknown output format 'xml'"):
+        write_scans(reports, "xml", buffer)
+    assert buffer.getvalue() == ""
 
 
 #: sha256 of the stdout of ``scan --max-n 10 --max-degree 5 --which both

@@ -28,8 +28,10 @@ from ci_invariants import (
     topology,
     verify_expansion_identities,
 )
+from ci_invariants.cli import MAX_K
 from ci_invariants.topology import _CHI_BLOCK, _values_at_units, euler_characteristic_row
 from reference import (
+    chi22_terms,
     horner,
     horner_at_i,
     hypersurface_middle_betti,
@@ -298,6 +300,10 @@ class TestChi22:
     def test_closed_form_shape(self):
         for k in range(0, 30):
             assert chi22(k) == (0 if k % 2 else 2 * (k + 2))
+
+    def test_horner_sum_equals_per_term_sum(self):
+        for k in range(MAX_K + 1):
+            assert chi22(k) == chi22_terms(k)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
