@@ -36,9 +36,8 @@ its classes and its d <= n verdicts, not with the types.
 the stream, in exactly the layout of ``json.dump(..., indent=2)`` for
 JSON, and builds no record.  Records, ``Verdict``s for the theorem scan
 and ``LemmaRecord``s for the lemma scan, are built only by the generator
-``ScanReport.records``, which wraps the same rows.  A record does not
-render itself, except ``Verdict.csv_row``: the single-type ``classify
---format csv`` row, through the scan's CSV row renderer.
+``ScanReport.records``, which wraps the same rows.  No record renders
+itself; the single-type documents are rendered by the CLI.
 """
 
 from __future__ import annotations
@@ -287,8 +286,7 @@ _OUTCOME_TEXT = {
 
 # The renderers of a scan row ((n, k, degrees, texts), fields), with
 # ``texts`` the degrees as decimal strings and ``fields`` the record's other
-# fields.  A scan writes its rows through them, and ``Verdict.csv_row``
-# renders a single verdict through ``_verdict_csv``.
+# fields.  Only ``write_scans`` calls them.
 
 def _verdict_line(row: tuple) -> str:
     (n, k, degrees, texts), (kind, p_x, p_f) = row
@@ -327,10 +325,6 @@ def _lemma_json(row: tuple) -> str:
                           _json_gauss(value), _OUTCOME_TEXT[case])
 
 
-def _type_row(ci: CIType) -> tuple:
-    return ci.ambient_dim, ci.dimension, ci.degrees, tuple(map(str, ci.degrees))
-
-
 class Verdict(namedtuple("Verdict", "ci kind p_x_at_i p_f_at_i", defaults=(None, None))):
     """Classification outcome for one type, with the witnessing values at i,
     and the theorem scan's record of that type.  ``kind`` is None only in a
@@ -349,9 +343,6 @@ class Verdict(namedtuple("Verdict", "ci kind p_x_at_i p_f_at_i", defaults=(None,
             n=n, d=d, normal=n - d - 1, p_x=self.p_x_at_i, p_f=self.p_f_at_i
         )
 
-    def csv_row(self) -> list[str]:
-        return _verdict_csv((_type_row(self.ci), (self.kind, self.p_x_at_i, self.p_f_at_i)))
-
 
 class LemmaRecord(namedtuple("LemmaRecord", "ci middle_betti value_at_i case")):
     """One scanned type with its middle Betti number, its Poincare value at
@@ -361,10 +352,6 @@ class LemmaRecord(namedtuple("LemmaRecord", "ci middle_betti value_at_i case")):
     __slots__ = ()
 
     CSV_HEADER = ("n", "degrees", "dimension", "middle_betti", "p_at_i", "case")
-
-
-def _degree_cell(ci: CIType) -> str:
-    return " ".join(map(str, ci.degrees))
 
 
 _RECORD_TYPES = {"theorem": Verdict, "lemma": LemmaRecord}

@@ -5,7 +5,13 @@ Subcommands: ``invariants``, ``classify``, ``fiber``, ``scan``,
 ``json`` (one document per invocation, all integers as decimal strings so
 arbitrary precision survives any consumer), and ``csv`` (fixed header row).
 Data goes to stdout (or ``--out`` for scans), diagnostics, the scan
-summary included, to stderr.  A single-type document is rendered whole
+summary included, to stderr.
+
+``invariants``, ``classify`` and ``fiber`` each build their document once,
+as a list of fields (label, key, column, value) with every value computed,
+and ``_render`` is their one writer of all three formats.
+``verify-identities`` writes its two formats by hand: its table lines are
+not ``label: value`` pairs.  A single-type document is rendered whole
 before it is written, so a failing command writes nothing to stdout; scan
 records are written one at a time by ``classify.write_scans``.
 
@@ -22,11 +28,10 @@ import json
 import re
 import reprlib
 import sys
+from enum import Enum
 
 from .classify import (
     ScanReport,
-    Verdict,
-    _degree_cell,
     _is_homogeneous_shape,
     homogeneous_parity_report,
     lemma_classify,
@@ -98,61 +103,82 @@ def _type_spec(text: str) -> tuple[int, ...]:
     return tuple(_degree(part.strip()) for part in text.split(","))
 
 
-def _gauss_json(g: GaussianInteger | None) -> dict[str, str] | None:
-    if g is None:
-        return None
-    return {"re": str(g.re), "im": str(g.im)}
+def _text(value) -> str:
+    """A table value: a bool as ``true``/``false``, an Enum member as its
+    value."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
 
 
-def _poly_json(p: IntPolynomial) -> list[str]:
-    return [str(c) for c in p.coefficients]
+def _cell(value) -> str:
+    """A CSV cell: None as ``-``, a type as its degrees and a polynomial as
+    its coefficients, space-joined."""
+    if value is None:
+        return "-"
+    if isinstance(value, CIType):
+        return " ".join(map(str, value.degrees))
+    if isinstance(value, IntPolynomial):
+        return " ".join(map(str, value.coefficients))
+    return _text(value)
 
 
-def _type_json(ci: CIType) -> dict:
-    return {
-        "ambient_dim": str(ci.ambient_dim),
-        "degrees": [str(d) for d in ci.degrees],
-    }
+def _json(value):
+    """A JSON value: integers as decimal strings, and a nested field list as
+    an object of the fields that have a key."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, CIType):
+        return {"ambient_dim": str(value.ambient_dim),
+                "degrees": [str(d) for d in value.degrees]}
+    if isinstance(value, GaussianInteger):
+        return {"re": str(value.re), "im": str(value.im)}
+    if isinstance(value, IntPolynomial):
+        return [str(c) for c in value.coefficients]
+    if isinstance(value, list):
+        return {key: _json(v) for _, key, _, v in value if key is not None}
+    return _text(value)
 
 
-def _report_json(report: InvariantReport) -> dict:
-    """The JSON body of one type's invariants: the whole ``invariants``
-    document, and the ``fiber`` object of the ``fiber`` document."""
-    return {
-        "type": _type_json(report.ci),
-        "dimension": str(report.ci.dimension),
-        "euler_characteristic": str(report.euler_char),
-        "middle_betti": str(report.middle_betti),
-        "poincare_coefficients": _poly_json(report.poincare),
-        "value_at_i": _gauss_json(report.value_at_i),
-    }
+def _render(fmt: str, fields: list[tuple]) -> None:
+    """Write one single-type document, a list of fields (label, key, column,
+    value), to stdout: ``value`` under ``label`` in the table, under ``key``
+    in JSON and under ``column`` in CSV; a None name leaves the field out of
+    that format."""
+    if fmt == "json":
+        print(json.dumps(_json(fields), indent=2))
+    elif fmt == "csv":
+        # No cell holds a comma, a quote or a line break, so, as in
+        # ``write_scans``, none needs quoting.
+        cells = [(column, value) for _, _, column, value in fields if column is not None]
+        print(",".join(column for column, _ in cells))
+        print(",".join(_cell(value) for _, value in cells))
+    else:
+        for label, _, _, value in fields:
+            if label is not None:
+                print(f"{label}: {_text(value)}")
 
 
-def _emit_csv(header: list[str], row: list[str]) -> None:
-    # No cell holds a comma, a quote or a line break, so, as in
-    # ``write_scans``, none needs quoting.
-    sys.stdout.write(",".join(header) + "\n" + ",".join(row) + "\n")
+def _invariant_fields(report: InvariantReport) -> list[tuple]:
+    """One type's invariants: the whole ``invariants`` document, and the
+    ``fiber`` object of the ``fiber`` document."""
+    ci = report.ci
+    return [
+        (None, None, "n", ci.ambient_dim),
+        ("type", "type", "degrees", ci),
+        ("dimension", "dimension", "dimension", ci.dimension),
+        ("euler characteristic", "euler_characteristic", "euler_characteristic",
+         report.euler_char),
+        ("middle Betti number", "middle_betti", "middle_betti", report.middle_betti),
+        ("Poincare polynomial", "poincare_coefficients", "poincare", report.poincare),
+        ("value at i", "value_at_i", "value_at_i", report.value_at_i),
+    ]
 
 
 def run_invariants(args) -> int:
-    ci = CIType(args.n, args.type)
-    report = compute_invariants(ci)
-    if args.format == "json":
-        print(json.dumps(_report_json(report), indent=2))
-    elif args.format == "csv":
-        _emit_csv(["n", "degrees", "dimension", "euler_characteristic",
-                   "middle_betti", "poincare", "value_at_i"],
-                  [str(ci.ambient_dim), _degree_cell(ci), str(ci.dimension),
-                   str(report.euler_char), str(report.middle_betti),
-                   " ".join(str(c) for c in report.poincare.coefficients),
-                   str(report.value_at_i)])
-    else:
-        print(f"type: {ci}")
-        print(f"dimension: {ci.dimension}")
-        print(f"euler characteristic: {report.euler_char}")
-        print(f"middle Betti number: {report.middle_betti}")
-        print(f"Poincare polynomial: {report.poincare}")
-        print(f"value at i: {report.value_at_i}")
+    _render(args.format, _invariant_fields(compute_invariants(CIType(args.n, args.type))))
     return 0
 
 
@@ -165,98 +191,67 @@ def run_classify(args) -> int:
     if ci.ambient_dim - 1 - ci.total_degree >= 0:
         obstruction = product_obstruction(ci, report)
     verdict = theorem_verdict(ci, obstruction)
-    case = lemma_classify(ci, report)
+    fields = [
+        (None, None, "n", ci.ambient_dim),
+        ("type", "type", "degrees", ci),
+        ("total degree", "total_degree", "total_degree", ci.total_degree),
+        ("dimension", "dimension", "dimension", ci.dimension),
+        ("verdict", "verdict", "verdict", verdict.kind),
+        ("reason", "reason", None, verdict.reason),
+        (None, "p_x_at_i", "p_x_at_i", verdict.p_x_at_i),
+        (None, "p_f_at_i", "p_f_at_i", verdict.p_f_at_i),
+        ("lemma case", "lemma_case", "lemma_case", lemma_classify(ci, report)),
+    ]
     parity = None
     if obstruction is not None and _is_homogeneous_shape(ci):
-        parity = homogeneous_parity_report(ci, obstruction)
-    if args.format == "json":
-        obj = {
-            "type": _type_json(ci),
-            "total_degree": str(ci.total_degree),
-            "dimension": str(ci.dimension),
-            "verdict": verdict.kind.value,
-            "reason": verdict.reason,
-            "p_x_at_i": _gauss_json(verdict.p_x_at_i),
-            "p_f_at_i": _gauss_json(verdict.p_f_at_i),
-            "lemma_case": case.value,
-            "parity": None,
-        }
-        if parity is not None:
-            obj["parity"] = {
-                "p_x_at_i": _gauss_json(parity.p_x_at_i),
-                "p_f_at_i": _gauss_json(parity.p_f_at_i),
-                "x_vanishes": parity.x_vanishes,
-                "f_vanishes": parity.f_vanishes,
-            }
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        _emit_csv([*Verdict.CSV_HEADER, "lemma_case"], verdict.csv_row() + [case.value])
-    else:
-        print(f"type: {ci}")
-        print(f"total degree: {ci.total_degree}")
-        print(f"dimension: {ci.dimension}")
-        print(f"verdict: {verdict.kind.value}")
-        print(f"reason: {verdict.reason}")
-        print(f"lemma case: {case.value}")
-        if parity is not None:
-            x_word = "vanishes" if parity.x_vanishes else "nonzero"
-            f_word = "vanishes" if parity.f_vanishes else "nonzero"
-            print(f"parity: p_X(i) = {parity.p_x_at_i} ({x_word}), "
-                  f"p_F(i) = {parity.p_f_at_i} ({f_word})")
+        outcome = homogeneous_parity_report(ci, obstruction)
+        x_word = "vanishes" if outcome.x_vanishes else "nonzero"
+        f_word = "vanishes" if outcome.f_vanishes else "nonzero"
+        fields.append(("parity", None, None,
+                       f"p_X(i) = {outcome.p_x_at_i} ({x_word}), "
+                       f"p_F(i) = {outcome.p_f_at_i} ({f_word})"))
+        parity = [
+            (None, "p_x_at_i", None, outcome.p_x_at_i),
+            (None, "p_f_at_i", None, outcome.p_f_at_i),
+            (None, "x_vanishes", None, outcome.x_vanishes),
+            (None, "f_vanishes", None, outcome.f_vanishes),
+        ]
+    fields.append((None, "parity", None, parity))
+    _render(args.format, fields)
     return 0
 
 
 def run_fiber(args) -> int:
     ci = CIType(args.n, args.type)
     geometry = line_geometry(ci)
-    fiber = fiber_type(ci) if geometry.fiber_dim >= 0 else None
-    fiber_report = compute_invariants(fiber) if fiber is not None else None
-    if args.format == "json":
-        obj = {
-            "type": _type_json(ci),
-            "moduli_dim": str(geometry.moduli_dim),
-            "fiber_dim": str(geometry.fiber_dim),
-            "normal_degree": str(geometry.normal_degree),
-            "rationally_connected": geometry.rationally_connected,
-            "fiber": None,
-        }
-        if fiber_report is not None:
-            obj["fiber"] = _report_json(fiber_report)
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        row = [
-            str(ci.ambient_dim),
-            _degree_cell(ci),
-            str(geometry.moduli_dim),
-            str(geometry.fiber_dim),
-            str(geometry.normal_degree),
-            "true" if geometry.rationally_connected else "false",
+    fields = [
+        (None, None, "n", ci.ambient_dim),
+        ("type", "type", "degrees", ci),
+        ("moduli dimension", "moduli_dim", "moduli_dim", geometry.moduli_dim),
+        ("fiber dimension", "fiber_dim", "fiber_dim", geometry.fiber_dim),
+        ("normal bundle degree", "normal_degree", "normal_degree", geometry.normal_degree),
+        ("rationally connected", "rationally_connected", "rationally_connected",
+         geometry.rationally_connected),
+    ]
+    if geometry.fiber_dim < 0:
+        fields += [
+            ("fiber type", None, None, "none (fiber dimension is negative)"),
+            (None, None, "fiber_degrees", None),
+            (None, None, "fiber_euler", None),
+            (None, None, "fiber_middle_betti", None),
+            (None, "fiber", None, None),
         ]
-        if fiber_report is not None:
-            row.extend([
-                _degree_cell(fiber),
-                str(fiber_report.euler_char),
-                str(fiber_report.middle_betti),
-            ])
-        else:
-            row.extend(["-", "-", "-"])
-        _emit_csv(["n", "degrees", "moduli_dim", "fiber_dim", "normal_degree",
-                   "rationally_connected", "fiber_degrees", "fiber_euler",
-                   "fiber_middle_betti"], row)
     else:
-        print(f"type: {ci}")
-        print(f"moduli dimension: {geometry.moduli_dim}")
-        print(f"fiber dimension: {geometry.fiber_dim}")
-        print(f"normal bundle degree: {geometry.normal_degree}")
-        print(f"rationally connected: {'true' if geometry.rationally_connected else 'false'}")
-        if fiber_report is not None:
-            print(f"fiber type: {fiber}")
-            print(f"fiber euler characteristic: {fiber_report.euler_char}")
-            print(f"fiber middle Betti number: {fiber_report.middle_betti}")
-            print(f"fiber Poincare polynomial: {fiber_report.poincare}")
-            print(f"fiber value at i: {fiber_report.value_at_i}")
-        else:
-            print("fiber type: none (fiber dimension is negative)")
+        report = compute_invariants(fiber_type(ci))
+        fields += [
+            ("fiber type", None, "fiber_degrees", report.ci),
+            ("fiber euler characteristic", None, "fiber_euler", report.euler_char),
+            ("fiber middle Betti number", None, "fiber_middle_betti", report.middle_betti),
+            ("fiber Poincare polynomial", None, None, report.poincare),
+            ("fiber value at i", None, None, report.value_at_i),
+            (None, "fiber", None, _invariant_fields(report)),
+        ]
+    _render(args.format, fields)
     return 0
 
 

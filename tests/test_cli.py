@@ -696,13 +696,14 @@ class TestBounds:
         assert "error: argument" in err and "expected an integer" in err
 
     def test_failing_command_writes_nothing(self, capsys, monkeypatch):
-        # The table is rendered line by line; a failure after the first
-        # lines must not leave them on stdout.
+        # Every field is computed before the document is rendered, so a
+        # field that fails to compute fails every format, with nothing on
+        # stdout.
         def failing(self):
             raise ValueError("reason unavailable")
 
         monkeypatch.setattr(classify.Verdict, "reason", property(failing))
-        for fmt in ("table", "json"):
+        for fmt in ("table", "json", "csv"):
             code, out, err = run_cli(capsys, "classify", "--n", "4", "--type", "3",
                                      "--format", fmt)
             assert (code, out) == (2, "")
