@@ -6,11 +6,7 @@ All arithmetic is exact (arbitrary-precision integers, integer
 polynomials, Gaussian integers); there is no floating point anywhere.
 """
 
-from .exact import (
-    GaussianInteger,
-    IntPolynomial,
-    ONE_PLUS_T_SQUARED,
-)
+from .exact import GaussianInteger, IntPolynomial
 from .topology import (
     CIType,
     InternalCheckError,
@@ -48,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "GaussianInteger",
     "IntPolynomial",
-    "ONE_PLUS_T_SQUARED",
     "CIType",
     "InternalCheckError",
     "InvariantReport",

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .exact import ONE_PLUS_T_SQUARED
-from .topology import CIType, InternalCheckError, InvariantReport, compute_invariants
+from .topology import CIType, InvariantReport, compute_invariants
 
 
 class LineGeometry(namedtuple(
@@ -79,25 +78,17 @@ def product_obstruction(
 ) -> ProductObstruction:
     """Evaluate p_X(i) and p_F(i); passing means at least one is zero.
 
-    Each factor's exact divisibility by 1 + t^2 is re-checked here against
-    its evaluation at i on every call.  Because 1 + t^2 is irreducible over
-    the integers, it divides the product p_F * p_X iff it divides a factor,
-    so passing means 1 + t^2 divides the product.  The dense product is not
-    formed here: ``tests/test_lines.py`` checks that equivalence for every
-    type with a fiber in ``iter_types(12, 6)``.
+    1 + t^2 is monic and irreducible over the integers, with roots +-i, so
+    it divides p_F * p_X iff it divides a factor iff that factor vanishes
+    at i.  The values at i are ``compute_invariants``' closed forms; no
+    polynomial is divided here.  ``tests/test_lines.py`` checks the
+    equivalence against long division of the dense product by 1 + t^2, for
+    every type with a fiber in ``iter_types(12, 6)``.
 
     ``report`` is the type's ``compute_invariants`` result when the caller
     already has it; otherwise it is computed here.
     """
     x = report if report is not None else compute_invariants(ci)
     f = compute_invariants(fiber_type(ci))
-    p_x, x_at_i = x.poincare, x.value_at_i
-    p_f, f_at_i = f.poincare, f.value_at_i
-
-    div_x = p_x.divisible_by(ONE_PLUS_T_SQUARED)
-    div_f = p_f.divisible_by(ONE_PLUS_T_SQUARED)
-    if div_x != x_at_i.is_zero or div_f != f_at_i.is_zero:
-        raise InternalCheckError(
-            f"divisibility by 1+t^2 disagrees with evaluation at i for {ci}"
-        )
-    return ProductObstruction(x_at_i, f_at_i, div_f or div_x)
+    x_at_i, f_at_i = x.value_at_i, f.value_at_i
+    return ProductObstruction(x_at_i, f_at_i, x_at_i.is_zero or f_at_i.is_zero)

@@ -23,9 +23,12 @@ follows from the Euler characteristic, and the Poincare polynomial is
 
     p(t) = sum_{q=0}^{k} t^(2q) + (b_k - delta_k) t^k,
 
-with delta_k = 1 for even k and 0 for odd k.  ``compute_invariants`` is the
-one place that derives b_k, p(t) and p(i) from chi, and it runs the
-built-in cross-checks once per type; read the invariants from its report.
+with delta_k = 1 for even k and 0 for odd k.  So p is fixed by (k, b_k),
+and so are p(-1) = chi, p(1) and p(i), in closed form.
+``compute_invariants`` is the one place that derives b_k, p(t) and p(i)
+from chi; read the invariants from its report.  The tests evaluate the
+dense coefficients of p by Horner's rule, in ``tests/reference.py``, as
+the independent route.
 """
 
 from __future__ import annotations
@@ -229,25 +232,18 @@ class InvariantReport(namedtuple(
     __slots__ = ()
 
 
-def _values_at_units(p: IntPolynomial) -> tuple[int, int, GaussianInteger]:
-    """p(-1), p(1) and p(i), each an exact sum of strided coefficients.
-
-    The cost is linear in the size of the coefficients.  Horner's rule would
-    carry one large coefficient through every later step and be quadratic.
-    """
-    c = p.coefficients
-    even, odd = sum(c[::2]), sum(c[1::2])
-    at_i = GaussianInteger(sum(c[::4]) - sum(c[2::4]), sum(c[1::4]) - sum(c[3::4]))
-    return even - odd, even + odd, at_i
-
-
 def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
     """Bundle every invariant of a type from one Euler characteristic.
 
-    Runs each built-in cross-check once: b_k >= 0, p(-1) equals chi, p(1)
-    equals the total Betti sum, and p(i) vanishes exactly when k is odd
-    with b_k = 0 or k = 2 mod 4 with b_k = 2.  The three values come from
-    ``_values_at_units``, in time linear in the size of p.
+    p(i) is read off (k, b_k) in closed form: the even powers of t sum to
+    1 at i for even k and to 0 for odd k, so p(i) is b i^k for odd k,
+    b for k = 0 mod 4 and 2 - b for k = 2 mod 4.  It vanishes exactly when
+    k is odd with b_k = 0 or k = 2 mod 4 with b_k = 2.  Building the dense
+    coefficient list of p costs time linear in k; the rest is O(1).
+
+    The one built-in check is b_k >= delta_k: b_k is never negative, and
+    for even k the k/2-th power of the hyperplane class lies in H^k, so
+    b_k >= 1.
 
     ``chi`` is the type's Euler characteristic when the caller already has
     it, as the lemma scan does from ``euler_characteristic_row``; otherwise
@@ -257,28 +253,20 @@ def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
     if chi is None:
         chi = euler_characteristic(ci)
     b = (k + 1) - chi if k % 2 else chi - k
-    if b < 0:
-        raise InternalCheckError(f"negative middle Betti number {b} for {ci}")
     delta = 1 if k % 2 == 0 else 0
+    if b < delta:
+        raise InternalCheckError(f"middle Betti number {b} < {delta} for {ci}")
     coeffs = [0] * (2 * k + 1)
     coeffs[::2] = [1] * (k + 1)
     coeffs[k] += b - delta
-    p = IntPolynomial(coeffs)
-    at_minus_1, at_1, value = _values_at_units(p)
-    if at_minus_1 != chi:
-        raise InternalCheckError(f"p(-1) = {at_minus_1} != chi = {chi} for {ci}")
-    if at_1 != (k + 1) + b - delta:
-        raise InternalCheckError(f"p(1) = {at_1} is not the Betti sum for {ci}")
-    expected = (k % 2 == 1 and b == 0) or (k % 4 == 2 and b == 2)
-    if value.is_zero != expected:
-        raise InternalCheckError(
-            f"evaluation at i ({value}) disagrees with the parity "
-            f"characterization for {ci} (k={k}, b_k={b})"
-        )
+    if k % 2:
+        value = GaussianInteger(0, b if k % 4 == 1 else -b)
+    else:
+        value = GaussianInteger(b if k % 4 == 0 else 2 - b, 0)
     return InvariantReport(
         ci=ci,
         euler_char=chi,
         middle_betti=b,
-        poincare=p,
+        poincare=IntPolynomial(coeffs),
         value_at_i=value,
     )

@@ -85,3 +85,15 @@ def reduce_type(n: int, degrees) -> tuple[int, tuple[int, ...]]:
     ambient space, so (n, degrees) and the result have the same invariants."""
     ones = list(degrees).count(1)
     return n - ones, tuple(sorted(d for d in degrees if d > 1))
+
+
+def divisible_by_one_plus_t_squared(coeffs) -> bool:
+    """Whether 1 + t^2 divides the polynomial with these coefficients,
+    lowest degree first, by the plain remainder loop of long division:
+    each step pops the top coefficient c of t^j and subtracts c t^(j-2)
+    (1 + t^2), until the remainder has degree < 2."""
+    rem = list(coeffs)
+    while len(rem) > 2:
+        c = rem.pop()
+        rem[-2] -= c
+    return not any(rem)

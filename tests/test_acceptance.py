@@ -18,7 +18,6 @@ from ci_invariants import (
     GaussianInteger,
     IntPolynomial,
     LemmaCase,
-    ONE_PLUS_T_SQUARED,
     VerdictKind,
     chi22,
     compute_invariants,
@@ -33,6 +32,7 @@ from ci_invariants import (
 )
 from ci_invariants.cli import MAX_K
 from reference import (
+    divisible_by_one_plus_t_squared,
     horner,
     horner_at_i,
     hypersurface_middle_betti,
@@ -232,7 +232,7 @@ def test_criterion_8_property_suites():
         if ci.ambient_dim - 1 - ci.total_degree >= 0:
             polys.append(poincare_polynomial(fiber_type(ci)))
     for p in polys:
-        ok &= p.divisible_by(ONE_PLUS_T_SQUARED) == zero_at_i(p)
+        ok &= divisible_by_one_plus_t_squared(p.coefficients) == zero_at_i(p)
 
     # ... and on 10^4 randomized polynomials
     rng = random.Random(271828)
@@ -242,7 +242,7 @@ def test_criterion_8_property_suites():
         if rng.random() < 0.5:
             c = p.coefficients
             p = IntPolynomial(truncated_product(c, (1, 0, 1), len(c) + 1))
-        ok &= p.divisible_by(ONE_PLUS_T_SQUARED) == zero_at_i(p)
+        ok &= divisible_by_one_plus_t_squared(p.coefficients) == zero_at_i(p)
 
     # degree-1 reduction leaves every invariant unchanged
     for ci in iter_types(8, 4):

@@ -296,7 +296,7 @@ class TestScanTheorem:
         monkeypatch.setattr(topology, "euler_characteristic", wrong_for_one_type)
         report = scan_theorem(4, 3)
         assert len(report.violations) == 1
-        assert "negative middle Betti number" in report.violations[0]
+        assert "middle Betti number -96 < 0" in report.violations[0]
         assert report.counts["internal_check_failed"] == 1
         (rec,) = [rec for rec in report.records() if rec.ci == bad]
         assert rec == Verdict(bad, None)
@@ -393,7 +393,7 @@ class TestScanLemma:
         report = scan_lemma(4, 3)
         assert not report.ok
         assert len(report.violations) == 1
-        assert "negative middle Betti number" in report.violations[0]
+        assert "middle Betti number -102 < 1" in report.violations[0]
         assert str(bad) in report.violations[0]
         assert report.counts["internal_check_failed"] == 1
         (rec,) = [rec for rec in report.records() if rec.ci == bad]

@@ -14,8 +14,6 @@ from hypothesis import given, strategies as st
 
 from ci_invariants import (
     CIType,
-    GaussianInteger,
-    IntPolynomial,
     compute_invariants,
     euler_characteristic,
     fiber_type,
@@ -24,8 +22,7 @@ from ci_invariants import (
     theorem_verdict,
 )
 from ci_invariants.cli import main
-from ci_invariants.topology import _values_at_units
-from reference import horner, horner_at_i, reduce_type, series_coefficient
+from reference import horner, reduce_type, series_coefficient
 
 
 @st.composite
@@ -74,14 +71,6 @@ def test_poincare_polynomial_at_plus_and_minus_one(case):
     coeffs = report.poincare.coefficients
     assert horner(coeffs, -1) == series_coefficient(degrees, n)
     assert horner(coeffs, 1) == (k + 1) + b - delta
-
-
-@given(st.lists(st.integers(-(10**30), 10**30), max_size=40))
-def test_strided_values_equal_horner(coeffs):
-    p = IntPolynomial(coeffs)
-    c = p.coefficients
-    assert _values_at_units(p) == (horner(c, -1), horner(c, 1),
-                                   GaussianInteger(*horner_at_i(c)))
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:

@@ -21,15 +21,17 @@ from ci_invariants import (
     CIType,
     GaussianInteger,
     IntPolynomial,
+    InternalCheckError,
     chi22,
     compute_invariants,
     euler_characteristic,
     fiber_type,
+    iter_types,
     topology,
     verify_expansion_identities,
 )
 from ci_invariants.cli import MAX_K
-from ci_invariants.topology import _CHI_BLOCK, _values_at_units, euler_characteristic_row
+from ci_invariants.topology import _CHI_BLOCK, euler_characteristic_row
 from reference import (
     chi22_terms,
     horner,
@@ -384,6 +386,14 @@ class TestInvariantReport:
         assert report.poincare == IntPolynomial([1, 0, 1])
         assert report.value_at_i.is_zero
 
+    @pytest.mark.parametrize("k", [2, 4, 6, 8])
+    def test_even_dimension_needs_a_middle_class(self, k):
+        # For even k the (k/2)-th power of the hyperplane class lies in H^k,
+        # so b_k >= 1; an Euler characteristic of k would give b_k = 0.
+        for ci in (CIType(k), CIType(k + 1, (3,))):
+            with pytest.raises(InternalCheckError):
+                compute_invariants(ci, chi=k)
+
 
 class TestMonotonicityAnchors:
     def test_surfaces_in_p3(self):
@@ -402,10 +412,30 @@ class TestLargeMagnitudes:
         report = compute_invariants(CIType(64, (64,)))
         assert horner(report.poincare.coefficients, -1) == report.euler_char
 
-    def test_strided_values_equal_horner_at_n_20000(self):
-        report = compute_invariants(CIType(20000, (2, 5, 6)))
-        p = report.poincare
-        c = p.coefficients
-        by_horner = (horner(c, -1), horner(c, 1), GaussianInteger(*horner_at_i(c)))
-        assert _values_at_units(p) == by_horner
-        assert (report.euler_char, report.value_at_i) == (by_horner[0], by_horner[2])
+
+def _reports_to_evaluate():
+    """Every type of ``iter_types(12, 6)`` and every fiber among them, then
+    (2,5,6) in P^850 and P^20000 and their fibers, as the CLI goldens run."""
+    for ci in iter_types(12, 6):
+        yield compute_invariants(ci)
+        if ci.ambient_dim - 1 - ci.total_degree >= 0:
+            yield compute_invariants(fiber_type(ci))
+    for n in (850, 20000):
+        ci = CIType(n, (2, 5, 6))
+        yield compute_invariants(ci)
+        yield compute_invariants(fiber_type(ci))
+
+
+def test_closed_forms_equal_horner_on_the_dense_coefficients():
+    # compute_invariants reads p(i) off (k, b_k); Horner's rule on the
+    # coefficients is the independent route, and p(-1), p(1) come with it.
+    checked = 0
+    for report in _reports_to_evaluate():
+        c = report.poincare.coefficients
+        k, b = report.ci.dimension, report.middle_betti
+        delta = 1 if k % 2 == 0 else 0
+        assert report.value_at_i == GaussianInteger(*horner_at_i(c)), report.ci
+        assert horner(c, -1) == report.euler_char, report.ci
+        assert horner(c, 1) == (k + 1) + b - delta, report.ci
+        checked += 1
+    assert checked == 50954 + 4
