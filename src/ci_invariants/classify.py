@@ -23,21 +23,24 @@ class (D, k), on that chi, not once per type.
 
 Each scan makes two passes.  The first walks the types, runs every check
 and keeps only the counts, the violations and a small table: the verdicts
-not decided by the d > n gate, or the lemma scan's rows per D, holding
-each class's fields.  A ``ScanReport`` is plain data: those results, the
-number of types, and that table as its ``table`` field, whose layout is
-not a contract.  The second pass, ``ScanReport.rows``, run each time the
-scan is written or its records are read, re-walks the types and yields
-one row per type, the type's n, k, degrees and degree strings with its
-fields from the table; no check is re-run, so a scan's memory grows with
-its classes and its d <= n verdicts, not with the types.
+not decided by the d > n gate, keyed by n and degrees, or the lemma scan's
+rows per D, holding each class's fields.  A ``ScanReport`` is plain data:
+those results, the number of types, and that table as its ``table`` field,
+whose layout is not a contract.  The second pass, ``ScanReport.blocks``,
+run each time the scan is written or its records are read, re-walks the
+types one (n, l) block at a time and yields each block's fields from the
+table as a C-level iterator; no check is re-run, so a scan's memory grows
+with its classes and its d <= n verdicts, not with the types.
 
-``write_scans`` is the one scan writer: it renders each row straight to
-the stream, in exactly the layout of ``json.dump(..., indent=2)`` for
-JSON, and builds no record.  Records, ``Verdict``s for the theorem scan
-and ``LemmaRecord``s for the lemma scan, are built only by the generator
-``ScanReport.records``, which wraps the same rows.  No record renders
-itself; the single-type documents are rendered by the CLI.
+``write_scans`` is the one scan writer.  It fills a row template's n and k
+once per block and joins each row, at C level, from constant pieces, the
+degree list, the total degree and the text of the row's fields, rendered
+on the first lookup of those fields, in exactly the layout of
+``json.dump(..., indent=2)`` for JSON; it builds no record.  Records,
+``Verdict``s for the theorem scan and ``LemmaRecord``s for the lemma scan,
+are built only by the generator ``ScanReport.records``, which reads the
+same blocks.  No record renders itself; the single-type documents are
+rendered by the CLI.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from enum import Enum
-from itertools import chain, combinations_with_replacement, count, repeat, starmap
+from itertools import chain, combinations_with_replacement, repeat
 from typing import Iterator, Sequence, TextIO
 
 from .exact import GaussianInteger
@@ -54,7 +57,6 @@ from .topology import (
     CIType,
     InternalCheckError,
     InvariantReport,
-    _unchecked_type,
     compute_invariants,
     euler_characteristic_row,
 )
@@ -197,10 +199,9 @@ def _type_pairs(max_n: int, max_degree: int) -> Iterator[tuple[int, tuple[int, .
         if type(bound) is not int or bound < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {bound!r}")
     degree_range = range(1, max_degree + 1)
-    return ((n, degrees)
-            for n in range(1, max_n + 1)
-            for l in range(n + 1)
-            for degrees in combinations_with_replacement(degree_range, l))
+    return chain.from_iterable(
+        zip(repeat(n), combinations_with_replacement(degree_range, l))
+        for n in range(1, max_n + 1) for l in range(n + 1))
 
 
 def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
@@ -209,7 +210,7 @@ def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     must be ints >= 1 and are checked at the call; the tuples generated are
     sorted, of ints >= 1 and of length l <= n, so they skip ``CIType``'s
     validation."""
-    return starmap(_unchecked_type, _type_pairs(max_n, max_degree))
+    return map(tuple.__new__, repeat(CIType), _type_pairs(max_n, max_degree))
 
 
 #: ``_NEWLINE[depth]`` starts a line at ``depth`` levels of the two-space
@@ -231,31 +232,54 @@ def _json_container(open_: str, items: list[str], close: str, depth: int) -> str
     return open_ + inner + ("," + inner).join(items) + _NEWLINE[depth] + close
 
 
-#: Pieces of a record's JSON text: each record object is one %-template,
-#: and the arrays and objects nested in it sit one level deeper.
-_DEGREES_OPEN = "[" + _NEWLINE[_RECORD_DEPTH + 2] + '"'
-_DEGREES_SEP = '",' + _NEWLINE[_RECORD_DEPTH + 2] + '"'
-_DEGREES_CLOSE = '"' + _NEWLINE[_RECORD_DEPTH + 1] + "]"
-_GAUSS_JSON = _json_container(
-    "{", ['"re": "%d"', '"im": "%d"'], "}", _RECORD_DEPTH + 1)
-_VERDICT_JSON = _json_container("{", [
-    '"n": "%d"', '"degrees": %s', '"dimension": "%d"', '"total_degree": "%d"',
-    '"verdict": "%s"', '"p_x_at_i": %s', '"p_f_at_i": %s',
-], "}", _RECORD_DEPTH)
-_LEMMA_JSON = _json_container("{", [
-    '"n": "%d"', '"degrees": %s', '"dimension": "%d"', '"middle_betti": %s',
-    '"p_at_i": %s', '"case": "%s"',
-], "}", _RECORD_DEPTH)
+#: A row's degree list in each format: (open, separator, close, empty).
+_DEGREE_LISTS = {"table": ("", ",", "", ""), "csv": ("", " ", "", ""), "json": (
+    "[" + _NEWLINE[_RECORD_DEPTH + 2] + '"', '",' + _NEWLINE[_RECORD_DEPTH + 2] + '"',
+    '"' + _NEWLINE[_RECORD_DEPTH + 1] + "]", "[]")}
+_GAUSS_JSON = _json_container("{", ['"re": "%d"', '"im": "%d"'], "}", _RECORD_DEPTH + 1)
+_FIELD_SEP = "," + _NEWLINE[_RECORD_DEPTH + 1]
+
+#: A scan row's text, by scan kind and format.  "%(n)d" and "%(k)d" are
+#: filled once per (n, l) block; each NUL is a slot filled per row: the
+#: degree list, the total degree (theorem scan only) and the row's fields,
+#: as text that fills ``_FIELD_TEMPLATES``.  A JSON row starts with the
+#: separator from the record before it.
+_ROW_TEMPLATES = {
+    "theorem": {
+        "table": "n=%(n)d type=(\0) d=\0 k=%(k)d \0\n",
+        "csv": "%(n)d,\0,\0,%(k)d,\0\n",
+        "json": "," + _NEWLINE[_RECORD_DEPTH] + _json_container("{", [
+            '"n": "%(n)d"', '"degrees": \0', '"dimension": "%(k)d"',
+            '"total_degree": "\0"', "\0"], "}", _RECORD_DEPTH),
+    },
+    "lemma": {
+        "table": "n=%(n)d type=(\0) k=%(k)d \0\n",
+        "csv": "%(n)d,\0,%(k)d,\0\n",
+        "json": "," + _NEWLINE[_RECORD_DEPTH] + _json_container("{", [
+            '"n": "%(n)d"', '"degrees": \0', '"dimension": "%(k)d"', "\0"],
+            "}", _RECORD_DEPTH),
+    },
+}
+_FIELD_TEMPLATES = {
+    "theorem": {
+        "table": "verdict=%s p_X(i)=%s p_F(i)=%s",
+        "csv": "%s,%s,%s",
+        "json": _FIELD_SEP.join(['"verdict": "%s"', '"p_x_at_i": %s', '"p_f_at_i": %s']),
+    },
+    "lemma": {
+        "table": "b_k=%s p(i)=%s case=%s",
+        "csv": "%s,%s,%s",
+        "json": _FIELD_SEP.join(['"middle_betti": %s', '"p_at_i": %s', '"case": "%s"']),
+    },
+}
 
 
-def _json_degrees(texts: tuple[str, ...]) -> str:
-    if not texts:
-        return "[]"
-    return _DEGREES_OPEN + _DEGREES_SEP.join(texts) + _DEGREES_CLOSE
-
-
-def _json_gauss(g: GaussianInteger | None) -> str:
-    return "null" if g is None else _GAUSS_JSON % (g.re, g.im)
+def _json_value(value: int | GaussianInteger | None) -> str:
+    if value is None:
+        return "null"
+    if type(value) is GaussianInteger:
+        return _GAUSS_JSON % value
+    return '"%d"' % value
 
 
 def _text(value: int | GaussianInteger | None) -> str:
@@ -284,45 +308,24 @@ _OUTCOME_TEXT = {
 }
 
 
-# The renderers of a scan row ((n, k, degrees, texts), fields), with
-# ``texts`` the degrees as decimal strings and ``fields`` the record's other
-# fields.  Only ``write_scans`` calls them.
+class _FieldTexts(dict):
+    """The text of each fields tuple of one scan in one format, rendered on
+    its first lookup: a later row with the same fields is a C-level hit.
+    The theorem scan has few distinct fields (278 at 14/6); the lemma scan
+    about one per class, so the memo is emptied when full, bounding it."""
 
-def _verdict_line(row: tuple) -> str:
-    (n, k, degrees, texts), (kind, p_x, p_f) = row
-    return (f"n={n} type=({','.join(texts)}) d={sum(degrees)} k={k} "
-            f"verdict={_OUTCOME_TEXT[kind]} p_X(i)={_text(p_x)} p_F(i)={_text(p_f)}")
+    def __init__(self, kind: str, fmt: str):
+        self.template = _FIELD_TEMPLATES[kind][fmt]
+        value, out = _json_value if fmt == "json" else _text, _OUTCOME_TEXT.__getitem__
+        # One cell per field: (kind, p_x, p_f) or (betti, value, case).
+        self.cells = (out, value, value) if kind == "theorem" else (value, value, out)
 
-
-def _verdict_csv(row: tuple) -> list[str]:
-    (n, k, degrees, texts), (kind, p_x, p_f) = row
-    return [str(n), " ".join(texts), str(sum(degrees)), str(k),
-            _OUTCOME_TEXT[kind], _text(p_x), _text(p_f)]
-
-
-def _verdict_json(row: tuple) -> str:
-    (n, k, degrees, texts), (kind, p_x, p_f) = row
-    return _VERDICT_JSON % (n, _json_degrees(texts), k, sum(degrees),
-                            _OUTCOME_TEXT[kind], _json_gauss(p_x), _json_gauss(p_f))
-
-
-def _lemma_line(row: tuple) -> str:
-    (n, k, _, texts), (betti, value, case) = row
-    return (f"n={n} type=({','.join(texts)}) k={k} b_k={_text(betti)} "
-            f"p(i)={_text(value)} case={_OUTCOME_TEXT[case]}")
-
-
-def _lemma_csv(row: tuple) -> list[str]:
-    (n, k, _, texts), (betti, value, case) = row
-    return [str(n), " ".join(texts), str(k), _text(betti), _text(value),
-            _OUTCOME_TEXT[case]]
-
-
-def _lemma_json(row: tuple) -> str:
-    (n, k, _, texts), (betti, value, case) = row
-    return _LEMMA_JSON % (n, _json_degrees(texts), k,
-                          "null" if betti is None else f'"{betti}"',
-                          _json_gauss(value), _OUTCOME_TEXT[case])
+    def __missing__(self, fields: tuple) -> str:
+        if len(self) >= 1024:
+            self.clear()
+        (a, b, c), (cell_a, cell_b, cell_c) = fields, self.cells
+        text = self[fields] = self.template % (cell_a(a), cell_b(b), cell_c(c))
+        return text
 
 
 class Verdict(namedtuple("Verdict", "ci kind p_x_at_i p_f_at_i", defaults=(None, None))):
@@ -356,19 +359,13 @@ class LemmaRecord(namedtuple("LemmaRecord", "ci middle_betti value_at_i case")):
 
 _RECORD_TYPES = {"theorem": Verdict, "lemma": LemmaRecord}
 
-#: The row renderers of each scan kind, by output format.
-_RENDERERS = {
-    "theorem": {"csv": _verdict_csv, "table": _verdict_line, "json": _verdict_json},
-    "lemma": {"csv": _lemma_csv, "table": _lemma_line, "json": _lemma_json},
-}
-
 
 class ScanReport(namedtuple(
         "ScanReport", "kind max_n max_degree types counts violations table")):
     """Deterministic result of an exhaustive scan: the number of types
     walked, the outcome counts and any internal-check violations (always
     expected to be empty), all final when the report is built.  ``table`` is
-    the first pass's state from which ``rows`` re-walks the types; its
+    the first pass's state, from which ``blocks`` re-walks the types; its
     layout is not a contract.  Two reports of the same scan are equal."""
 
     __slots__ = ()
@@ -387,63 +384,71 @@ class ScanReport(namedtuple(
         lines.extend(f"violation: {v}" for v in self.violations)
         return lines
 
-    def rows(self) -> Iterator[tuple]:
-        """One row ((n, k, degrees, texts), fields) per type, in canonical
-        order, re-walked from ``table`` with no check re-run."""
-        walk = _theorem_rows if self.kind == "theorem" else _lemma_rows
+    def blocks(self) -> Iterator[tuple]:
+        """One (n, l, fields) per block of the types in P^n with l degrees,
+        in canonical order: ``fields`` is a C-level iterator over the block's
+        fields, in lexicographic order of the degrees, read from ``table``
+        with no check re-run."""
+        walk = _theorem_blocks if self.kind == "theorem" else _lemma_blocks
         return walk(self.max_n, self.max_degree, *self.table)
 
     def records(self) -> Iterator:
         """The scan's records, one per type in canonical order, each built
-        from its row when the caller reaches it."""
+        from its block's fields when the caller reaches it."""
         record_type = _RECORD_TYPES[self.kind]
-        for (n, _, degrees, _), fields in self.rows():
-            yield record_type(_unchecked_type(n, degrees), *fields)
+        rows = chain.from_iterable(fields for _, _, fields in self.blocks())
+        for ci, fields in zip(iter_types(self.max_n, self.max_degree), rows):
+            yield record_type(ci, *fields)
 
 
 def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None:
-    """Write one document holding every report, each row rendered straight
-    to ``stream`` with no record object: for ``json`` the object
-    {"scans": [...]}, for ``csv`` one table (header and rows) per report
-    separated by a blank line, for ``table`` one line per record of each
-    report in turn.  An unknown ``fmt`` raises ValueError before anything
-    is written."""
-    if fmt not in ("csv", "table", "json"):
+    """Write one document holding every report, with no record object: for
+    ``json`` the object {"scans": [...]}, for ``csv`` one table (header and
+    rows) per report separated by a blank line, for ``table`` one line per
+    record of each report in turn.  Each (n, l) block fills its row
+    template's n and k once; each row then joins, at C level, the template's
+    pieces with the degree list, the total degree (theorem scan) and the
+    text of its fields, rendered on their first lookup.  An unknown ``fmt``
+    raises ValueError before anything is written."""
+    if fmt not in _DEGREE_LISTS:
         raise ValueError(f"unknown output format {fmt!r}")
+    open_, sep, close, empty = _DEGREE_LISTS[fmt]
     if fmt == "json":
         stream.write("{" + _NEWLINE[1] + '"scans": [')
     for idx, report in enumerate(reports):
-        render, rows = _RENDERERS[report.kind][fmt], report.rows()
         if fmt == "csv":
             # Every cell is made of digits, spaces, "+", "-", "i" and "_",
             # so none needs quoting.
             stream.write(("\n" if idx else "")
                          + ",".join(_RECORD_TYPES[report.kind].CSV_HEADER) + "\n")
-            stream.writelines(",".join(cells) + "\n" for cells in map(render, rows))
-        elif fmt == "table":
-            stream.writelines(line + "\n" for line in map(render, rows))
-        else:
-            field = _NEWLINE[_SCAN_DEPTH + 1]
-            head = [
-                f'"scan": {json.dumps(report.kind)}',
-                f'"max_n": "{report.max_n}"',
-                f'"max_degree": "{report.max_degree}"',
-                f'"types": "{report.types}"',
-                '"counts": ' + _json_container("{", [
-                    f'{json.dumps(name)}: "{count}"'
-                    for name, count in report.counts.items()
-                ], "}", _SCAN_DEPTH + 1),
-                '"violations": ' + _json_container(
-                    "[", [json.dumps(v) for v in report.violations], "]",
-                    _SCAN_DEPTH + 1),
-                '"records": ',
-            ]
+        elif fmt == "json":
+            # The scan object up to its records, moved to the scan's depth.
+            head = json.dumps({
+                "scan": report.kind, "max_n": str(report.max_n),
+                "max_degree": str(report.max_degree), "types": str(report.types),
+                "counts": {name: str(count) for name, count in report.counts.items()},
+                "violations": list(report.violations), "records": 0}, indent=2)
             stream.write(("," if idx else "") + _NEWLINE[_SCAN_DEPTH]
-                         + "{" + field + ("," + field).join(head))
-            # A scan's bounds are >= 1, so it has at least one record.
-            stream.write("[" + _NEWLINE[_RECORD_DEPTH] + render(next(rows)))
-            stream.writelines(map(("," + _NEWLINE[_RECORD_DEPTH]).__add__,
-                                  map(render, rows)))
+                         + head[:-len("0\n}")].replace("\n", _NEWLINE[_SCAN_DEPTH]))
+        template = _ROW_TEMPLATES[report.kind][fmt]
+        texts = _FieldTexts(report.kind, fmt)
+        degree_range = range(1, report.max_degree + 1)
+        degree_texts = tuple(map(str, degree_range))
+        for n, l, fields in report.blocks():
+            pieces = (template % {"n": n, "k": n - l}).split("\0")
+            before, after = (open_, close) if l else (empty, "")
+            pieces[:2] = pieces[0] + before, after + pieces[1]
+            if fmt == "json" and n == 1 and not l:  # the scan's first record
+                pieces[0] = "[" + pieces[0][1:]
+            slots = [map(sep.join, combinations_with_replacement(degree_texts, l)),
+                     map(texts.__getitem__, fields)]
+            if report.kind == "theorem":
+                slots.insert(1, map(str, map(sum, combinations_with_replacement(
+                    degree_range, l))))
+            # Each row joins the pieces with the slots between them.
+            stream.writelines(map("".join, zip(*chain.from_iterable(
+                zip(map(repeat, pieces), slots)), repeat(pieces[-1]))))
+        if fmt == "json":
             stream.write(_NEWLINE[_SCAN_DEPTH + 1] + "]" + _NEWLINE[_SCAN_DEPTH] + "}")
     if fmt == "json":
         stream.write((_NEWLINE[1] if reports else "") + "]" + _NEWLINE[0] + "}\n")
@@ -469,21 +474,6 @@ def _scan_report(
                       tuple(violations), table)
 
 
-def _type_rows(max_n: int, max_degree: int) -> Iterator[tuple]:
-    """(n, k, degrees, texts) of every type ``iter_types`` yields, in its
-    order, for bounds already checked.  ``texts`` holds the degrees as
-    decimal strings: a second enumeration over the pre-rendered strings,
-    zipped with the first, so that the two stay in one order."""
-    degree_range = range(1, max_degree + 1)
-    degree_texts = tuple(map(str, degree_range))
-    return chain.from_iterable(
-        zip(repeat(n), repeat(n - l),
-            combinations_with_replacement(degree_range, l),
-            combinations_with_replacement(degree_texts, l))
-        for n in range(1, max_n + 1)
-        for l in range(n + 1))
-
-
 def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     """Classify every type within the bounds and re-verify the survivor set.
 
@@ -496,31 +486,30 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
 
     ``theorem_verdict`` runs on every type.  A type with d > n whose verdict
     is ``NOT_RATIONALLY_CONNECTED`` is only counted, because its record is
-    that verdict again; the fields of every other verdict are kept, by the
-    type's position, for the second pass.
+    that verdict again; the fields of every other verdict are kept, by n
+    and then by degrees, for the second pass.
     """
     not_rc = VerdictKind.NOT_RATIONALLY_CONNECTED
-    kept: dict[int, tuple] = {}
+    kept: dict[int, dict[tuple[int, ...], tuple]] = {}
     skipped = 0
     violations: list[str] = []
-    for index, ci in enumerate(iter_types(max_n, max_degree)):
+    for ci in iter_types(max_n, max_degree):
         try:
             verdict = theorem_verdict(ci)
         except InternalCheckError as exc:
             violations.append(str(exc))
             verdict = Verdict(ci, None)
-        n, d = ci.ambient_dim, sum(ci.degrees)
+        n, degrees = ci
+        d = sum(degrees)
         if d > n and verdict.kind is not_rc:
             skipped += 1
             continue
-        kept[index] = (verdict.kind, verdict.p_x_at_i, verdict.p_f_at_i)
+        kept.setdefault(n, {})[degrees] = verdict[1:]
 
         # Finite-scale re-statement of the classification itself.  Every
         # check below needs a type that passed or is rationally connected.
-        passed = verdict.kind in (
-            VerdictKind.HOMOGENEOUS_LINEAR,
-            VerdictKind.HOMOGENEOUS_QUADRIC,
-        )
+        passed = verdict.kind in (VerdictKind.HOMOGENEOUS_LINEAR,
+                                  VerdictKind.HOMOGENEOUS_QUADRIC)
         rc = d <= n
         if not (passed or rc):
             continue
@@ -534,15 +523,20 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 f"dimension <= 1 rationally connected type is not a "
                 f"point/line/conic: {ci}"
             )
-    tally = Counter(fields[0] for fields in kept.values())
+    tally = Counter(fields[0] for by_n in kept.values() for fields in by_n.values())
     tally[not_rc] += skipped
     return _scan_report("theorem", max_n, max_degree, (kept,), violations,
                         VerdictKind, tally)
 
 
-def _theorem_rows(max_n: int, max_degree: int, kept: dict[int, tuple]) -> Iterator[tuple]:
+def _theorem_blocks(max_n: int, max_degree: int, kept: dict) -> Iterator:
+    # P^n itself has d = 0 <= n, so every n has kept verdicts.
     not_rc = (VerdictKind.NOT_RATIONALLY_CONNECTED, None, None)
-    return zip(_type_rows(max_n, max_degree), map(kept.get, count(), repeat(not_rc)))
+    degree_range = range(1, max_degree + 1)
+    for n in range(1, max_n + 1):
+        for l in range(n + 1):
+            yield n, l, map(kept[n].get, combinations_with_replacement(degree_range, l),
+                            repeat(not_rc))
 
 
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
@@ -572,7 +566,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
         if type(fields) is tuple:
             tally[fields[2]] += 1
             continue
-        ci = _unchecked_type(n, degrees)
+        ci = tuple.__new__(CIType, (n, degrees))  # unchecked, as in iter_types
         seen = len(violations)
         betti = value = case = None
         try:
@@ -594,16 +588,22 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                         LemmaCase, tally)
 
 
-def _lemma_rows(
-    max_n: int,
-    max_degree: int,
-    table: dict[tuple[int, ...], list],
-    failed: dict[tuple[int, tuple[int, ...]], tuple],
-) -> Iterator[tuple]:
-    # A failed type's class may be kept later, by another of its types.
-    for row in _type_rows(max_n, max_degree):
-        n, k, degrees, _ = row
-        if failed and (n, degrees) in failed:
-            yield row, failed[n, degrees]
-        else:
-            yield row, table[degrees[degrees.count(1):]][k]
+def _lemma_blocks(max_n: int, max_degree: int, table: dict, failed: dict) -> Iterator:
+    """A block lists its types with m leading 1s, for m = l down to 0, each
+    m in the order of their reduced multisets D: so its fields are the slots
+    at k of the rows of every D with |D| <= l, by |D|, then D.  A failed
+    type's entry replaces its slot, which holds the class's chi, or its
+    fields when another type of the class passed the checks later."""
+    by_length = [[table[reduced] for reduced in
+                  combinations_with_replacement(range(2, max_degree + 1), length)]
+                 for length in range(max_n + 1)]
+    degree_range = range(1, max_degree + 1)
+    for n in range(1, max_n + 1):
+        for l in range(n + 1):
+            fields = map(list.__getitem__, chain.from_iterable(by_length[:l + 1]),
+                         repeat(n - l))
+            if failed:
+                fields = map(failed.get,
+                             zip(repeat(n), combinations_with_replacement(degree_range, l)),
+                             fields)
+            yield n, l, fields

@@ -62,8 +62,8 @@ MAX_N = 100_000
 MAX_K = 400
 
 #: The most types one ``scan`` may walk.  ``scan --max-n 20 --max-degree 6
-#: --which both --format json`` walks 888,029 types in 10.3-11.7 s (three
-#: runs, 906 MB to /dev/null), at a peak RSS of 74 MB (2-vCPU Xeon VM,
+#: --which both --format json`` walks 888,029 types in 11.4-12.7 s (three
+#: runs, 906 MB to /dev/null), at a peak RSS of 75 MB (2-vCPU Xeon VM,
 #: Python 3.11.7); the count grows as a high power of both bounds, so a
 #: scan past this is a usage error, not a hang.
 MAX_SCAN_TYPES = 1_000_000

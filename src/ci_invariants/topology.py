@@ -101,13 +101,6 @@ class CIType(namedtuple("CIType", "ambient_dim degrees")):
         return f"({inner}) in P^{self.ambient_dim}"
 
 
-def _unchecked_type(n: int, degrees: tuple[int, ...]) -> CIType:
-    """A ``CIType`` built without the validation in ``CIType.__new__``, for
-    a caller that generates sorted tuples of ints >= 1, of length <= n,
-    itself."""
-    return tuple.__new__(CIType, (n, degrees))
-
-
 #: The Euler characteristic's recurrence runs over blocks of this many
 #: coefficients, so it holds one block plus one carry per degree >= 2, not
 #: k + 1 growing coefficients per degree.

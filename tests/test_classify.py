@@ -286,6 +286,19 @@ class TestScanTheorem:
             f"homogeneous type failed a gate: {quadric}",
         )
 
+    def test_every_type_is_re_verified(self, monkeypatch):
+        # The d > n types are walked and classified one by one, not counted.
+        real, calls = classify.theorem_verdict, []
+
+        def counting(ci):
+            calls.append(ci)
+            return real(ci)
+
+        monkeypatch.setattr(classify, "theorem_verdict", counting)
+        report = scan_theorem(8, 4)
+        assert len(calls) == report.types == 1286
+        assert calls == list(iter_types(8, 4))
+
     def test_internal_check_failure_is_a_kindless_verdict(self, monkeypatch):
         real = topology.euler_characteristic
         bad = CIType(4, (3,))  # reaches the Poincare gate; k = 3 is odd

@@ -129,19 +129,31 @@ def _reports(which: str, max_n: int, max_degree: int):
     return reports
 
 
-def _scan_cli(capsys, which, fmt, *extra):
-    code = main(["scan", "--max-n", str(MAX_N), "--max-degree", str(MAX_DEGREE),
+def _scan_cli(capsys, which, fmt, *extra, bounds=(MAX_N, MAX_DEGREE)):
+    code = main(["scan", "--max-n", str(bounds[0]), "--max-degree", str(bounds[1]),
                  "--which", which, "--format", fmt, "--quiet", *extra])
     captured = capsys.readouterr()
     return code, captured.out
 
 
+def _assert_matches_independent_rendering(capsys, which, fmt, bounds):
+    code, out = _scan_cli(capsys, which, fmt, bounds=bounds)
+    assert code == 0
+    assert out == expected_document(_reports(which, *bounds), fmt)
+
+
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("which", WHICH)
 def test_scan_document_matches_independent_rendering(capsys, which, fmt):
-    code, out = _scan_cli(capsys, which, fmt)
-    assert code == 0
-    assert out == expected_document(_reports(which, MAX_N, MAX_DEGREE), fmt)
+    _assert_matches_independent_rendering(capsys, which, fmt, (MAX_N, MAX_DEGREE))
+
+
+# Degree lists up to length 9 with every degree up to 6: the writer's blocks
+# then hold long runs of leading 1s before reduced multisets of every shape.
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("which", WHICH)
+def test_scan_document_matches_independent_rendering_at_9_6(capsys, which, fmt):
+    _assert_matches_independent_rendering(capsys, which, fmt, (9, 6))
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -182,6 +194,26 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
                         if e["n"] == str(bad.ambient_dim)
                         and e["degrees"] == [str(d) for d in bad.degrees]]
             assert entry["middle_betti"] is None and entry["p_at_i"] is None
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
+    # Every type of the class (D, k) = ((3,), 2) fails, so no type of it
+    # fills the class slot: it keeps its chi, and each of the class's rows,
+    # in four blocks, comes from the failed entries.
+    real = topology.compute_invariants
+    cubic_surfaces = [CIType(3 + m, (1,) * m + (3,)) for m in range(MAX_N - 2)]
+    for module in (classify, lines):
+        monkeypatch.setattr(module, "compute_invariants", lambda ci, chi=None:
+                            real(ci, -100 if ci in cubic_surfaces else chi))
+    code, out = _scan_cli(capsys, "lemma", fmt)
+    assert code == 1
+    (report,) = _reports("lemma", MAX_N, MAX_DEGREE)
+    assert len(report.violations) == report.counts["internal_check_failed"] == 4
+    assert type(report.table[0][(3,)][2]) is int
+    failed = [rec for rec in report.records() if rec.case is None]
+    assert failed == [LemmaRecord(ci, None, None, None) for ci in cubic_surfaces]
+    assert out == expected_document([report], fmt)
 
 
 def test_empty_scan_object_layout():
