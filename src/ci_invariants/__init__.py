@@ -26,11 +26,9 @@ from .lines import (
 from .classify import (
     LemmaCase,
     LemmaRecord,
-    ParityOutcome,
     ScanReport,
     Verdict,
     VerdictKind,
-    homogeneous_parity_report,
     iter_types,
     lemma_classify,
     scan_lemma,
@@ -58,11 +56,9 @@ __all__ = [
     "product_obstruction",
     "LemmaCase",
     "LemmaRecord",
-    "ParityOutcome",
     "ScanReport",
     "Verdict",
     "VerdictKind",
-    "homogeneous_parity_report",
     "iter_types",
     "lemma_classify",
     "scan_lemma",

@@ -10,7 +10,8 @@ fixed order:
                         some double cover of it is obstructed;
   3. otherwise       -> both p_X(i) and p_F(i) nonzero is fatal;
   4. survivors must reduce to () or (2), i.e. be a projective space or a
-     quadric: both are homogeneous.
+     quadric: both are homogeneous, and their p_X(i), p_F(i) must vanish
+     in the parity pattern that ``theorem_verdict`` checks.
 
 Scan bounds are a verification budget, not a completeness claim: the
 classification holds for all types, the scans re-check it mechanically on
@@ -130,8 +131,12 @@ def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -
     ``obstruction`` is the type's ``product_obstruction`` result when the
     caller already has it; otherwise the Poincare gate computes it.
 
-    A survivor whose reduced type is neither () nor (2) would contradict the
-    classification; that raises InternalCheckError and must never happen.
+    A type that reaches the Poincare gate must pass it exactly when it
+    reduces to () or (2), with the parity pattern of those homogeneous
+    types: for (1,...,1) exactly one of p_X(i), p_F(i) vanishes; for
+    (1,...,1,2) both vanish iff the dimension k is odd, otherwise exactly
+    one.  Anything else contradicts the classification and raises
+    InternalCheckError; it must never happen.
     """
     n = ci.ambient_dim
     if n < 1:
@@ -143,53 +148,25 @@ def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -
         return Verdict(ci, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION)
     if obstruction is None:
         obstruction = product_obstruction(ci)
-    if not obstruction.passes:
-        kind = VerdictKind.POINCARE_OBSTRUCTION
-    else:
-        reduced = _reduced(ci)
-        if reduced == ():
-            kind = VerdictKind.HOMOGENEOUS_LINEAR
-        elif reduced == (2,):
-            kind = VerdictKind.HOMOGENEOUS_QUADRIC
-        else:
+    p_x, p_f = obstruction.p_x_at_i, obstruction.p_f_at_i
+    reduced = _reduced(ci)
+    if reduced not in ((), (2,)):
+        if obstruction.passes:
             raise InternalCheckError(
                 f"{ci} passed every obstruction but does not reduce to () or (2)"
             )
-    return Verdict(ci, kind, obstruction.p_x_at_i, obstruction.p_f_at_i)
-
-
-class ParityOutcome(namedtuple("ParityOutcome", "p_x_at_i p_f_at_i x_vanishes f_vanishes")):
-    """Which of p_X(i), p_F(i) vanish for a homogeneous type."""
-
-    __slots__ = ()
-
-
-def homogeneous_parity_report(
-    ci: CIType, obstruction: ProductObstruction | None = None
-) -> ParityOutcome:
-    """Evaluate both polynomials for a homogeneous type and verify the
-    parity pattern: for (1,...,1) exactly one of the two vanishes; for
-    (1,...,1,2) both vanish iff the dimension n - l is odd.
-
-    ``obstruction`` is the type's ``product_obstruction`` result when the
-    caller already has it; otherwise it is computed here."""
-    reduced = _reduced(ci)
-    if reduced not in ((), (2,)):
-        raise ValueError(f"{ci} is not a homogeneous (linear or quadric) type")
-    if obstruction is None:
-        obstruction = product_obstruction(ci)
-    x_v = obstruction.p_x_at_i.is_zero
-    f_v = obstruction.p_f_at_i.is_zero
-    if reduced and ci.dimension % 2 == 1:
-        ok = x_v and f_v
+        kind = VerdictKind.POINCARE_OBSTRUCTION
     else:
-        ok = x_v != f_v
-    if not ok:
-        raise InternalCheckError(
-            f"parity pattern violated for {ci}: p_X(i) = {obstruction.p_x_at_i}, "
-            f"p_F(i) = {obstruction.p_f_at_i}"
-        )
-    return ParityOutcome(obstruction.p_x_at_i, obstruction.p_f_at_i, x_v, f_v)
+        if reduced and ci.dimension % 2 == 1:
+            ok = p_x.is_zero and p_f.is_zero
+        else:
+            ok = p_x.is_zero != p_f.is_zero
+        if not ok:
+            raise InternalCheckError(
+                f"parity pattern violated for {ci}: p_X(i) = {p_x}, p_F(i) = {p_f}"
+            )
+        kind = VerdictKind.HOMOGENEOUS_QUADRIC if reduced else VerdictKind.HOMOGENEOUS_LINEAR
+    return Verdict(ci, kind, p_x, p_f)
 
 
 def _type_pairs(max_n: int, max_degree: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -478,7 +455,8 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     """Classify every type within the bounds and re-verify the survivor set.
 
     Each record is the type's ``Verdict``, or ``Verdict(ci, None)`` when an
-    internal check failed for it (recorded as a violation).
+    internal check failed for it (recorded as a violation), such as a
+    homogeneous type whose values at i break the parity pattern.
     Survivors of all gates must reduce to () or (2); conversely every
     rationally connected homogeneous-shaped type of dimension >= 2 must
     survive.  (In dimension <= 1 points and conics have total degree n and

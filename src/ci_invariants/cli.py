@@ -32,8 +32,7 @@ from enum import Enum
 
 from .classify import (
     ScanReport,
-    _is_homogeneous_shape,
-    homogeneous_parity_report,
+    VerdictKind,
     lemma_classify,
     scan_lemma,
     scan_theorem,
@@ -161,9 +160,11 @@ def _render(fmt: str, fields: list[tuple]) -> None:
                 print(f"{label}: {_text(value)}")
 
 
-def _invariant_fields(report: InvariantReport) -> list[tuple]:
+def _invariant_fields(report: InvariantReport, poincare: IntPolynomial) -> list[tuple]:
     """One type's invariants: the whole ``invariants`` document, and the
-    ``fiber`` object of the ``fiber`` document."""
+    ``fiber`` object of the ``fiber`` document.  ``poincare`` is
+    ``report.poincare``, which is built on each read, so a document reads
+    it once."""
     ci = report.ci
     return [
         (None, None, "n", ci.ambient_dim),
@@ -172,13 +173,14 @@ def _invariant_fields(report: InvariantReport) -> list[tuple]:
         ("euler characteristic", "euler_characteristic", "euler_characteristic",
          report.euler_char),
         ("middle Betti number", "middle_betti", "middle_betti", report.middle_betti),
-        ("Poincare polynomial", "poincare_coefficients", "poincare", report.poincare),
+        ("Poincare polynomial", "poincare_coefficients", "poincare", poincare),
         ("value at i", "value_at_i", "value_at_i", report.value_at_i),
     ]
 
 
 def run_invariants(args) -> int:
-    _render(args.format, _invariant_fields(compute_invariants(CIType(args.n, args.type))))
+    report = compute_invariants(CIType(args.n, args.type))
+    _render(args.format, _invariant_fields(report, report.poincare))
     return 0
 
 
@@ -203,18 +205,18 @@ def run_classify(args) -> int:
         ("lemma case", "lemma_case", "lemma_case", lemma_classify(ci, report)),
     ]
     parity = None
-    if obstruction is not None and _is_homogeneous_shape(ci):
-        outcome = homogeneous_parity_report(ci, obstruction)
-        x_word = "vanishes" if outcome.x_vanishes else "nonzero"
-        f_word = "vanishes" if outcome.f_vanishes else "nonzero"
+    if verdict.kind in (VerdictKind.HOMOGENEOUS_LINEAR, VerdictKind.HOMOGENEOUS_QUADRIC):
+        # ``theorem_verdict`` has checked these values' parity pattern.
+        p_x, p_f = verdict.p_x_at_i, verdict.p_f_at_i
+        x_word = "vanishes" if p_x.is_zero else "nonzero"
+        f_word = "vanishes" if p_f.is_zero else "nonzero"
         fields.append(("parity", None, None,
-                       f"p_X(i) = {outcome.p_x_at_i} ({x_word}), "
-                       f"p_F(i) = {outcome.p_f_at_i} ({f_word})"))
+                       f"p_X(i) = {p_x} ({x_word}), p_F(i) = {p_f} ({f_word})"))
         parity = [
-            (None, "p_x_at_i", None, outcome.p_x_at_i),
-            (None, "p_f_at_i", None, outcome.p_f_at_i),
-            (None, "x_vanishes", None, outcome.x_vanishes),
-            (None, "f_vanishes", None, outcome.f_vanishes),
+            (None, "p_x_at_i", None, p_x),
+            (None, "p_f_at_i", None, p_f),
+            (None, "x_vanishes", None, p_x.is_zero),
+            (None, "f_vanishes", None, p_f.is_zero),
         ]
     fields.append((None, "parity", None, parity))
     _render(args.format, fields)
@@ -243,13 +245,14 @@ def run_fiber(args) -> int:
         ]
     else:
         report = compute_invariants(fiber_type(ci))
+        poincare = report.poincare
         fields += [
             ("fiber type", None, "fiber_degrees", report.ci),
             ("fiber euler characteristic", None, "fiber_euler", report.euler_char),
             ("fiber middle Betti number", None, "fiber_middle_betti", report.middle_betti),
-            ("fiber Poincare polynomial", None, None, report.poincare),
+            ("fiber Poincare polynomial", None, None, poincare),
             ("fiber value at i", None, None, report.value_at_i),
-            (None, "fiber", None, _invariant_fields(report)),
+            (None, "fiber", None, _invariant_fields(report, poincare)),
         ]
     _render(args.format, fields)
     return 0

@@ -25,10 +25,11 @@ follows from the Euler characteristic, and the Poincare polynomial is
 
 with delta_k = 1 for even k and 0 for odd k.  So p is fixed by (k, b_k),
 and so are p(-1) = chi, p(1) and p(i), in closed form.
-``compute_invariants`` is the one place that derives b_k, p(t) and p(i)
-from chi; read the invariants from its report.  The tests evaluate the
-dense coefficients of p by Horner's rule, in ``tests/reference.py``, as
-the independent route.
+``compute_invariants`` is the one place that derives b_k and p(i) from
+chi; read the invariants from its report.  The report's ``poincare``
+builds the dense coefficients of p from (k, b_k) only when it is read, so
+no scan builds them.  The tests evaluate those coefficients by Horner's
+rule, in ``tests/reference.py``, as the independent route.
 """
 
 from __future__ import annotations
@@ -216,23 +217,34 @@ def _expansion_identities(max_k: int) -> Iterator[bool]:
 
 
 class InvariantReport(namedtuple(
-        "InvariantReport", "ci euler_char middle_betti poincare value_at_i")):
+        "InvariantReport", "ci euler_char middle_betti value_at_i")):
     """All computed invariants of one complete intersection type: its Euler
-    characteristic and middle Betti number (ints), its Poincare polynomial
-    (an ``IntPolynomial``) and that polynomial's ``GaussianInteger`` value
-    at i."""
+    characteristic and middle Betti number (ints) and its Poincare
+    polynomial's ``GaussianInteger`` value at i.  The polynomial itself is
+    ``poincare``, built on each read."""
 
     __slots__ = ()
 
+    @property
+    def poincare(self) -> IntPolynomial:
+        """p(t): 1 at each even degree 0 .. 2k, and b_k at degree k."""
+        k = self.ci.dimension
+        coeffs = [0] * (2 * k + 1)
+        coeffs[::2] = [1] * (k + 1)
+        coeffs[k] = self.middle_betti
+        return IntPolynomial(tuple(coeffs))
+
 
 def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
-    """Bundle every invariant of a type from one Euler characteristic.
+    """Bundle every invariant of a type from one Euler characteristic, in
+    O(1) steps past chi.
 
     p(i) is read off (k, b_k) in closed form: the even powers of t sum to
     1 at i for even k and to 0 for odd k, so p(i) is b i^k for odd k,
     b for k = 0 mod 4 and 2 - b for k = 2 mod 4.  It vanishes exactly when
-    k is odd with b_k = 0 or k = 2 mod 4 with b_k = 2.  Building the dense
-    coefficient list of p costs time linear in k; the rest is O(1).
+    k is odd with b_k = 0 or k = 2 mod 4 with b_k = 2.  No coefficient list
+    is built here: the report's ``poincare`` builds one, in time linear in
+    k, each time it is read.
 
     The one built-in check is b_k >= delta_k: b_k is never negative, and
     for even k the k/2-th power of the hyperplane class lies in H^k, so
@@ -249,17 +261,8 @@ def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
     delta = 1 if k % 2 == 0 else 0
     if b < delta:
         raise InternalCheckError(f"middle Betti number {b} < {delta} for {ci}")
-    coeffs = [0] * (2 * k + 1)
-    coeffs[::2] = [1] * (k + 1)
-    coeffs[k] += b - delta
     if k % 2:
         value = GaussianInteger(0, b if k % 4 == 1 else -b)
     else:
         value = GaussianInteger(b if k % 4 == 0 else 2 - b, 0)
-    return InvariantReport(
-        ci=ci,
-        euler_char=chi,
-        middle_betti=b,
-        poincare=IntPolynomial(coeffs),
-        value_at_i=value,
-    )
+    return InvariantReport(ci=ci, euler_char=chi, middle_betti=b, value_at_i=value)

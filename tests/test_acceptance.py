@@ -23,10 +23,10 @@ from ci_invariants import (
     compute_invariants,
     euler_characteristic,
     fiber_type,
-    homogeneous_parity_report,
     iter_types,
     scan_lemma,
     scan_theorem,
+    theorem_verdict,
     verify_expansion_identities,
     write_scans,
 )
@@ -208,12 +208,14 @@ def test_criterion_7_homogeneous_parity():
     ok = True
     for n in range(1, 31):
         for ones in range(0, n):  # type (1,...,1), fiber dimension >= 0
-            outcome = homogeneous_parity_report(CIType(n, (1,) * ones))
-            ok &= outcome.x_vanishes != outcome.f_vanishes
+            verdict = theorem_verdict(CIType(n, (1,) * ones))
+            ok &= verdict.kind is VerdictKind.HOMOGENEOUS_LINEAR
+            ok &= verdict.p_x_at_i.is_zero != verdict.p_f_at_i.is_zero
         for ones in range(0, n - 2):  # type (1,...,1,2), fiber dimension >= 0
             ci = CIType(n, (1,) * ones + (2,))
-            outcome = homogeneous_parity_report(ci)
-            both = outcome.x_vanishes and outcome.f_vanishes
+            verdict = theorem_verdict(ci)
+            ok &= verdict.kind is VerdictKind.HOMOGENEOUS_QUADRIC
+            both = verdict.p_x_at_i.is_zero and verdict.p_f_at_i.is_zero
             ok &= both == (ci.dimension % 2 == 1)
     elapsed = time.perf_counter() - start
     announce(7, ok and elapsed < 5.0,
@@ -237,11 +239,11 @@ def test_criterion_8_property_suites():
     # ... and on 10^4 randomized polynomials
     rng = random.Random(271828)
     for _ in range(10_000):
-        p = IntPolynomial(rng.randint(-99, 99)
-                          for _ in range(rng.randint(0, 41)))
+        p = IntPolynomial(tuple(rng.randint(-99, 99)
+                                for _ in range(rng.randint(0, 41))))
         if rng.random() < 0.5:
             c = p.coefficients
-            p = IntPolynomial(truncated_product(c, (1, 0, 1), len(c) + 1))
+            p = IntPolynomial(tuple(truncated_product(c, (1, 0, 1), len(c) + 1)))
         ok &= divisible_by_one_plus_t_squared(p.coefficients) == zero_at_i(p)
 
     # degree-1 reduction leaves every invariant unchanged

@@ -18,7 +18,6 @@ from ci_invariants import (
     Verdict,
     VerdictKind,
     compute_invariants,
-    homogeneous_parity_report,
     iter_types,
     lemma_classify,
     scan_lemma,
@@ -27,6 +26,7 @@ from ci_invariants import (
     write_scans,
 )
 from ci_invariants import classify, lines, topology
+from ci_invariants.cli import main
 from reference import reduce_type
 
 
@@ -111,38 +111,66 @@ class TestTheoremVerdict:
 
 
 class TestHomogeneousParity:
+    """The parity pattern of p_X(i) and p_F(i) that ``theorem_verdict``
+    checks on every homogeneous type reaching the Poincare gate."""
+
     def test_linear_exactly_one(self):
-        outcome = homogeneous_parity_report(CIType(5, (1, 1)))
-        assert outcome.x_vanishes and not outcome.f_vanishes
+        verdict = theorem_verdict(CIType(5, (1, 1)))
+        assert verdict.p_x_at_i.is_zero and not verdict.p_f_at_i.is_zero
 
     def test_quadric_odd_both(self):
-        outcome = homogeneous_parity_report(CIType(5, (1, 2)))
-        assert outcome.x_vanishes and outcome.f_vanishes
+        verdict = theorem_verdict(CIType(5, (1, 2)))
+        assert verdict.p_x_at_i.is_zero and verdict.p_f_at_i.is_zero
 
     def test_quadric_even_exactly_one(self):
-        outcome = homogeneous_parity_report(CIType(6, (1, 2)))
-        assert not outcome.x_vanishes and outcome.f_vanishes
-        assert outcome.p_x_at_i == GaussianInteger(2, 0)
-
-    def test_rejects_non_homogeneous(self):
-        with pytest.raises(ValueError):
-            homogeneous_parity_report(CIType(5, (3,)))
-
-    def test_rejects_negative_fiber_dimension(self):
-        with pytest.raises(ValueError):
-            homogeneous_parity_report(CIType(3, (1, 1, 2)))
+        verdict = theorem_verdict(CIType(6, (1, 2)))
+        assert not verdict.p_x_at_i.is_zero and verdict.p_f_at_i.is_zero
+        assert verdict.p_x_at_i == GaussianInteger(2, 0)
 
     def test_pattern_over_range(self):
         for n in range(1, 21):
             for ones in range(0, n):
-                ci = CIType(n, (1,) * ones)
-                out = homogeneous_parity_report(ci)
-                assert out.x_vanishes != out.f_vanishes
+                verdict = theorem_verdict(CIType(n, (1,) * ones))
+                assert verdict.kind is VerdictKind.HOMOGENEOUS_LINEAR
+                assert verdict.p_x_at_i.is_zero != verdict.p_f_at_i.is_zero
             for ones in range(0, n - 2):
                 ci = CIType(n, (1,) * ones + (2,))
-                out = homogeneous_parity_report(ci)
-                both = out.x_vanishes and out.f_vanishes
+                verdict = theorem_verdict(ci)
+                assert verdict.kind is VerdictKind.HOMOGENEOUS_QUADRIC
+                both = verdict.p_x_at_i.is_zero and verdict.p_f_at_i.is_zero
                 assert both == (ci.dimension % 2 == 1)
+
+    def test_violation_is_a_scan_violation(self, monkeypatch):
+        monkeypatch.setattr(lines, "compute_invariants", vanishing_at_a_point)
+        report = scan_theorem(4, 3)
+        assert report.violations == (
+            f"parity pattern violated for {BROKEN_LINE}: p_X(i) = 0+0i, p_F(i) = 0+0i",)
+        assert report.counts["internal_check_failed"] == 1
+        (rec,) = [rec for rec in report.records() if rec.ci == BROKEN_LINE]
+        assert rec == Verdict(BROKEN_LINE, None)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_violation_fails_classify(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(lines, "compute_invariants", vanishing_at_a_point)
+        code = main(["classify", "--n", "4", "--type", "1,1,1", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == (f"internal check failed: parity pattern violated for {BROKEN_LINE}: "
+                       "p_X(i) = 0+0i, p_F(i) = 0+0i\n")
+
+
+#: A line, with p_X(i) = 0; its fiber of lines is a point, with p_F(i) = 1.
+#: ``vanishing_at_a_point`` sets p_F(i) = 0, which breaks the linear pattern.
+BROKEN_LINE = CIType(4, (1, 1, 1))
+
+
+def vanishing_at_a_point(ci, chi=None):
+    """``compute_invariants``, but the point (1,1,1) in P^3, the fiber of
+    lines of ``BROKEN_LINE`` and of no other type, vanishes at i."""
+    report = topology.compute_invariants(ci, chi)
+    if ci == CIType(3, (1, 1, 1)):
+        report = report._replace(value_at_i=GaussianInteger(0, 0))
+    return report
 
 
 class TestDimensionLeq1Catalog:
@@ -466,6 +494,24 @@ class TestScanRecords:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+
+def test_no_polynomial_on_the_scan_path(monkeypatch, capsys):
+    # Only reading a report's ``poincare`` builds the dense polynomial.
+    built = []
+    real = topology.IntPolynomial
+
+    def counting(coefficients):
+        built.append(len(coefficients))
+        return real(coefficients)
+
+    monkeypatch.setattr(topology, "IntPolynomial", counting)
+    assert scan_lemma(12, 6).ok and scan_theorem(14, 6).ok
+    for fmt in ("table", "json", "csv"):
+        assert main(["classify", "--n", "850", "--type", "2,5,6", "--format", fmt]) == 0
+    assert built == []
+    assert compute_invariants(CIType(5, (2,))).poincare.coefficients[4] == 2
+    assert built == [9]
 
 
 class TestScanReportSerialization:

@@ -450,6 +450,31 @@ GOLDEN_SINGLE_TYPE = {
         "ec51b6cb9f9627dfe33abc4639978ea5794607a92e9ac940e8cb89abc8714645",
         "cda2b01a06769755f46550d33919d2020c16d24c4b17a88f9be0de49ec03976d",
     ),
+    # The homogeneous types below pin the parity fields that ``classify``
+    # takes from the verdict: a linear space, quadrics of odd and of even
+    # dimension, and a quadric cut out with two hyperplanes.  Recorded
+    # while the parity check was a separate function that only ``classify``
+    # called.
+    ("classify", "5", "1,1"): (
+        "718391234c57466a331c2b5ecf25721cc754d1d37a024838dd67024cdf4b07b9",
+        "48a9e27eeb48374e5bbb56c5f32eb3608a45dd5139181f45d106b34fe2531753",
+        "5c81a0c145865c1a979d3dddc249f5dd8f2eab415104667103eebe1cd02f4ef9",
+    ),
+    ("classify", "6", "1,2"): (
+        "711b3d847d81399c6774c871729c5970cb65d6b70c320abe0127f376bffe018b",
+        "600ab87fe9494df97af693e59d88807786e74fbcedb06dcb45cfa6db2f50b72e",
+        "89872772b5a39ec5a472b7c7447ecd7da884022d1a8563af603c4d3b095dd697",
+    ),
+    ("classify", "4", "2"): (
+        "51fc226cfa3593fb62b4b5adc8fe457c53dfa5d9239b3c74461708432732e966",
+        "6dc2031f74f4f609d9e46c9cdeb971d082654b650f039fbb46d828f50fec9495",
+        "86699b9bd0a5d2648f0974f6a101da652cade82412cf941397ca6cd075d6f83c",
+    ),
+    ("classify", "7", "1,1,2"): (
+        "15c71ad08a534e71fcdb9782391ee3d3d616c9c09b949d92baab3813b762f4fe",
+        "f0b5297eb60cd247c9e26cfefe2281ead9de9bc0b75cc0555a24cab4ea4d4e79",
+        "0573d37f30c0218dbe2690cb708ccc134544d513262e55472631b3f451c4a47a",
+    ),
     ("classify", "4", "5"): (
         "450c9c34e75814bf9c92e47f782cce9c5e32ec8b59279c4a74e989a378043fb0",
         "1bc02e1a146703a11a42d7f75d195f8401ed959c1e4bd1e279fb3ac432305d2d",

@@ -17,7 +17,6 @@ from ci_invariants import (
     compute_invariants,
     euler_characteristic,
     fiber_type,
-    homogeneous_parity_report,
     line_geometry,
     theorem_verdict,
 )
@@ -135,10 +134,14 @@ def test_classify_json_round_trip(ci):
     assert obj["verdict"] == verdict.kind.value
     assert_gauss_json(obj["p_x_at_i"], verdict.p_x_at_i)
     assert_gauss_json(obj["p_f_at_i"], verdict.p_f_at_i)
-    if obj["parity"] is not None:
-        parity = homogeneous_parity_report(ci)
-        assert_gauss_json(obj["parity"]["p_x_at_i"], parity.p_x_at_i)
-        assert_gauss_json(obj["parity"]["p_f_at_i"], parity.p_f_at_i)
+    homogeneous = obj["verdict"].startswith("homogeneous_")
+    assert (obj["parity"] is not None) == homogeneous
+    if homogeneous:
+        parity = obj["parity"]
+        assert_gauss_json(parity["p_x_at_i"], verdict.p_x_at_i)
+        assert_gauss_json(parity["p_f_at_i"], verdict.p_f_at_i)
+        assert (parity["x_vanishes"], parity["f_vanishes"]) == (
+            verdict.p_x_at_i.is_zero, verdict.p_f_at_i.is_zero)
 
 
 @given(large_types())

@@ -9,7 +9,6 @@ from ci_invariants import (
     CIType,
     GaussianInteger,
     compute_invariants,
-    homogeneous_parity_report,
     line_geometry,
     product_obstruction,
     scan_lemma,
@@ -24,10 +23,10 @@ def test_records_are_immutable_tuples_with_tuple_equality():
         GaussianInteger(1, -2),
         quadric,
         compute_invariants(quadric),
+        compute_invariants(quadric).poincare,
         line_geometry(quadric),
         product_obstruction(quadric),
         theorem_verdict(quadric),
-        homogeneous_parity_report(quadric),
         next(scan_lemma(3, 2).records()),
         scan_theorem(3, 2),
     ]
@@ -47,5 +46,10 @@ def test_records_are_immutable_tuples_with_tuple_equality():
     assert quadric == (5, (2,)) and hash(quadric) == hash((5, (2,)))
     assert GaussianInteger(0, 0) == (0, 0) and hash(GaussianInteger(3, 4)) == hash((3, 4))
     assert compute_invariants(quadric) == tuple(compute_invariants(quadric))
+    poincare = compute_invariants(quadric).poincare  # built on each read
+    assert poincare == ((1, 0, 1, 0, 2, 0, 1, 0, 1),)
+    assert poincare == compute_invariants(quadric).poincare
+    assert hash(poincare) == hash(((1, 0, 1, 0, 2, 0, 1, 0, 1),))
+    assert repr(poincare) == "IntPolynomial(coefficients=(1, 0, 1, 0, 2, 0, 1, 0, 1))"
     # A Gaussian integer is true iff nonzero, not iff its tuple is nonempty.
     assert not GaussianInteger(0, 0) and GaussianInteger(0, 1)
