@@ -16,13 +16,7 @@ from .topology import (
     euler_characteristic,
     verify_expansion_identities,
 )
-from .lines import (
-    LineGeometry,
-    ProductObstruction,
-    fiber_type,
-    line_geometry,
-    product_obstruction,
-)
+from .lines import LineGeometry, fiber_type, line_geometry
 from .classify import (
     LemmaCase,
     LemmaRecord,
@@ -50,10 +44,8 @@ __all__ = [
     "euler_characteristic",
     "verify_expansion_identities",
     "LineGeometry",
-    "ProductObstruction",
     "fiber_type",
     "line_geometry",
-    "product_obstruction",
     "LemmaCase",
     "LemmaRecord",
     "ScanReport",

@@ -53,7 +53,7 @@ from itertools import chain, combinations_with_replacement, repeat
 from typing import Iterator, Sequence, TextIO
 
 from .exact import GaussianInteger
-from .lines import ProductObstruction, product_obstruction
+from .lines import fiber_type
 from .topology import (
     CIType,
     InternalCheckError,
@@ -122,14 +122,21 @@ def lemma_classify(ci: CIType, report: InvariantReport | None = None) -> LemmaCa
     return case
 
 
-def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -> Verdict:
+def theorem_verdict(ci: CIType, report: InvariantReport | None = None) -> Verdict:
     """Run the obstruction pipeline on one type and return the first gate's
     verdict.  The two degree gates carry no values at i; the Poincare gate
     and the survivors carry p_X(i) and p_F(i).  The verdict's ``reason`` is
     derived from these fields when it is read, so no text is built here.
 
-    ``obstruction`` is the type's ``product_obstruction`` result when the
-    caller already has it; otherwise the Poincare gate computes it.
+    ``report`` is the type's ``compute_invariants`` result when the caller
+    already has it; otherwise the Poincare gate computes it.
+
+    The Poincare gate asks whether 1 + t^2 divides p_F * p_X.  It is monic
+    and irreducible over the integers, with roots +-i, so it divides the
+    product iff it divides a factor iff that factor vanishes at i; the
+    values at i are ``compute_invariants``' closed forms and no polynomial
+    is divided.  ``tests/test_lines.py`` checks the equivalence against
+    long division of the dense product by 1 + t^2.
 
     A type that reaches the Poincare gate must pass it exactly when it
     reduces to () or (2), with the parity pattern of those homogeneous
@@ -146,12 +153,13 @@ def theorem_verdict(ci: CIType, obstruction: ProductObstruction | None = None) -
         return Verdict(ci, VerdictKind.NOT_RATIONALLY_CONNECTED)
     if d > n - 1:
         return Verdict(ci, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION)
-    if obstruction is None:
-        obstruction = product_obstruction(ci)
-    p_x, p_f = obstruction.p_x_at_i, obstruction.p_f_at_i
+    if report is None:
+        report = compute_invariants(ci)
+    p_x = report.value_at_i
+    p_f = compute_invariants(fiber_type(ci)).value_at_i
     reduced = _reduced(ci)
     if reduced not in ((), (2,)):
-        if obstruction.passes:
+        if p_x.is_zero or p_f.is_zero:
             raise InternalCheckError(
                 f"{ci} passed every obstruction but does not reduce to () or (2)"
             )

@@ -40,7 +40,7 @@ from .classify import (
     write_scans,
 )
 from .exact import GaussianInteger, IntPolynomial
-from .lines import fiber_type, line_geometry, product_obstruction
+from .lines import fiber_type, line_geometry
 from .topology import (
     CIType,
     InternalCheckError,
@@ -185,14 +185,10 @@ def run_invariants(args) -> int:
 
 
 def run_classify(args) -> int:
-    # The type's invariants and, when its fiber of lines exists, the product
-    # obstruction are computed once and shared by every verdict below.
+    # The type's invariants are computed once and shared by every verdict below.
     ci = CIType(args.n, args.type)
     report = compute_invariants(ci)
-    obstruction = None
-    if ci.ambient_dim - 1 - ci.total_degree >= 0:
-        obstruction = product_obstruction(ci, report)
-    verdict = theorem_verdict(ci, obstruction)
+    verdict = theorem_verdict(ci, report)
     fields = [
         (None, None, "n", ci.ambient_dim),
         ("type", "type", "degrees", ci),

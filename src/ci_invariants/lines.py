@@ -1,6 +1,5 @@
 """Line geometry of complete intersections: moduli dimension, normal-bundle
-degree, the fiber of lines through a general point, and the Poincare
-product obstruction.
+degree and the fiber of lines through a general point.
 
 For type (d_1, ..., d_l) in P^n with total degree d:
 
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .topology import CIType, InvariantReport, compute_invariants
+from .topology import CIType
 
 
 class LineGeometry(namedtuple(
@@ -64,31 +63,3 @@ def fiber_type(ci: CIType) -> CIType:
         )
     blocks = tuple(j for deg in ci.degrees for j in range(1, deg + 1))
     return CIType(n - 1, blocks)
-
-
-class ProductObstruction(namedtuple("ProductObstruction", "p_x_at_i p_f_at_i passes")):
-    """Evaluations at i of the Poincare polynomials of the variety and of
-    its fiber of lines, plus whether at least one vanishes."""
-
-    __slots__ = ()
-
-
-def product_obstruction(
-    ci: CIType, report: InvariantReport | None = None
-) -> ProductObstruction:
-    """Evaluate p_X(i) and p_F(i); passing means at least one is zero.
-
-    1 + t^2 is monic and irreducible over the integers, with roots +-i, so
-    it divides p_F * p_X iff it divides a factor iff that factor vanishes
-    at i.  The values at i are ``compute_invariants``' closed forms; no
-    polynomial is divided here.  ``tests/test_lines.py`` checks the
-    equivalence against long division of the dense product by 1 + t^2, for
-    every type with a fiber in ``iter_types(12, 6)``.
-
-    ``report`` is the type's ``compute_invariants`` result when the caller
-    already has it; otherwise it is computed here.
-    """
-    x = report if report is not None else compute_invariants(ci)
-    f = compute_invariants(fiber_type(ci))
-    x_at_i, f_at_i = x.value_at_i, f.value_at_i
-    return ProductObstruction(x_at_i, f_at_i, x_at_i.is_zero or f_at_i.is_zero)

@@ -41,6 +41,23 @@ def series_coefficient(degrees, n: int) -> int:
     return acc[n]
 
 
+def chi_structure_sheaf(n: int, degrees) -> int:
+    """chi(O_X) of a complete intersection of these degrees in P^n, as
+    [z^n] (1 - z)^-1 * prod_d (1 - (1 - z)^d): Hirzebruch's chi_y
+    generating function at y = 0.  Each factor 1 - (1 - z)^d has the
+    coefficients (-1)^(j+1) C(d, j) for j >= 1, and (1 - z)^-1 sums the
+    coefficients up to z^n."""
+    if n < 0:
+        raise ValueError(f"ambient dimension must be >= 0, got {n}")
+    if any(d < 1 for d in degrees):
+        raise ValueError(f"degrees must be >= 1, got {list(degrees)}")
+    acc = [1] * (n + 1)
+    for d in degrees:
+        factor = [0] + [(-1) ** (j + 1) * comb(d, j) for j in range(1, n + 1)]
+        acc = truncated_product(acc, factor, n)
+    return acc[n]
+
+
 def hypersurface_middle_betti(e: int, k: int) -> int:
     """Middle Betti number of a degree-e hypersurface in P^(k+1), in closed
     form:  b_k = delta_k + (e-1)/e * ((e-1)^(k+1) - (-1)^(k+1)),

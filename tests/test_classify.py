@@ -25,9 +25,9 @@ from ci_invariants import (
     theorem_verdict,
     write_scans,
 )
-from ci_invariants import classify, lines, topology
+from ci_invariants import classify, topology
 from ci_invariants.cli import main
-from reference import reduce_type
+from reference import chi_structure_sheaf, reduce_type
 
 
 def rendered(report, fmt):
@@ -109,6 +109,24 @@ class TestTheoremVerdict:
         b = theorem_verdict(CIType(6, (2, 3)))
         assert a == b
 
+    def test_first_gate_agrees_with_chi_of_structure_sheaf(self):
+        # A Fano type (d <= n) has chi(O_X) = 1 by Kodaira vanishing; for
+        # d > n and k >= 1, h^(k,0) = h^0(K_X) >= 1 and chi(O_X) = 1 +
+        # (-1)^k h^(k,0) != 1.  chi(O_X) comes from the reference series.
+        assert chi_structure_sheaf(4, (5,)) == 0     # quintic threefold
+        assert chi_structure_sheaf(3, (4,)) == 2     # quartic K3 surface
+        assert chi_structure_sheaf(3, (3,)) == 1     # cubic surface
+        assert chi_structure_sheaf(2, (3,)) == 0     # plane cubic curve
+        checked = 0
+        for ci in iter_types(10, 5):
+            if ci.dimension < 1:
+                continue
+            chi_is_one = chi_structure_sheaf(ci.ambient_dim, ci.degrees) == 1
+            kind = theorem_verdict(ci).kind
+            assert chi_is_one == (kind is not VerdictKind.NOT_RATIONALLY_CONNECTED), ci
+            checked += 1
+        assert checked == 5005
+
 
 class TestHomogeneousParity:
     """The parity pattern of p_X(i) and p_F(i) that ``theorem_verdict``
@@ -141,7 +159,7 @@ class TestHomogeneousParity:
                 assert both == (ci.dimension % 2 == 1)
 
     def test_violation_is_a_scan_violation(self, monkeypatch):
-        monkeypatch.setattr(lines, "compute_invariants", vanishing_at_a_point)
+        monkeypatch.setattr(classify, "compute_invariants", vanishing_at_a_point)
         report = scan_theorem(4, 3)
         assert report.violations == (
             f"parity pattern violated for {BROKEN_LINE}: p_X(i) = 0+0i, p_F(i) = 0+0i",)
@@ -151,7 +169,7 @@ class TestHomogeneousParity:
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_violation_fails_classify(self, capsys, monkeypatch, fmt):
-        monkeypatch.setattr(lines, "compute_invariants", vanishing_at_a_point)
+        monkeypatch.setattr(classify, "compute_invariants", vanishing_at_a_point)
         code = main(["classify", "--n", "4", "--type", "1,1,1", "--format", fmt])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
@@ -429,8 +447,7 @@ class TestScanLemma:
         def wrong_for_one_type(ci, chi=None):
             return real(ci, -100 if ci == bad else chi)
 
-        for module in (classify, lines):
-            monkeypatch.setattr(module, "compute_invariants", wrong_for_one_type)
+        monkeypatch.setattr(classify, "compute_invariants", wrong_for_one_type)
         report = scan_lemma(4, 3)
         assert not report.ok
         assert len(report.violations) == 1

@@ -26,7 +26,6 @@ from ci_invariants import (
     iter_types,
     lemma_classify,
     line_geometry,
-    lines,
     theorem_verdict,
     topology,
 )
@@ -150,30 +149,21 @@ class TestClassifyCommand:
     ])
     def test_invariants_computed_once_per_type(self, capsys, monkeypatch, n, degrees):
         real_chi = topology.euler_characteristic
-        real_obstruction = lines.product_obstruction
-        chi_calls, obstruction_calls = [], []
+        chi_calls = []
 
         def counting_chi(ci):
             chi_calls.append(ci)
             return real_chi(ci)
 
-        def counting_obstruction(*args, **kwargs):
-            obstruction_calls.append(args[0])
-            return real_obstruction(*args, **kwargs)
-
         monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
-        for module in (lines, classify, cli):
-            monkeypatch.setattr(module, "product_obstruction", counting_obstruction)
         for fmt in ("table", "json", "csv"):
             chi_calls.clear()
-            obstruction_calls.clear()
             code, _, _ = run_cli(capsys, "classify", "--n", str(n), "--type",
                                  ",".join(map(str, degrees)), "--format", fmt)
             assert code == 0
             ci = CIType(n, degrees)
             has_fiber = n - 1 - sum(degrees) >= 0
             assert chi_calls == [ci] + ([fiber_type(ci)] if has_fiber else [])
-            assert obstruction_calls == ([ci] if has_fiber else [])
 
 
 class TestFiberCommand:

@@ -8,12 +8,13 @@ from ci_invariants import (
     CIType,
     GaussianInteger,
     IntPolynomial,
+    VerdictKind,
     compute_invariants,
     euler_characteristic,
     fiber_type,
     iter_types,
     line_geometry,
-    product_obstruction,
+    theorem_verdict,
 )
 from reference import divisible_by_one_plus_t_squared, reduce_type, truncated_product
 
@@ -96,49 +97,55 @@ class TestFiberType:
             assert poincare_polynomial(a) == poincare_polynomial(b)
 
 
-class TestProductObstruction:
+class TestPoincareGate:
+    """The Poincare gate of ``theorem_verdict``: p_X(i) and p_F(i), and
+    whether at least one vanishes."""
+
     def test_cubic_threefold_fails(self):
-        obs = product_obstruction(CIType(4, (3,)))
-        assert obs.p_x_at_i == GaussianInteger(0, -10)
-        assert obs.p_f_at_i == GaussianInteger(6, 0)
-        assert not obs.passes
+        verdict = theorem_verdict(CIType(4, (3,)))
+        assert verdict.p_x_at_i == GaussianInteger(0, -10)
+        assert verdict.p_f_at_i == GaussianInteger(6, 0)
+        assert verdict.kind is VerdictKind.POINCARE_OBSTRUCTION
 
     def test_quadric_threefold_passes_doubly(self):
-        obs = product_obstruction(CIType(5, (1, 2)))
-        assert obs.p_x_at_i == GaussianInteger(0, 0)
-        assert obs.p_f_at_i == GaussianInteger(0, 0)
-        assert obs.passes
+        verdict = theorem_verdict(CIType(5, (1, 2)))
+        assert verdict.p_x_at_i == GaussianInteger(0, 0)
+        assert verdict.p_f_at_i == GaussianInteger(0, 0)
+        assert verdict.kind is VerdictKind.HOMOGENEOUS_QUADRIC
 
     def test_linear_type_passes_on_one_side(self):
-        obs = product_obstruction(CIType(5, (1, 1)))
-        assert obs.p_x_at_i.is_zero          # X = P^3, odd-dimensional
-        assert obs.p_f_at_i == GaussianInteger(1, 0)  # F = P^2
-        assert obs.passes
+        verdict = theorem_verdict(CIType(5, (1, 1)))
+        assert verdict.p_x_at_i.is_zero          # X = P^3, odd-dimensional
+        assert verdict.p_f_at_i == GaussianInteger(1, 0)  # F = P^2
+        assert verdict.kind is VerdictKind.HOMOGENEOUS_LINEAR
 
     def test_negative_fiber_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            product_obstruction(CIType(4, (2, 2)))
+        # No fiber of lines: the normal-bundle gate decides before p(i).
+        verdict = theorem_verdict(CIType(4, (2, 2)))
+        assert verdict.kind is VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
+        assert (verdict.p_x_at_i, verdict.p_f_at_i) == (None, None)
 
     def test_passes_iff_product_divisible(self):
-        # product_obstruction decides on the factors alone; the dense product
-        # p_F * p_X is formed only here, for every type with a fiber.
+        # The gate decides on the factors alone; the dense product p_F * p_X
+        # is formed only here, for every type with a fiber.
         checked = 0
         for ci in iter_types(12, 6):
             if ci.ambient_dim - 1 - ci.total_degree < 0:
                 continue
-            obs = product_obstruction(ci)
+            verdict = theorem_verdict(ci)
+            passes = verdict.p_x_at_i.is_zero or verdict.p_f_at_i.is_zero
             p_x = poincare_polynomial(ci).coefficients
             p_f = poincare_polynomial(fiber_type(ci)).coefficients
             product = truncated_product(p_x, p_f, len(p_x) + len(p_f) - 2)
-            assert obs.passes == divisible_by_one_plus_t_squared(product)
+            assert passes == divisible_by_one_plus_t_squared(product)
             checked += 1
         assert checked == 567
 
     def test_empty_type_exactly_one_side_vanishes(self):
         for n in range(1, 13):
-            obs = product_obstruction(CIType(n))
-            assert obs.p_x_at_i.is_zero != obs.p_f_at_i.is_zero
-            assert obs.passes
+            verdict = theorem_verdict(CIType(n))
+            assert verdict.p_x_at_i.is_zero != verdict.p_f_at_i.is_zero
+            assert verdict.kind is VerdictKind.HOMOGENEOUS_LINEAR
 
 
 def test_fiber_report_values():

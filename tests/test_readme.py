@@ -35,3 +35,11 @@ def test_library_example_runs_and_shows_true_values():
         assert eval(expr, namespace) == expected, line
         checked += 1
     assert checked == 7
+
+
+def test_every_public_name_is_documented():
+    import ci_invariants
+
+    text = README.read_text(encoding="utf-8")
+    public = [name for name in ci_invariants.__all__ if name != "__version__"]
+    assert [name for name in public if not re.search(rf"\b{name}\b", text)] == []

@@ -10,7 +10,6 @@ from ci_invariants import (
     GaussianInteger,
     compute_invariants,
     line_geometry,
-    product_obstruction,
     scan_lemma,
     scan_theorem,
     theorem_verdict,
@@ -25,7 +24,6 @@ def test_records_are_immutable_tuples_with_tuple_equality():
         compute_invariants(quadric),
         compute_invariants(quadric).poincare,
         line_geometry(quadric),
-        product_obstruction(quadric),
         theorem_verdict(quadric),
         next(scan_lemma(3, 2).records()),
         scan_theorem(3, 2),

@@ -24,7 +24,7 @@ from ci_invariants import (
     scan_theorem,
     write_scans,
 )
-from ci_invariants import classify, lines, topology
+from ci_invariants import classify, topology
 from ci_invariants.cli import main
 
 MAX_N, MAX_DEGREE = 6, 3
@@ -176,10 +176,9 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
     real = topology.compute_invariants
     for which, bad, counts in (("lemma", CIType(3, (3,)), [1]),
                                ("both", CIType(5, (2,)), [2, 1])):
-        for module in (classify, lines):
-            monkeypatch.setattr(module, "compute_invariants",
-                                lambda ci, chi=None, bad=bad:
-                                real(ci, -100 if ci == bad else chi))
+        monkeypatch.setattr(classify, "compute_invariants",
+                            lambda ci, chi=None, bad=bad:
+                            real(ci, -100 if ci == bad else chi))
         code, out = _scan_cli(capsys, which, fmt)
         assert code == 1
         reports = _reports(which, MAX_N, MAX_DEGREE)
@@ -203,9 +202,8 @@ def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
     # in four blocks, comes from the failed entries.
     real = topology.compute_invariants
     cubic_surfaces = [CIType(3 + m, (1,) * m + (3,)) for m in range(MAX_N - 2)]
-    for module in (classify, lines):
-        monkeypatch.setattr(module, "compute_invariants", lambda ci, chi=None:
-                            real(ci, -100 if ci in cubic_surfaces else chi))
+    monkeypatch.setattr(classify, "compute_invariants", lambda ci, chi=None:
+                        real(ci, -100 if ci in cubic_surfaces else chi))
     code, out = _scan_cli(capsys, "lemma", fmt)
     assert code == 1
     (report,) = _reports("lemma", MAX_N, MAX_DEGREE)
