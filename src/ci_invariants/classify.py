@@ -15,23 +15,24 @@ fixed order:
 
 Scan bounds are a verification budget, not a completeness claim: the
 classification holds for all types, the scans re-check it mechanically on
-everything within the bounds.  Each scan walks the types serially, in
-canonical (n, l, degrees) order.  Degree-1 entries only lower the ambient
-space, so the lemma scan keys its table by the reduced multiset D, the
-degrees >= 2: one run of the recurrence per D gives a row of chi for
-every dimension k, and the invariants and their cross-checks run once per
-class (D, k), on that chi, not once per type.
+everything within the bounds.  Degree-1 entries only lower the ambient
+space, so a type's lemma record depends only on its class (D, k): its
+reduced multiset D, the degrees >= 2, and its dimension k.  The theorem
+scan walks the types in canonical (n, l, degrees) order; the lemma scan
+walks the classes, with one run of the recurrence per D for a row of chi
+over every k, and runs the checks once per class, on that chi.
 
-Each scan makes two passes.  The first walks the types, runs every check
-and keeps only the counts, the violations and a small table: the verdicts
-not decided by the d > n gate, keyed by n and degrees, or the lemma scan's
-rows per D, holding each class's fields.  A ``ScanReport`` is plain data:
-those results, the number of types, and that table as its ``table`` field,
-whose layout is not a contract.  The second pass, ``ScanReport.blocks``,
-run each time the scan is written or its records are read, re-walks the
-types one (n, l) block at a time and yields each block's fields from the
-table as a C-level iterator; no check is re-run, so a scan's memory grows
-with its classes and its d <= n verdicts, not with the types.
+Each scan makes two passes, serially.  The first runs every check and
+keeps only the counts, the violations and a small table: the verdicts not
+decided by the d > n gate, keyed by n and degrees, or the lemma scan's
+rows of each D, grouped by |D| and holding each class's fields.  A
+``ScanReport`` is plain data: those results, the number of types, and that
+table as its ``table`` field, whose layout is not a contract.  The second
+pass, ``ScanReport.blocks``, run each time the scan is written or its
+records are read, walks the types one (n, l) block at a time and yields
+each block's fields from the table as a C-level iterator; no check is
+re-run, so a scan's memory grows with its classes and its d <= n
+verdicts, not with the types.
 
 ``write_scans`` is the one scan writer.  It fills a row template's n and k
 once per block and joins each row, at C level, from constant pieces, the
@@ -71,7 +72,7 @@ class LemmaCase(Enum):
     QUADRIC_2_MOD_4 = "quadric_2_mod_4"  # type (1,...,1,2), k = 2 mod 4
     NONVANISHING = "nonvanishing"
 
-    # Members are singletons; the lemma scan tallies one per type.
+    # Members are singletons; the lemma scan tallies them once per class.
     __hash__ = object.__hash__
 
 
@@ -177,16 +178,10 @@ def theorem_verdict(ci: CIType, report: InvariantReport | None = None) -> Verdic
     return Verdict(ci, kind, p_x, p_f)
 
 
-def _type_pairs(max_n: int, max_degree: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """The (n, degrees) of every type ``iter_types`` yields, in its order.
-    The bounds are checked at the call, not at the first ``next()``."""
+def _check_bounds(max_n: int, max_degree: int) -> None:
     for name, bound in (("max_n", max_n), ("max_degree", max_degree)):
         if type(bound) is not int or bound < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {bound!r}")
-    degree_range = range(1, max_degree + 1)
-    return chain.from_iterable(
-        zip(repeat(n), combinations_with_replacement(degree_range, l))
-        for n in range(1, max_n + 1) for l in range(n + 1))
 
 
 def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
@@ -195,7 +190,11 @@ def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     must be ints >= 1 and are checked at the call; the tuples generated are
     sorted, of ints >= 1 and of length l <= n, so they skip ``CIType``'s
     validation."""
-    return map(tuple.__new__, repeat(CIType), _type_pairs(max_n, max_degree))
+    _check_bounds(max_n, max_degree)
+    degree_range = range(1, max_degree + 1)
+    return map(tuple.__new__, repeat(CIType), chain.from_iterable(
+        zip(repeat(n), combinations_with_replacement(degree_range, l))
+        for n in range(1, max_n + 1) for l in range(n + 1)))
 
 
 #: ``_NEWLINE[depth]`` starts a line at ``depth`` levels of the two-space
@@ -375,7 +374,7 @@ class ScanReport(namedtuple(
         fields, in lexicographic order of the degrees, read from ``table``
         with no check re-run."""
         walk = _theorem_blocks if self.kind == "theorem" else _lemma_blocks
-        return walk(self.max_n, self.max_degree, *self.table)
+        return walk(self.max_n, self.max_degree, self.table)
 
     def records(self) -> Iterator:
         """The scan's records, one per type in canonical order, each built
@@ -443,7 +442,7 @@ def _scan_report(
     kind: str,
     max_n: int,
     max_degree: int,
-    table: tuple,
+    table: dict | list,
     violations: list[str],
     outcomes: type[Enum],
     tally: Counter,
@@ -511,7 +510,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
             )
     tally = Counter(fields[0] for by_n in kept.values() for fields in by_n.values())
     tally[not_rc] += skipped
-    return _scan_report("theorem", max_n, max_degree, (kept,), violations,
+    return _scan_report("theorem", max_n, max_degree, kept, violations,
                         VerdictKind, tally)
 
 
@@ -529,67 +528,48 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     """Evaluate p(i) for every type within the bounds and verify that it
     vanishes exactly on the three allowed shapes and nowhere else.
 
-    The class table holds one row per reduced multiset D, the degrees
-    >= 2, indexed by the dimension k.  The first type scanned with D fills
-    its row with chi for k = 0 .. max_n - |D|, from one run of the
-    recurrence.  The first type scanned in a class (D, k) runs the checks
-    on that chi and replaces its slot with the class's fields, which the
-    rest of the class reuses; only that first type is built as a
-    ``CIType``.  A class whose checks recorded a violation keeps its chi,
-    so each of its types runs the checks and reports its own; their fields
-    are kept by (n, degrees) for the second pass."""
-    table: dict[tuple[int, ...], list] = {}
-    failed: dict[tuple[int, tuple[int, ...]], tuple] = {}
+    The scan walks the classes (D, k), not the types: one run of the
+    recurrence per D gives chi for k = 0 .. max_n - |D|, and the checks run
+    once per class, on its first type in scan order, D in P^(k + |D|), or
+    (1) in P^1 for the point.  The class's fields overwrite its slot, and it
+    is tallied once per type within the bounds.  A class whose checks fail
+    is one violation, naming that first type, and each of its types is a
+    failed record.  The table is the rows grouped by |D|."""
+    _check_bounds(max_n, max_degree)
+    by_length: list[list[list]] = []
     violations: list[str] = []
     tally: Counter = Counter()
-    for n, degrees in _type_pairs(max_n, max_degree):
-        reduced = degrees[degrees.count(1):]
-        row = table.get(reduced)
-        if row is None:
-            row = table[reduced] = euler_characteristic_row(reduced, max_n - len(reduced))
-        k = n - len(degrees)
-        fields = row[k]
-        if type(fields) is tuple:
-            tally[fields[2]] += 1
-            continue
-        ci = tuple.__new__(CIType, (n, degrees))  # unchecked, as in iter_types
-        seen = len(violations)
-        betti = value = case = None
-        try:
-            report = compute_invariants(ci, fields)
-            betti, value = report.middle_betti, report.value_at_i
-            case = lemma_classify(ci, report)
-        except InternalCheckError as exc:
-            violations.append(str(exc))
-        # No type with an entry >= 3, or with two entries >= 2, may
-        # vanish: a vanishing p(i) needs a reduced type () or (2).
-        if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
-            violations.append(f"excluded shape vanishes at i: {ci}")
-        if len(violations) == seen:
-            row[k] = (betti, value, case)
-        else:
-            failed[n, degrees] = (betti, value, case)
-        tally[case] += 1
-    return _scan_report("lemma", max_n, max_degree, (table, failed), violations,
+    for length in range(max_n + 1):
+        rows = []
+        for reduced in combinations_with_replacement(range(2, max_degree + 1), length):
+            row = euler_characteristic_row(reduced, max_n - length)
+            for k, chi in enumerate(row):
+                n = k + length
+                ci = tuple.__new__(CIType, (n, reduced) if n else (1, (1,)))  # unchecked
+                betti = value = case = None
+                try:
+                    report = compute_invariants(ci, chi)
+                    betti, value = report.middle_betti, report.value_at_i
+                    case = lemma_classify(ci, report)
+                except InternalCheckError as exc:
+                    violations.append(str(exc))
+                # No type with an entry >= 3, or with two entries >= 2, may
+                # vanish: a vanishing p(i) needs a reduced type () or (2).
+                if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
+                    violations.append(f"excluded shape vanishes at i: {ci}")
+                row[k] = (betti, value, case)
+                tally[case] += max_n - n + 1 if n else max_n
+            rows.append(row)
+        by_length.append(rows)
+    return _scan_report("lemma", max_n, max_degree, by_length, violations,
                         LemmaCase, tally)
 
 
-def _lemma_blocks(max_n: int, max_degree: int, table: dict, failed: dict) -> Iterator:
+def _lemma_blocks(max_n: int, max_degree: int, by_length: list) -> Iterator:
     """A block lists its types with m leading 1s, for m = l down to 0, each
     m in the order of their reduced multisets D: so its fields are the slots
-    at k of the rows of every D with |D| <= l, by |D|, then D.  A failed
-    type's entry replaces its slot, which holds the class's chi, or its
-    fields when another type of the class passed the checks later."""
-    by_length = [[table[reduced] for reduced in
-                  combinations_with_replacement(range(2, max_degree + 1), length)]
-                 for length in range(max_n + 1)]
-    degree_range = range(1, max_degree + 1)
+    at k = n - l of the rows of every D with |D| <= l, by |D|, then D."""
     for n in range(1, max_n + 1):
         for l in range(n + 1):
-            fields = map(list.__getitem__, chain.from_iterable(by_length[:l + 1]),
-                         repeat(n - l))
-            if failed:
-                fields = map(failed.get,
-                             zip(repeat(n), combinations_with_replacement(degree_range, l)),
-                             fields)
-            yield n, l, fields
+            yield n, l, map(list.__getitem__, chain.from_iterable(by_length[:l + 1]),
+                            repeat(n - l))

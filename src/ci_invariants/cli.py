@@ -60,11 +60,13 @@ MAX_N = 100_000
 #: 0.32 s and 0.17 s at 800: about 5-fold per doubling of k.
 MAX_K = 400
 
-#: The most types one ``scan`` may walk.  ``scan --max-n 20 --max-degree 6
-#: --which both --format json`` walks 888,029 types in 11.4-12.7 s (three
-#: runs, 906 MB to /dev/null), at a peak RSS of 75 MB (2-vCPU Xeon VM,
-#: Python 3.11.7); the count grows as a high power of both bounds, so a
-#: scan past this is a usage error, not a hang.
+#: The most types one ``scan`` may walk; the count grows as a high power of
+#: both bounds, so a scan past this is a usage error, not a hang.  Memory
+#: grows with the classes, so the worst case has one class per type: ``scan
+#: --max-n 1 --max-degree 999999 --which lemma --format csv --quiet`` takes
+#: 10.5-14.2 s at a peak RSS of 344 MB.  ``scan --max-n 20 --max-degree 6
+#: --which both --format json`` (888,029 types, 906 MB to /dev/null) takes
+#: 7.5-11.4 s at 63 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
 MAX_SCAN_TYPES = 1_000_000
 
 #: An integer argument: an optional minus sign and ASCII digits, nothing

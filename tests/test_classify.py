@@ -393,7 +393,8 @@ class TestScanLemma:
     def test_one_euler_characteristic_per_class(self, monkeypatch):
         # A class is a reduced type: its degrees >= 2 and its dimension k.
         # The scan runs the recurrence once per reduced multiset D, for a row
-        # of chi over every k, and the checks once per class, on that chi.
+        # of chi over every k, and the checks once per class, on that chi,
+        # in class order (|D|, D, k).
         real_row, real_checks = classify.euler_characteristic_row, classify.compute_invariants
         real_chi = topology.euler_characteristic
         rows, checks, single = [], [], []
@@ -422,7 +423,9 @@ class TestScanLemma:
             first_of_reduced.setdefault(degrees, 12 - len(degrees))
         assert rows == list(first_of_reduced.items())
         assert len(rows) == 6188
-        assert checks == list(first_of_class.values())
+        by_class = sorted(first_of_class.items(),
+                          key=lambda item: (len(item[0][1]), item[0][1], item[0][0]))
+        assert checks == [ci for _, ci in by_class]
         assert len(checks) == len(first_of_class) == 18564
         assert single == []
         # The first type of a class is its reduced type, except for the
@@ -441,6 +444,8 @@ class TestScanLemma:
     def test_internal_check_failure_is_a_violation(self, monkeypatch):
         # The fault enters where chi becomes invariants, the step that both
         # scans share: the lemma scan passes each class its chi from the row.
+        # The class ((3,), 2) has two types at 4/3, (3) in P^3 and (1,3) in
+        # P^4: its checks run once, on the first, and both records fail.
         real = topology.compute_invariants
         bad = CIType(3, (3,))
 
@@ -453,9 +458,10 @@ class TestScanLemma:
         assert len(report.violations) == 1
         assert "middle Betti number -102 < 1" in report.violations[0]
         assert str(bad) in report.violations[0]
-        assert report.counts["internal_check_failed"] == 1
-        (rec,) = [rec for rec in report.records() if rec.ci == bad]
-        assert (rec.middle_betti, rec.value_at_i, rec.case) == (None, None, None)
+        assert report.counts["internal_check_failed"] == 2
+        for ci in (bad, CIType(4, (1, 3))):
+            (rec,) = [rec for rec in report.records() if rec.ci == ci]
+            assert (rec.middle_betti, rec.value_at_i, rec.case) == (None, None, None)
         (line,) = [line for line in rendered(report, "table").splitlines()
                    if line.startswith("n=3 type=(3) ")]
         assert line.endswith("b_k=- p(i)=- case=internal_check_failed")
@@ -511,6 +517,19 @@ class TestScanRecords:
         finally:
             tracemalloc.stop()
         assert peak < 6 * 2**20
+
+    def test_lemma_table_cost_per_class(self):
+        # At max_n = 1 every type is its own class, so the held report
+        # measures the table's cost per class: on Python 3.11.7 a table keyed
+        # by D held 380 B per class, the rows grouped by length 257 B.
+        tracemalloc.start()
+        try:
+            report = scan_lemma(1, 50_000)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert report.types == 50_001
+        assert held < 320 * report.types
 
 
 def test_no_polynomial_on_the_scan_path(monkeypatch, capsys):

@@ -197,9 +197,9 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
-    # Every type of the class (D, k) = ((3,), 2) fails, so no type of it
-    # fills the class slot: it keeps its chi, and each of the class's rows,
-    # in four blocks, comes from the failed entries.
+    # Every type of the class (D, k) = ((3,), 2) fails.  Its checks run
+    # once, on its first type, and record one violation; each of the
+    # class's rows, in four blocks, is a failed record.
     real = topology.compute_invariants
     cubic_surfaces = [CIType(3 + m, (1,) * m + (3,)) for m in range(MAX_N - 2)]
     monkeypatch.setattr(classify, "compute_invariants", lambda ci, chi=None:
@@ -207,8 +207,8 @@ def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
     code, out = _scan_cli(capsys, "lemma", fmt)
     assert code == 1
     (report,) = _reports("lemma", MAX_N, MAX_DEGREE)
-    assert len(report.violations) == report.counts["internal_check_failed"] == 4
-    assert type(report.table[0][(3,)][2]) is int
+    assert report.violations == ("middle Betti number -102 < 1 for (3) in P^3",)
+    assert report.counts["internal_check_failed"] == 4
     failed = [rec for rec in report.records() if rec.case is None]
     assert failed == [LemmaRecord(ci, None, None, None) for ci in cubic_surfaces]
     assert out == expected_document([report], fmt)
