@@ -25,20 +25,23 @@ over every k, and runs the checks once per class, on that chi.
 Each scan makes two passes, serially.  The first runs every check and
 keeps only the counts, the violations and a small table: the verdicts not
 decided by the d > n gate, keyed by n and degrees, or the lemma scan's
-rows of each D, grouped by |D| and holding each class's fields.  A
-``ScanReport`` is plain data: those results, the number of types, and that
-table as its ``table`` field, whose layout is not a contract.  The second
-pass, ``ScanReport.blocks``, run each time the scan is written or its
-records are read, walks the types one (n, l) block at a time and yields
-each block's fields from the table as a C-level iterator; no check is
-re-run, so a scan's memory grows with its classes and its d <= n
+b_k, one column per (|D|, k) listing every D of that length.  A class's
+p(i) and case follow from (D, k, b_k), so the lemma table holds one int
+per class and no fields.  A ``ScanReport`` is plain data: those results,
+the number of types, and that table as its ``table`` field, whose layout
+is not a contract.  The second pass, ``ScanReport.blocks``, run each time
+the scan is written or its records are read, walks the types one (n, l)
+block at a time and yields each block's fields from the table; no check
+is re-run, so a scan's memory grows with its classes and its d <= n
 verdicts, not with the types.
 
 ``write_scans`` is the one scan writer.  It fills a row template's n and k
 once per block and joins each row, at C level, from constant pieces, the
-degree list, the total degree and the text of the row's fields, rendered
-on the first lookup of those fields, in exactly the layout of
-``json.dump(..., indent=2)`` for JSON; it builds no record.  Records,
+degree list, the total degree and the text of the row's fields, in
+exactly the layout of ``json.dump(..., indent=2)`` for JSON; it builds no
+record.  A theorem row's fields are rendered on their first lookup.  A
+lemma block's rows past D = () and D = (2) cannot vanish, so their text is
+one template per k mod 4, mapped over the block's b_k at C level.  Records,
 ``Verdict``s for the theorem scan and ``LemmaRecord``s for the lemma scan,
 are built only by the generator ``ScanReport.records``, which reads the
 same blocks.  No record renders itself; the single-type documents are
@@ -50,7 +53,7 @@ from __future__ import annotations
 import json
 from collections import Counter, namedtuple
 from enum import Enum
-from itertools import chain, combinations_with_replacement, repeat
+from itertools import chain, combinations_with_replacement, islice, repeat
 from typing import Iterator, Sequence, TextIO
 
 from .exact import GaussianInteger
@@ -59,6 +62,7 @@ from .topology import (
     CIType,
     InternalCheckError,
     InvariantReport,
+    _value_at_i,
     compute_invariants,
     euler_characteristic_row,
 )
@@ -96,6 +100,18 @@ def _is_homogeneous_shape(ci: CIType) -> bool:
     return _reduced(ci) in ((), (2,))
 
 
+def _shape_case(reduced: tuple[int, ...] | None, k: int) -> LemmaCase:
+    """The vanishing shape of a class (D, k); any D but () and (2) is
+    nonvanishing."""
+    if reduced == () and k % 2 == 1:
+        return LemmaCase.LINEAR_ODD
+    if reduced == (2,) and k % 2 == 1:
+        return LemmaCase.QUADRIC_ODD
+    if reduced == (2,) and k % 4 == 2:
+        return LemmaCase.QUADRIC_2_MOD_4
+    return LemmaCase.NONVANISHING
+
+
 def lemma_classify(ci: CIType, report: InvariantReport | None = None) -> LemmaCase:
     """Match the type against the vanishing shapes, and verify on every call
     that the match agrees with the actual evaluation p(i) = 0.
@@ -103,16 +119,7 @@ def lemma_classify(ci: CIType, report: InvariantReport | None = None) -> LemmaCa
     ``report`` is the type's ``compute_invariants`` result when the caller
     already has it; otherwise it is computed here.
     """
-    k = ci.dimension
-    reduced = _reduced(ci)
-    if reduced == () and k % 2 == 1:
-        case = LemmaCase.LINEAR_ODD
-    elif reduced == (2,) and k % 2 == 1:
-        case = LemmaCase.QUADRIC_ODD
-    elif reduced == (2,) and k % 4 == 2:
-        case = LemmaCase.QUADRIC_2_MOD_4
-    else:
-        case = LemmaCase.NONVANISHING
+    case = _shape_case(_reduced(ci), ci.dimension)
     if report is None:
         report = compute_invariants(ci)
     vanishes = report.value_at_i.is_zero
@@ -220,7 +227,7 @@ def _json_container(open_: str, items: list[str], close: str, depth: int) -> str
 _DEGREE_LISTS = {"table": ("", ",", "", ""), "csv": ("", " ", "", ""), "json": (
     "[" + _NEWLINE[_RECORD_DEPTH + 2] + '"', '",' + _NEWLINE[_RECORD_DEPTH + 2] + '"',
     '"' + _NEWLINE[_RECORD_DEPTH + 1] + "]", "[]")}
-_GAUSS_JSON = _json_container("{", ['"re": "%d"', '"im": "%d"'], "}", _RECORD_DEPTH + 1)
+_GAUSS_JSON = _json_container("{", ['"re": "%s"', '"im": "%s"'], "}", _RECORD_DEPTH + 1)
 _FIELD_SEP = "," + _NEWLINE[_RECORD_DEPTH + 1]
 
 #: A scan row's text, by scan kind and format.  "%(n)d" and "%(k)d" are
@@ -256,6 +263,25 @@ _FIELD_TEMPLATES = {
         "json": _FIELD_SEP.join(['"middle_betti": %s', '"p_at_i": %s', '"case": "%s"']),
     },
 }
+
+
+#: p(i) of a nonvanishing class by k mod 4, as a template for b_k (for
+#: 2 - b_k when k = 2 mod 4): the text of its ``GaussianInteger`` and its
+#: JSON (re, im).  Such a class has b_k != 0 for odd k and b_k != 2 for
+#: k = 2 mod 4, so these equal the renderings of that ``GaussianInteger``.
+_TAIL_VALUE_TEXT = ("%d+0i", "0+%di", "%d+0i", "0-%di")
+_TAIL_VALUE_JSON = (("%d", "0"), ("0", "%d"), ("%d", "0"), ("0", "-%d"))
+
+
+def _tail_templates(fmt: str) -> tuple[str, ...]:
+    """The fields of a nonvanishing lemma class in ``fmt`` by k mod 4, as a
+    template for (b_k, b_k), or (b_k, 2 - b_k) when k = 2 mod 4."""
+    if fmt == "json":
+        betti, values = '"%d"', [_GAUSS_JSON % pair for pair in _TAIL_VALUE_JSON]
+    else:
+        betti, values = "%d", _TAIL_VALUE_TEXT
+    return tuple(_FIELD_TEMPLATES["lemma"][fmt] % (betti, value, LemmaCase.NONVANISHING.value)
+                 for value in values)
 
 
 def _json_value(value: int | GaussianInteger | None) -> str:
@@ -295,14 +321,17 @@ _OUTCOME_TEXT = {
 class _FieldTexts(dict):
     """The text of each fields tuple of one scan in one format, rendered on
     its first lookup: a later row with the same fields is a C-level hit.
-    The theorem scan has few distinct fields (278 at 14/6); the lemma scan
-    about one per class, so the memo is emptied when full, bounding it."""
+    The theorem scan has few distinct fields (278 at 14/6).  A lemma block
+    comes here only for its first two rows, or for every row when it holds
+    a failed class; ``lemma_block`` renders the rest from the b_k column.
+    The memo is emptied when full, bounding it."""
 
     def __init__(self, kind: str, fmt: str):
         self.template = _FIELD_TEMPLATES[kind][fmt]
         value, out = _json_value if fmt == "json" else _text, _OUTCOME_TEXT.__getitem__
         # One cell per field: (kind, p_x, p_f) or (betti, value, case).
         self.cells = (out, value, value) if kind == "theorem" else (value, value, out)
+        self.tails = _tail_templates(fmt) if kind == "lemma" else None
 
     def __missing__(self, fields: tuple) -> str:
         if len(self) >= 1024:
@@ -310,6 +339,21 @@ class _FieldTexts(dict):
         (a, b, c), (cell_a, cell_b, cell_c) = fields, self.cells
         text = self[fields] = self.template % (cell_a(a), cell_b(b), cell_c(c))
         return text
+
+    def lemma_block(self, k: int, columns: list[list]) -> Iterator[str]:
+        """The field texts of the lemma block at dimension k whose b_k lie
+        in ``columns``.  Only its first two classes, D = () and D = (2), can
+        vanish, so the rest share one template, mapped over the column at C
+        level; a block holding a failed class (None) is rendered per field."""
+        fields = map(self.__getitem__, _lemma_fields(k, columns))
+        if any(None in column for column in columns):
+            return fields
+
+        def tail() -> Iterator[int]:
+            return islice(chain.from_iterable(columns), 2, None)
+
+        second = map((2).__sub__, tail()) if k % 4 == 2 else tail()
+        return chain(islice(fields, 2), map(self.tails[k % 4].__mod__, zip(tail(), second)))
 
 
 class Verdict(namedtuple("Verdict", "ci kind p_x_at_i p_f_at_i", defaults=(None, None))):
@@ -370,11 +414,14 @@ class ScanReport(namedtuple(
 
     def blocks(self) -> Iterator[tuple]:
         """One (n, l, fields) per block of the types in P^n with l degrees,
-        in canonical order: ``fields`` is a C-level iterator over the block's
+        in canonical order: ``fields`` is an iterator over the block's
         fields, in lexicographic order of the degrees, read from ``table``
-        with no check re-run."""
-        walk = _theorem_blocks if self.kind == "theorem" else _lemma_blocks
-        return walk(self.max_n, self.max_degree, self.table)
+        with no check re-run.  A lemma block's fields are rebuilt from k and
+        its column of b_k."""
+        if self.kind == "theorem":
+            return _theorem_blocks(self.max_n, self.max_degree, self.table)
+        return ((n, l, _lemma_fields(n - l, columns))
+                for n, l, columns in _lemma_blocks(self.max_n, self.max_degree, self.table))
 
     def records(self) -> Iterator:
         """The scan's records, one per type in canonical order, each built
@@ -392,8 +439,9 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
     record of each report in turn.  Each (n, l) block fills its row
     template's n and k once; each row then joins, at C level, the template's
     pieces with the degree list, the total degree (theorem scan) and the
-    text of its fields, rendered on their first lookup.  An unknown ``fmt``
-    raises ValueError before anything is written."""
+    text of its fields: a theorem row's fields rendered on their first
+    lookup, a lemma row's from its block's column of b_k.  An unknown
+    ``fmt`` raises ValueError before anything is written."""
     if fmt not in _DEGREE_LISTS:
         raise ValueError(f"unknown output format {fmt!r}")
     open_, sep, close, empty = _DEGREE_LISTS[fmt]
@@ -418,15 +466,17 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
         texts = _FieldTexts(report.kind, fmt)
         degree_range = range(1, report.max_degree + 1)
         degree_texts = tuple(map(str, degree_range))
-        for n, l, fields in report.blocks():
+        theorem = report.kind == "theorem"
+        walk = _theorem_blocks if theorem else _lemma_blocks
+        for n, l, block in walk(report.max_n, report.max_degree, report.table):
             pieces = (template % {"n": n, "k": n - l}).split("\0")
             before, after = (open_, close) if l else (empty, "")
             pieces[:2] = pieces[0] + before, after + pieces[1]
             if fmt == "json" and n == 1 and not l:  # the scan's first record
                 pieces[0] = "[" + pieces[0][1:]
             slots = [map(sep.join, combinations_with_replacement(degree_texts, l)),
-                     map(texts.__getitem__, fields)]
-            if report.kind == "theorem":
+                     map(texts.__getitem__, block) if theorem else texts.lemma_block(n - l, block)]
+            if theorem:
                 slots.insert(1, map(str, map(sum, combinations_with_replacement(
                     degree_range, l))))
             # Each row joins the pieces with the slots between them.
@@ -531,16 +581,20 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     The scan walks the classes (D, k), not the types: one run of the
     recurrence per D gives chi for k = 0 .. max_n - |D|, and the checks run
     once per class, on its first type in scan order, D in P^(k + |D|), or
-    (1) in P^1 for the point.  The class's fields overwrite its slot, and it
-    is tallied once per type within the bounds.  A class whose checks fail
-    is one violation, naming that first type, and each of its types is a
-    failed record.  The table is the rows grouped by |D|."""
+    (1) in P^1 for the point.  The class is tallied once per type within
+    the bounds.  A class whose checks fail is one violation, naming that
+    first type, and each of its types is a failed record.
+
+    The table keeps only b_k: ``table[|D|][k]`` lists the b_k of every D
+    of that length in scan order, None for a failed class.  A record's p(i)
+    and case follow from (D, k, b_k), and k mod 4 fixes them for all D but
+    () and (2)."""
     _check_bounds(max_n, max_degree)
     by_length: list[list[list]] = []
     violations: list[str] = []
     tally: Counter = Counter()
     for length in range(max_n + 1):
-        rows = []
+        columns: list[list] = [[] for _ in range(max_n - length + 1)]
         for reduced in combinations_with_replacement(range(2, max_degree + 1), length):
             row = euler_characteristic_row(reduced, max_n - length)
             for k, chi in enumerate(row):
@@ -555,21 +609,36 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                     violations.append(str(exc))
                 # No type with an entry >= 3, or with two entries >= 2, may
                 # vanish: a vanishing p(i) needs a reduced type () or (2).
+                # Either violation makes the class a failed one.
                 if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
                     violations.append(f"excluded shape vanishes at i: {ci}")
-                row[k] = (betti, value, case)
+                    case = None
+                columns[k].append(None if case is None else betti)
                 tally[case] += max_n - n + 1 if n else max_n
-            rows.append(row)
-        by_length.append(rows)
+        by_length.append(columns)
     return _scan_report("lemma", max_n, max_degree, by_length, violations,
                         LemmaCase, tally)
 
 
 def _lemma_blocks(max_n: int, max_degree: int, by_length: list) -> Iterator:
     """A block lists its types with m leading 1s, for m = l down to 0, each
-    m in the order of their reduced multisets D: so its fields are the slots
-    at k = n - l of the rows of every D with |D| <= l, by |D|, then D."""
+    m in the order of their reduced multisets D: so it is one (n, l, columns)
+    whose columns, chained, list the b_k at k = n - l of every D with
+    |D| <= l, by |D|, then D.  The first two are D = () and D = (2)."""
     for n in range(1, max_n + 1):
         for l in range(n + 1):
-            yield n, l, map(list.__getitem__, chain.from_iterable(by_length[:l + 1]),
-                            repeat(n - l))
+            yield n, l, [by_length[length][n - l] for length in range(l + 1)]
+
+
+def _class_fields(k: int, b: int | None, reduced: tuple[int, ...] | None) -> tuple:
+    if b is None:
+        return None, None, None
+    return b, _value_at_i(k, b), _shape_case(reduced, k)
+
+
+def _lemma_fields(k: int, columns: list[list]) -> Iterator[tuple]:
+    """The (b_k, p(i), case) of each class of a lemma block, rebuilt from k,
+    b_k and the class's position: the first two are D = () and D = (2), and
+    the rest are nonvanishing."""
+    return map(_class_fields, repeat(k), chain.from_iterable(columns),
+               chain(((), (2,)), repeat(None)))

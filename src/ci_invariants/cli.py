@@ -64,9 +64,9 @@ MAX_K = 400
 #: both bounds, so a scan past this is a usage error, not a hang.  Memory
 #: grows with the classes, so the worst case has one class per type: ``scan
 #: --max-n 1 --max-degree 999999 --which lemma --format csv --quiet`` takes
-#: 10.5-14.2 s at a peak RSS of 344 MB.  ``scan --max-n 20 --max-degree 6
+#: 10.3-10.9 s at a peak RSS of 130 MB.  ``scan --max-n 20 --max-degree 6
 #: --which both --format json`` (888,029 types, 906 MB to /dev/null) takes
-#: 7.5-11.4 s at 63 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
+#: 7.3-9.5 s at 28.5 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
 MAX_SCAN_TYPES = 1_000_000
 
 #: An integer argument: an optional minus sign and ASCII digits, nothing

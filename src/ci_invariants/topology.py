@@ -261,8 +261,12 @@ def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
     delta = 1 if k % 2 == 0 else 0
     if b < delta:
         raise InternalCheckError(f"middle Betti number {b} < {delta} for {ci}")
+    return InvariantReport(ci=ci, euler_char=chi, middle_betti=b, value_at_i=_value_at_i(k, b))
+
+
+def _value_at_i(k: int, b: int) -> GaussianInteger:
+    """p(i) of a k-dimensional type with middle Betti number b: b i^k for
+    odd k, b for k = 0 mod 4 and 2 - b for k = 2 mod 4."""
     if k % 2:
-        value = GaussianInteger(0, b if k % 4 == 1 else -b)
-    else:
-        value = GaussianInteger(b if k % 4 == 0 else 2 - b, 0)
-    return InvariantReport(ci=ci, euler_char=chi, middle_betti=b, value_at_i=value)
+        return GaussianInteger(0, b if k % 4 == 1 else -b)
+    return GaussianInteger(b if k % 4 == 0 else 2 - b, 0)

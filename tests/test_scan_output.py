@@ -214,6 +214,33 @@ def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
     assert out == expected_document([report], fmt)
 
 
+# A lemma block renders its first two classes, D = () and D = (2), field by
+# field, and the rest from one template per k mod 4, unless it holds a
+# failed class.  Each fault below fails one class of the block (3, 1): the
+# quadric surface, a head class, or the cubic surface, a tail class.  At
+# 11/4 the blocks span every residue of k mod 4.
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("bounds", [(MAX_N, MAX_DEGREE), (11, 4)], ids=["6-3", "11-4"])
+@pytest.mark.parametrize("bad", [CIType(3, (2,)), CIType(3, (3,))], ids=["head", "tail"])
+def test_failed_class_in_a_lemma_block(monkeypatch, bad, bounds, fmt):
+    real = topology.compute_invariants
+    monkeypatch.setattr(classify, "compute_invariants",
+                        lambda ci, chi=None: real(ci, -100 if ci == bad else chi))
+    report = scan_lemma(*bounds)
+    assert len(report.violations) == 1 and str(bad) in report.violations[0]
+    failed = [rec.ci for rec in report.records() if rec.case is None]
+    assert bad in failed
+    assert len(failed) == report.counts["internal_check_failed"]
+    for rec in report.records():
+        if rec.case is not None:
+            direct = real(rec.ci)
+            assert rec == LemmaRecord(rec.ci, direct.middle_betti, direct.value_at_i,
+                                      classify.lemma_classify(rec.ci, direct))
+    buffer = io.StringIO()
+    write_scans([report], fmt, buffer)
+    assert buffer.getvalue() == expected_document([report], fmt)
+
+
 def test_empty_scan_object_layout():
     buffer = io.StringIO()
     write_scans([], "json", buffer)
