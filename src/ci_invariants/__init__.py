@@ -2,13 +2,13 @@
 projective space, and the classification of the convex, rationally
 connected ones among them.
 
-All arithmetic is exact (arbitrary-precision integers, integer
-polynomials, Gaussian integers); there is no floating point anywhere.
+All arithmetic is exact (arbitrary-precision integers and Gaussian
+integers); there is no floating point anywhere.
 """
 
-from .exact import GaussianInteger, IntPolynomial
 from .topology import (
     CIType,
+    GaussianInteger,
     InternalCheckError,
     InvariantReport,
     chi22,
@@ -35,7 +35,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GaussianInteger",
-    "IntPolynomial",
     "CIType",
     "InternalCheckError",
     "InvariantReport",

@@ -56,10 +56,10 @@ from enum import Enum
 from itertools import chain, combinations_with_replacement, islice, repeat
 from typing import Iterator, Sequence, TextIO
 
-from .exact import GaussianInteger
 from .lines import fiber_type
 from .topology import (
     CIType,
+    GaussianInteger,
     InternalCheckError,
     InvariantReport,
     _value_at_i,

@@ -16,7 +16,8 @@ before it is written, so a failing command writes nothing to stdout; scan
 records are written one at a time by ``classify.write_scans``.
 
 Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage, parse
-or I/O error.
+or I/O error.  Writes to stderr are best-effort: a stderr that cannot be
+written never changes the exit code.
 """
 
 from __future__ import annotations
@@ -39,10 +40,10 @@ from .classify import (
     theorem_verdict,
     write_scans,
 )
-from .exact import GaussianInteger, IntPolynomial
 from .lines import fiber_type, line_geometry
 from .topology import (
     CIType,
+    GaussianInteger,
     InternalCheckError,
     InvariantReport,
     chi22,
@@ -104,31 +105,43 @@ def _type_spec(text: str) -> tuple[int, ...]:
     return tuple(_degree(part.strip()) for part in text.split(","))
 
 
+def _term(j: int, c: int) -> str:
+    """The term c t^j of a polynomial's text, for c > 0."""
+    if j == 0:
+        return str(c)
+    power = "t" if j == 1 else f"t^{j}"
+    return power if c == 1 else f"{c}{power}"
+
+
 def _text(value) -> str:
     """A table value: a bool as ``true``/``false``, an Enum member as its
-    value."""
+    value, and a plain tuple, a Poincare polynomial's coefficients, as the
+    polynomial.  Those coefficients are >= 0, so the text needs no signs."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, Enum):
         return value.value
+    if type(value) is tuple:
+        return " + ".join(_term(j, c) for j, c in enumerate(value) if c)
     return str(value)
 
 
 def _cell(value) -> str:
-    """A CSV cell: None as ``-``, a type as its degrees and a polynomial as
-    its coefficients, space-joined."""
+    """A CSV cell: None as ``-``, a type as its degrees and a polynomial's
+    coefficients space-joined."""
     if value is None:
         return "-"
     if isinstance(value, CIType):
         return " ".join(map(str, value.degrees))
-    if isinstance(value, IntPolynomial):
-        return " ".join(map(str, value.coefficients))
+    if type(value) is tuple:
+        return " ".join(map(str, value))
     return _text(value)
 
 
 def _json(value):
-    """A JSON value: integers as decimal strings, and a nested field list as
-    an object of the fields that have a key."""
+    """A JSON value: integers as decimal strings, a polynomial's coefficients
+    as a list of them, and a nested field list as an object of the fields
+    that have a key."""
     if value is None or isinstance(value, (bool, str)):
         return value
     if isinstance(value, CIType):
@@ -136,8 +149,8 @@ def _json(value):
                 "degrees": [str(d) for d in value.degrees]}
     if isinstance(value, GaussianInteger):
         return {"re": str(value.re), "im": str(value.im)}
-    if isinstance(value, IntPolynomial):
-        return [str(c) for c in value.coefficients]
+    if type(value) is tuple:
+        return [str(c) for c in value]
     if isinstance(value, list):
         return {key: _json(v) for _, key, _, v in value if key is not None}
     return _text(value)
@@ -162,7 +175,7 @@ def _render(fmt: str, fields: list[tuple]) -> None:
                 print(f"{label}: {_text(value)}")
 
 
-def _invariant_fields(report: InvariantReport, poincare: IntPolynomial) -> list[tuple]:
+def _invariant_fields(report: InvariantReport, poincare: tuple[int, ...]) -> list[tuple]:
     """One type's invariants: the whole ``invariants`` document, and the
     ``fiber`` object of the ``fiber`` document.  ``poincare`` is
     ``report.poincare``, which is built on each read, so a document reads
@@ -178,6 +191,13 @@ def _invariant_fields(report: InvariantReport, poincare: IntPolynomial) -> list[
         ("Poincare polynomial", "poincare_coefficients", "poincare", poincare),
         ("value at i", "value_at_i", "value_at_i", report.value_at_i),
     ]
+
+
+def _warn(text: str) -> None:
+    """Write one diagnostic line to stderr, best-effort: a failed write is
+    dropped, so it never changes the exit code."""
+    with contextlib.suppress(OSError):
+        print(text, file=sys.stderr)
 
 
 def run_invariants(args) -> int:
@@ -294,7 +314,7 @@ def run_scan(args) -> int:
     if not args.quiet:
         for report in reports:
             for text in report.summary_lines():
-                print(text, file=sys.stderr)
+                _warn(text)
     return 0 if all(r.ok for r in reports) else 1
 
 
@@ -323,7 +343,7 @@ def run_verify_identities(args) -> int:
         print(f"expansion identity: {'ok' if expansion_ok else 'FAILED'}")
         print(f"chi22 sum vs closed form: {'ok' if chi22_ok else 'FAILED'}")
     if not ok:
-        print(f"error: {first_failure}", file=sys.stderr)
+        _warn(f"error: {first_failure}")
     return 0 if ok else 1
 
 
@@ -388,6 +408,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except OSError:
+        # Python 3.10's argparse lets a failed write of its usage or help
+        # text escape (3.11+ drops it); that is a usage or I/O error.
+        return 2
     # The integers written are computed, not parsed: lift the int-to-str cap
     # (Python 3.10.7+, 3.11+) for the output.  Only a scan streams to stdout.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -400,10 +424,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.write(buffer.getvalue())
         return code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _warn(f"error: {exc}")
         return 2
     except InternalCheckError as exc:
-        print(f"internal check failed: {exc}", file=sys.stderr)
+        _warn(f"internal check failed: {exc}")
         return 1
     finally:
         if limit:

@@ -27,9 +27,9 @@ with delta_k = 1 for even k and 0 for odd k.  So p is fixed by (k, b_k),
 and so are p(-1) = chi, p(1) and p(i), in closed form.
 ``compute_invariants`` is the one place that derives b_k and p(i) from
 chi; read the invariants from its report.  The report's ``poincare``
-builds the dense coefficients of p from (k, b_k) only when it is read, so
-no scan builds them.  The tests evaluate those coefficients by Horner's
-rule, in ``tests/reference.py``, as the independent route.
+builds the dense coefficient tuple of p from (k, b_k) only when it is
+read, so no scan builds it.  The tests evaluate those coefficients by
+Horner's rule, in ``tests/reference.py``, as the independent route.
 """
 
 from __future__ import annotations
@@ -38,7 +38,22 @@ import math
 from collections import namedtuple
 from typing import Iterable, Iterator
 
-from .exact import GaussianInteger, IntPolynomial
+
+class GaussianInteger(namedtuple("GaussianInteger", "re im", defaults=(0, 0))):
+    """Complex number with exact integer real and imaginary parts: the
+    named tuple (re, im), true iff nonzero."""
+
+    __slots__ = ()
+
+    @property
+    def is_zero(self) -> bool:
+        return self.re == 0 and self.im == 0
+
+    def __bool__(self) -> bool:
+        return not self.is_zero
+
+    def __str__(self) -> str:
+        return f"{self.re}{self.im:+d}i"
 
 
 class InternalCheckError(RuntimeError):
@@ -226,13 +241,14 @@ class InvariantReport(namedtuple(
     __slots__ = ()
 
     @property
-    def poincare(self) -> IntPolynomial:
-        """p(t): 1 at each even degree 0 .. 2k, and b_k at degree k."""
+    def poincare(self) -> tuple[int, ...]:
+        """The coefficients of p(t), indexed by degree: 1 at each even
+        degree 0 .. 2k, and b_k at degree k."""
         k = self.ci.dimension
         coeffs = [0] * (2 * k + 1)
         coeffs[::2] = [1] * (k + 1)
         coeffs[k] = self.middle_betti
-        return IntPolynomial(tuple(coeffs))
+        return tuple(coeffs)
 
 
 def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:

@@ -1,0 +1,132 @@
+"""The mutant gate: every listed change to the package must fail the tests
+named with it, so no check or cross-check can turn into a tautology
+unnoticed.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+For each mutant the script copies ``src/`` and ``tests/`` to a temporary
+directory, requires the old text to occur exactly once in its file (a
+stale mutant fails loudly), applies the change and runs the mutant's tests
+there with ``pytest -x``.  The mutant is killed when pytest reports a
+failed test; an error before any test runs does not count.  First the
+named tests must pass on the unchanged copy.  The script prints one line
+per mutant and exits 1 unless every mutant is killed.  Pytest does not
+collect this file, whose name does not match ``test_*.py``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = [
+    Mutant("gate 1 as d >= n", "src/ci_invariants/classify.py",
+           "    if d > n:\n", "    if d >= n:\n",
+           ("tests/test_classify.py",)),
+    Mutant("parity check always passes", "src/ci_invariants/classify.py",
+           "            ok = p_x.is_zero != p_f.is_zero\n", "            ok = True\n",
+           ("tests/test_classify.py",)),
+    Mutant("+b at k = 3 mod 4", "src/ci_invariants/topology.py",
+           "b if k % 4 == 1 else -b)", "b if k % 4 == 1 else b)",
+           ("tests/test_topology.py",)),
+    Mutant("b_k >= 0 for b_k >= delta_k", "src/ci_invariants/topology.py",
+           "    if b < delta:\n", "    if b < 0:\n",
+           ("tests/test_topology.py",)),
+    Mutant("Euler recurrence with + r", "src/ci_invariants/topology.py",
+           "prev = c - r * prev", "prev = c + r * prev",
+           ("tests/test_topology.py",)),
+    Mutant("poincare without b_k", "src/ci_invariants/topology.py",
+           "        coeffs[k] = self.middle_betti\n", "",
+           ("tests/test_topology.py",)),
+    Mutant("fiber without its hyperplanes", "src/ci_invariants/lines.py",
+           "range(1, deg + 1)", "range(2, deg + 1)",
+           ("tests/test_lines.py",)),
+    Mutant("polynomial text keeps zero terms", "src/ci_invariants/cli.py",
+           "for j, c in enumerate(value) if c)", "for j, c in enumerate(value))",
+           ("tests/test_cli.py::TestInvariantsCommand",)),
+    Mutant("polynomial text writes coefficient 1", "src/ci_invariants/cli.py",
+           'return power if c == 1 else f"{c}{power}"', 'return f"{c}{power}"',
+           ("tests/test_cli.py::TestInvariantsCommand",)),
+    Mutant("stderr write not best-effort", "src/ci_invariants/cli.py",
+           "with contextlib.suppress(OSError):", "with contextlib.suppress():",
+           ("tests/test_cli.py::TestUsage",)),
+    Mutant("failed usage write escapes main", "src/ci_invariants/cli.py",
+           "    except OSError:\n        # Python 3.10", "    except ZeroDivisionError:\n        # Python 3.10",
+           ("tests/test_cli.py::TestUsage",)),
+]
+
+
+def copy_checkout(into: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, into / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def run_tests(checkout: Path, tests) -> int:
+    """pytest's exit code for ``tests`` in ``checkout``, stopping at the
+    first failure; the copy's ``src`` is the package imported."""
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src"),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=checkout, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def main() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = Path(tmp) / "baseline"
+        copy_checkout(baseline)
+        tests = sorted({test for mutant in MUTANTS for test in mutant.tests})
+        code = run_tests(baseline, tests)
+        if code != pytest.ExitCode.OK:
+            print(f"the named tests fail without a mutant (pytest exit {code})")
+            return 1
+        for i, mutant in enumerate(MUTANTS):
+            checkout = Path(tmp) / f"mutant{i}"
+            copy_checkout(checkout)
+            target = checkout / mutant.path
+            text = target.read_text(encoding="utf-8")
+            count = text.count(mutant.old)
+            if count != 1:
+                print(f"STALE     {mutant.name}: old text occurs {count} times in {mutant.path}")
+                failures += 1
+                continue
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+            start = time.perf_counter()
+            code = run_tests(checkout, mutant.tests)
+            elapsed = time.perf_counter() - start
+            if code == pytest.ExitCode.TESTS_FAILED:
+                print(f"killed    {mutant.name} ({elapsed:.1f} s)")
+            else:
+                print(f"SURVIVED  {mutant.name}: pytest exit {code} ({elapsed:.1f} s)")
+                failures += 1
+            shutil.rmtree(checkout)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

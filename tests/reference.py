@@ -114,3 +114,23 @@ def divisible_by_one_plus_t_squared(coeffs) -> bool:
         c = rem.pop()
         rem[-2] -= c
     return not any(rem)
+
+
+def poincare_coefficients(k: int, b: int) -> list[int]:
+    """The Poincare polynomial of a k-dimensional complete intersection with
+    middle Betti number b, lowest degree first: by the Lefschetz hyperplane
+    theorem and Poincare duality, 1 in each even degree 0 .. 2k and 0 in
+    each odd one, except b in degree k."""
+    return [b if j == k else (j + 1) % 2 for j in range(2 * k + 1)]
+
+
+def polynomial_text(coeffs) -> str:
+    """The polynomial with these coefficients, all >= 0, lowest degree
+    first, as the table prints it: ``1 + 2t + t^2``, zero terms left out."""
+    terms = []
+    for j, c in enumerate(coeffs):
+        if c:
+            coefficient = str(c) if c != 1 or j == 0 else ""
+            power = "" if j == 0 else "t" if j == 1 else "t^" + str(j)
+            terms.append(coefficient + power)
+    return " + ".join(terms)

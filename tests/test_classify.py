@@ -548,18 +548,19 @@ class TestScanRecords:
 def test_no_polynomial_on_the_scan_path(monkeypatch, capsys):
     # Only reading a report's ``poincare`` builds the dense polynomial.
     built = []
-    real = topology.IntPolynomial
+    real = topology.InvariantReport.poincare.fget
 
-    def counting(coefficients):
+    def counting(report):
+        coefficients = real(report)
         built.append(len(coefficients))
-        return real(coefficients)
+        return coefficients
 
-    monkeypatch.setattr(topology, "IntPolynomial", counting)
+    monkeypatch.setattr(topology.InvariantReport, "poincare", property(counting))
     assert scan_lemma(12, 6).ok and scan_theorem(14, 6).ok
     for fmt in ("table", "json", "csv"):
         assert main(["classify", "--n", "850", "--type", "2,5,6", "--format", fmt]) == 0
     assert built == []
-    assert compute_invariants(CIType(5, (2,))).poincare.coefficients[4] == 2
+    assert compute_invariants(CIType(5, (2,))).poincare[4] == 2
     assert built == [9]
 
 

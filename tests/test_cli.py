@@ -3,9 +3,11 @@ the JSON round-trip contract (all integers as decimal strings)."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -30,6 +32,7 @@ from ci_invariants import (
     topology,
 )
 from ci_invariants.cli import main
+from reference import poincare_coefficients, polynomial_text
 
 
 def run_cli(capsys, *argv):
@@ -88,6 +91,34 @@ class TestInvariantsCommand:
         lines = out.strip().splitlines()
         assert lines[0].startswith("n,degrees,dimension")
         assert len(lines) == 2
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    @pytest.mark.parametrize("n, degrees, k, b, text", [
+        ("3", "1,2,3", 0, 6, "6"),               # k = 0
+        ("1", "", 1, 0, "1 + t^2"),              # odd k, b_k = 0
+        ("2", "3", 1, 2, "1 + 2t + t^2"),        # odd k, b_k > 1
+        ("2", "", 2, 1, "1 + t^2 + t^4"),        # even k, b_k = 1
+        ("3", "2", 2, 2, "1 + 2t^2 + t^4"),      # even k, b_k = 2
+        ("3", "3", 2, 7, "1 + 7t^2 + t^4"),      # even k, b_k > 2
+    ])
+    def test_poincare_polynomial_per_shape(self, capsys, n, degrees, k, b, text, fmt):
+        # One type per shape of p: the table prints the polynomial, JSON and
+        # CSV its dense coefficients, which the reference builds from (k, b_k).
+        code, out, _ = run_cli(capsys, "invariants", "--n", n, "--type", degrees,
+                               "--format", fmt)
+        assert code == 0
+        dense = [str(c) for c in poincare_coefficients(k, b)]
+        assert polynomial_text(poincare_coefficients(k, b)) == text
+        if fmt == "table":
+            assert f"Poincare polynomial: {text}" in out.splitlines()
+        elif fmt == "json":
+            obj = json.loads(out)
+            assert (obj["dimension"], obj["middle_betti"]) == (str(k), str(b))
+            assert obj["poincare_coefficients"] == dense
+        else:
+            row = dict(zip(*csv.reader(out.splitlines())))
+            assert (row["dimension"], row["middle_betti"]) == (str(k), str(b))
+            assert row["poincare"] == " ".join(dense)
 
 
 class TestClassifyCommand:
@@ -357,6 +388,46 @@ class TestUsage:
     def test_missing_subcommand_exits_2(self, capsys):
         assert main([]) == 2
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["scan", "--max-n", "2", "--max-degree", "2"], 0),
+        (["classify", "--n", "0"], 2),
+        (["classify", "--n", "x"], 2),
+    ])
+    def test_unwritable_stderr_keeps_the_exit_code(self, argv, expected):
+        # stderr is a pipe whose read end is closed: every diagnostic write
+        # fails, and none may turn the exit code into 1 (a violation).
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ci_invariants", *argv],
+                                  stdout=subprocess.DEVNULL, stderr=write_end)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == expected
+
+    def test_unwritable_stderr_keeps_a_failed_check_at_1(self, monkeypatch):
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        def failing(*args):
+            raise InternalCheckError("injected")
+
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        monkeypatch.setattr(cli, "chi22", failing)
+        monkeypatch.setattr(cli, "compute_invariants", failing)
+        assert main(["verify-identities", "--max-k", "2"]) == 1
+        assert main(["classify", "--n", "4", "--type", "3"]) == 1
+
+    def test_failed_usage_write_is_exit_2(self, monkeypatch):
+        # Python 3.10's argparse lets a failed write of its usage text
+        # escape; 3.11+ drops it.  Either way a usage error exits 2.
+        def write(parser, message, file=None):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "_print_message", write)
+        assert main(["classify", "--n", "x"]) == 2
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
 
@@ -545,7 +616,7 @@ def _invariants_json(report):
         "dimension": str(report.ci.dimension),
         "euler_characteristic": str(report.euler_char),
         "middle_betti": str(report.middle_betti),
-        "poincare_coefficients": [str(c) for c in report.poincare.coefficients],
+        "poincare_coefficients": [str(c) for c in report.poincare],
         "value_at_i": _gauss(report.value_at_i),
     }
 
@@ -570,12 +641,12 @@ def past_the_digit_line():
                   "poincare", "value_at_i"],
                  head + [str(ci.dimension), str(report.euler_char),
                          str(report.middle_betti),
-                         " ".join(str(c) for c in report.poincare.coefficients),
+                         " ".join(str(c) for c in report.poincare),
                          str(report.value_at_i)]],
                 [f"type: {ci}", f"dimension: {ci.dimension}",
                  f"euler characteristic: {report.euler_char}",
                  f"middle Betti number: {report.middle_betti}",
-                 f"Poincare polynomial: {report.poincare}",
+                 f"Poincare polynomial: {polynomial_text(report.poincare)}",
                  f"value at i: {report.value_at_i}"],
             ),
             "classify": (
@@ -605,7 +676,7 @@ def past_the_digit_line():
                  "rationally connected: true", f"fiber type: {fiber}",
                  f"fiber euler characteristic: {fib.euler_char}",
                  f"fiber middle Betti number: {fib.middle_betti}",
-                 f"fiber Poincare polynomial: {fib.poincare}",
+                 f"fiber Poincare polynomial: {polynomial_text(fib.poincare)}",
                  f"fiber value at i: {fib.value_at_i}"],
             ),
         }

@@ -22,7 +22,6 @@ def test_records_are_immutable_tuples_with_tuple_equality():
         GaussianInteger(1, -2),
         quadric,
         compute_invariants(quadric),
-        compute_invariants(quadric).poincare,
         line_geometry(quadric),
         theorem_verdict(quadric),
         next(scan_lemma(3, 2).records()),
@@ -44,10 +43,9 @@ def test_records_are_immutable_tuples_with_tuple_equality():
     assert quadric == (5, (2,)) and hash(quadric) == hash((5, (2,)))
     assert GaussianInteger(0, 0) == (0, 0) and hash(GaussianInteger(3, 4)) == hash((3, 4))
     assert compute_invariants(quadric) == tuple(compute_invariants(quadric))
-    poincare = compute_invariants(quadric).poincare  # built on each read
-    assert poincare == ((1, 0, 1, 0, 2, 0, 1, 0, 1),)
-    assert poincare == compute_invariants(quadric).poincare
-    assert hash(poincare) == hash(((1, 0, 1, 0, 2, 0, 1, 0, 1),))
-    assert repr(poincare) == "IntPolynomial(coefficients=(1, 0, 1, 0, 2, 0, 1, 0, 1))"
+    # The Poincare polynomial is no record: its coefficients, a plain tuple
+    # indexed by degree, built on each read.
+    poincare = compute_invariants(quadric).poincare
+    assert poincare == (1, 0, 1, 0, 2, 0, 1, 0, 1) and type(poincare) is tuple
     # A Gaussian integer is true iff nonzero, not iff its tuple is nonempty.
     assert not GaussianInteger(0, 0) and GaussianInteger(0, 1)

@@ -20,7 +20,6 @@ import pytest
 from ci_invariants import (
     CIType,
     GaussianInteger,
-    IntPolynomial,
     InternalCheckError,
     chi22,
     compute_invariants,
@@ -46,7 +45,7 @@ def middle_betti(ci: CIType) -> int:
     return compute_invariants(ci).middle_betti
 
 
-def poincare_polynomial(ci: CIType) -> IntPolynomial:
+def poincare_polynomial(ci: CIType) -> tuple[int, ...]:
     return compute_invariants(ci).poincare
 
 
@@ -248,12 +247,12 @@ class TestHypersurfaceClosedForm:
 
 class TestPoincarePolynomial:
     def test_examples(self):
-        assert poincare_polynomial(CIType(1)) == IntPolynomial((1, 0, 1))
-        assert poincare_polynomial(CIType(3, (2,))) == IntPolynomial((1, 0, 2, 0, 1))
-        assert poincare_polynomial(CIType(4, (3,))) == IntPolynomial((1, 0, 1, 10, 1, 0, 1))
+        assert poincare_polynomial(CIType(1)) == (1, 0, 1)
+        assert poincare_polynomial(CIType(3, (2,))) == (1, 0, 2, 0, 1)
+        assert poincare_polynomial(CIType(4, (3,))) == (1, 0, 1, 10, 1, 0, 1)
 
     def test_dimension_zero_is_constant(self):
-        assert poincare_polynomial(CIType(3, (1, 2, 3))) == IntPolynomial((6,))
+        assert poincare_polynomial(CIType(3, (1, 2, 3))) == (6,)
 
     def test_evaluations(self):
         # p(-1) = chi and p(1) = Betti sum for a spread of types
@@ -262,7 +261,7 @@ class TestPoincarePolynomial:
                 if len(degrees) > n:
                     continue
                 ci = CIType(n, degrees)
-                p = poincare_polynomial(ci).coefficients
+                p = poincare_polynomial(ci)
                 assert horner(p, -1) == euler_characteristic(ci)
                 k, b = ci.dimension, middle_betti(ci)
                 delta = 1 if k % 2 == 0 else 0
@@ -285,7 +284,7 @@ class TestVanishesAtI:
                 if len(degrees) > n:
                     continue
                 ci = CIType(n, degrees)
-                direct = horner_at_i(poincare_polynomial(ci).coefficients) == (0, 0)
+                direct = horner_at_i(poincare_polynomial(ci)) == (0, 0)
                 assert vanishes_at_i(ci) == direct
 
 
@@ -383,7 +382,7 @@ class TestInvariantReport:
 
     def test_projective_line(self):
         report = compute_invariants(CIType(1))
-        assert report.poincare == IntPolynomial((1, 0, 1))
+        assert report.poincare == (1, 0, 1)
         assert report.value_at_i.is_zero
 
     @pytest.mark.parametrize("k", [2, 4, 6, 8])
@@ -410,7 +409,7 @@ class TestLargeMagnitudes:
         assert via_chi == hypersurface_middle_betti(64, 63)
         assert via_chi == (63 * (63 ** 64 - 1)) // 64
         report = compute_invariants(CIType(64, (64,)))
-        assert horner(report.poincare.coefficients, -1) == report.euler_char
+        assert horner(report.poincare, -1) == report.euler_char
 
 
 def _reports_to_evaluate():
@@ -431,7 +430,7 @@ def test_closed_forms_equal_horner_on_the_dense_coefficients():
     # coefficients is the independent route, and p(-1), p(1) come with it.
     checked = 0
     for report in _reports_to_evaluate():
-        c = report.poincare.coefficients
+        c = report.poincare
         k, b = report.ci.dimension, report.middle_betti
         delta = 1 if k % 2 == 0 else 0
         assert report.value_at_i == GaussianInteger(*horner_at_i(c)), report.ci
