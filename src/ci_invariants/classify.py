@@ -25,15 +25,15 @@ over every k, and runs the checks once per class, on that chi.
 Each scan makes two passes, serially.  The first runs every check and
 keeps only the counts, the violations and a small table: the verdicts not
 decided by the d > n gate, keyed by n and degrees, or the lemma scan's
-b_k, one column per (|D|, k) listing every D of that length.  A class's
-p(i) and case follow from (D, k, b_k), so the lemma table holds one int
-per class and no fields.  A ``ScanReport`` is plain data: those results,
-the number of types, and that table as its ``table`` field, whose layout
-is not a contract.  The second pass, ``ScanReport.blocks``, run each time
-the scan is written or its records are read, walks the types one (n, l)
-block at a time and yields each block's fields from the table; no check
-is re-run, so a scan's memory grows with its classes and its d <= n
-verdicts, not with the types.
+b_k, one row per dimension k listing its classes by |D|, then D.  A
+class's p(i) and case follow from (D, k, b_k), so the lemma table holds
+one int per class and no fields.  A ``ScanReport`` is plain data: those
+results, the number of types, and that table as its ``table`` field, whose
+layout is not a contract.  The second pass, run each time the scan is
+written or its records are read, walks the types one (n, l) block at a
+time and reads each block's fields from the table, a lemma block's as a
+prefix of its row; no check is re-run, so a scan's memory grows with its
+classes and its d <= n verdicts, not with the types.
 
 ``write_scans`` is the one scan writer.  It fills a row template's n and k
 once per block and joins each row, at C level, from constant pieces, the
@@ -43,7 +43,7 @@ record.  A theorem row's fields are rendered on their first lookup.  A
 lemma block's rows past D = () and D = (2) cannot vanish, so their text is
 one template per k mod 4, mapped over the block's b_k at C level.  Records,
 ``Verdict``s for the theorem scan and ``LemmaRecord``s for the lemma scan,
-are built only by the generator ``ScanReport.records``, which reads the
+are built only by the generator ``ScanReport.records``, which walks the
 same blocks.  No record renders itself; the single-type documents are
 rendered by the CLI.
 """
@@ -54,6 +54,7 @@ import json
 from collections import Counter, namedtuple
 from enum import Enum
 from itertools import chain, combinations_with_replacement, islice, repeat
+from math import comb
 from typing import Iterator, Sequence, TextIO
 
 from .lines import fiber_type
@@ -215,10 +216,9 @@ _RECORD_DEPTH = _SCAN_DEPTH + 2
 
 
 def _json_container(open_: str, items: list[str], close: str, depth: int) -> str:
-    """A JSON array or object of already rendered items, laid out exactly as
-    ``json.dumps(..., indent=2)`` lays out a container at ``depth``."""
-    if not items:
-        return open_ + close
+    """A non-empty JSON array or object of already rendered items, laid out
+    exactly as ``json.dumps(..., indent=2)`` lays out a container at
+    ``depth``."""
     inner = _NEWLINE[depth + 1]
     return open_ + inner + ("," + inner).join(items) + _NEWLINE[depth] + close
 
@@ -321,9 +321,10 @@ _OUTCOME_TEXT = {
 class _FieldTexts(dict):
     """The text of each fields tuple of one scan in one format, rendered on
     its first lookup: a later row with the same fields is a C-level hit.
-    The theorem scan has few distinct fields (278 at 14/6).  A lemma block
-    comes here only for its first two rows, or for every row when it holds
-    a failed class; ``lemma_block`` renders the rest from the b_k column.
+    The theorem scan has few distinct fields: 278 at 14/6, but 1,199 at
+    20/6, where the bound of 1,024 entries is reached.  A lemma block comes
+    here only for its first two rows, or for every row when it holds a
+    failed class; ``lemma_block`` renders the rest from its prefix of b_k.
     The memo is emptied when full, bounding it."""
 
     def __init__(self, kind: str, fmt: str):
@@ -340,20 +341,19 @@ class _FieldTexts(dict):
         text = self[fields] = self.template % (cell_a(a), cell_b(b), cell_c(c))
         return text
 
-    def lemma_block(self, k: int, columns: list[list]) -> Iterator[str]:
-        """The field texts of the lemma block at dimension k whose b_k lie
-        in ``columns``.  Only its first two classes, D = () and D = (2), can
-        vanish, so the rest share one template, mapped over the column at C
-        level; a block holding a failed class (None) is rendered per field."""
-        fields = map(self.__getitem__, _lemma_fields(k, columns))
-        if any(None in column for column in columns):
+    def lemma_block(self, k: int, block: tuple[list, int]) -> Iterator[str]:
+        """The field texts of the lemma block (row, size) at dimension k.
+        Only its first two classes, D = () and D = (2), can vanish, so the
+        rest share one template, mapped over the prefix at C level; a block
+        holding a failed class (None) is rendered per field."""
+        row, size = block
+        fields = map(self.__getitem__, _lemma_fields(k, block))
+        if None in islice(row, size):
             return fields
-
-        def tail() -> Iterator[int]:
-            return islice(chain.from_iterable(columns), 2, None)
-
-        second = map((2).__sub__, tail()) if k % 4 == 2 else tail()
-        return chain(islice(fields, 2), map(self.tails[k % 4].__mod__, zip(tail(), second)))
+        betti, second = islice(row, 2, size), islice(row, 2, size)
+        if k % 4 == 2:
+            second = map((2).__sub__, second)
+        return chain(islice(fields, 2), map(self.tails[k % 4].__mod__, zip(betti, second)))
 
 
 class Verdict(namedtuple("Verdict", "ci kind p_x_at_i p_f_at_i", defaults=(None, None))):
@@ -393,8 +393,9 @@ class ScanReport(namedtuple(
     """Deterministic result of an exhaustive scan: the number of types
     walked, the outcome counts and any internal-check violations (always
     expected to be empty), all final when the report is built.  ``table`` is
-    the first pass's state, from which ``blocks`` re-walks the types; its
-    layout is not a contract.  Two reports of the same scan are equal."""
+    the first pass's state, from which ``records`` and ``write_scans``
+    re-walk the types; its layout is not a contract.  Two reports of the
+    same scan are equal."""
 
     __slots__ = ()
 
@@ -412,22 +413,16 @@ class ScanReport(namedtuple(
         lines.extend(f"violation: {v}" for v in self.violations)
         return lines
 
-    def blocks(self) -> Iterator[tuple]:
-        """One (n, l, fields) per block of the types in P^n with l degrees,
-        in canonical order: ``fields`` is an iterator over the block's
-        fields, in lexicographic order of the degrees, read from ``table``
-        with no check re-run.  A lemma block's fields are rebuilt from k and
-        its column of b_k."""
-        if self.kind == "theorem":
-            return _theorem_blocks(self.max_n, self.max_degree, self.table)
-        return ((n, l, _lemma_fields(n - l, columns))
-                for n, l, columns in _lemma_blocks(self.max_n, self.max_degree, self.table))
-
     def records(self) -> Iterator:
         """The scan's records, one per type in canonical order, each built
-        from its block's fields when the caller reaches it."""
+        from its fields in ``table`` when the caller reaches it, with no
+        check re-run; a lemma record's fields are rebuilt from k and b_k."""
         record_type = _RECORD_TYPES[self.kind]
-        rows = chain.from_iterable(fields for _, _, fields in self.blocks())
+        theorem = self.kind == "theorem"
+        walk = _theorem_blocks if theorem else _lemma_blocks
+        blocks = walk(self.max_n, self.max_degree, self.table)
+        rows = chain.from_iterable(block if theorem else _lemma_fields(n - l, block)
+                                   for n, l, block in blocks)
         for ci, fields in zip(iter_types(self.max_n, self.max_degree), rows):
             yield record_type(ci, *fields)
 
@@ -440,8 +435,8 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
     template's n and k once; each row then joins, at C level, the template's
     pieces with the degree list, the total degree (theorem scan) and the
     text of its fields: a theorem row's fields rendered on their first
-    lookup, a lemma row's from its block's column of b_k.  An unknown
-    ``fmt`` raises ValueError before anything is written."""
+    lookup, a lemma row's from its block's prefix of a row of b_k.  An
+    unknown ``fmt`` raises ValueError before anything is written."""
     if fmt not in _DEGREE_LISTS:
         raise ValueError(f"unknown output format {fmt!r}")
     open_, sep, close, empty = _DEGREE_LISTS[fmt]
@@ -585,16 +580,15 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     the bounds.  A class whose checks fail is one violation, naming that
     first type, and each of its types is a failed record.
 
-    The table keeps only b_k: ``table[|D|][k]`` lists the b_k of every D
-    of that length in scan order, None for a failed class.  A record's p(i)
-    and case follow from (D, k, b_k), and k mod 4 fixes them for all D but
-    () and (2)."""
+    The table keeps only b_k: ``table[k]`` lists the b_k of every class of
+    dimension k, ordered by |D| and then D, None for a failed class.  A
+    record's p(i) and case follow from (D, k, b_k), and k mod 4 fixes them
+    for all D but () and (2)."""
     _check_bounds(max_n, max_degree)
-    by_length: list[list[list]] = []
+    table: list[list] = [[] for _ in range(max_n + 1)]
     violations: list[str] = []
     tally: Counter = Counter()
     for length in range(max_n + 1):
-        columns: list[list] = [[] for _ in range(max_n - length + 1)]
         for reduced in combinations_with_replacement(range(2, max_degree + 1), length):
             row = euler_characteristic_row(reduced, max_n - length)
             for k, chi in enumerate(row):
@@ -613,21 +607,21 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                 if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
                     violations.append(f"excluded shape vanishes at i: {ci}")
                     case = None
-                columns[k].append(None if case is None else betti)
+                table[k].append(None if case is None else betti)
                 tally[case] += max_n - n + 1 if n else max_n
-        by_length.append(columns)
-    return _scan_report("lemma", max_n, max_degree, by_length, violations,
+    return _scan_report("lemma", max_n, max_degree, table, violations,
                         LemmaCase, tally)
 
 
-def _lemma_blocks(max_n: int, max_degree: int, by_length: list) -> Iterator:
+def _lemma_blocks(max_n: int, max_degree: int, table: list) -> Iterator:
     """A block lists its types with m leading 1s, for m = l down to 0, each
-    m in the order of their reduced multisets D: so it is one (n, l, columns)
-    whose columns, chained, list the b_k at k = n - l of every D with
-    |D| <= l, by |D|, then D.  The first two are D = () and D = (2)."""
+    m in the order of their reduced multisets D: so its classes are the D
+    with |D| <= l at k = n - l, by |D|, then D, which are the first
+    C(l + max_degree - 1, l) entries of ``table[k]``.  Each block is one
+    (n, l, (row, size)); the first two classes are D = () and D = (2)."""
     for n in range(1, max_n + 1):
         for l in range(n + 1):
-            yield n, l, [by_length[length][n - l] for length in range(l + 1)]
+            yield n, l, (table[n - l], comb(l + max_degree - 1, l))
 
 
 def _class_fields(k: int, b: int | None, reduced: tuple[int, ...] | None) -> tuple:
@@ -636,9 +630,10 @@ def _class_fields(k: int, b: int | None, reduced: tuple[int, ...] | None) -> tup
     return b, _value_at_i(k, b), _shape_case(reduced, k)
 
 
-def _lemma_fields(k: int, columns: list[list]) -> Iterator[tuple]:
-    """The (b_k, p(i), case) of each class of a lemma block, rebuilt from k,
-    b_k and the class's position: the first two are D = () and D = (2), and
-    the rest are nonvanishing."""
-    return map(_class_fields, repeat(k), chain.from_iterable(columns),
+def _lemma_fields(k: int, block: tuple[list, int]) -> Iterator[tuple]:
+    """The (b_k, p(i), case) of each class of the lemma block (row, size),
+    rebuilt from k, b_k and the class's position in the prefix of ``row``:
+    the first two are D = () and D = (2), and the rest are nonvanishing."""
+    row, size = block
+    return map(_class_fields, repeat(k), islice(row, size),
                chain(((), (2,)), repeat(None)))

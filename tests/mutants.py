@@ -47,6 +47,16 @@ MUTANTS = [
     Mutant("parity check always passes", "src/ci_invariants/classify.py",
            "            ok = p_x.is_zero != p_f.is_zero\n", "            ok = True\n",
            ("tests/test_classify.py",)),
+    Mutant("non-homogeneous survivor passes", "src/ci_invariants/classify.py",
+           "        if p_x.is_zero or p_f.is_zero:\n", "        if False:\n",
+           ("tests/test_classify.py::TestNonHomogeneousSurvivor",)),
+    Mutant("no dimension <= 1 catalog check", "src/ci_invariants/classify.py",
+           "        if rc and ci.dimension <= 1 and not homogeneous:\n", "        if False:\n",
+           ("tests/test_classify.py::TestDimensionLeq1Catalog"
+            "::test_non_homogeneous_curve_is_a_violation",)),
+    Mutant("lemma block prefix one class short per length", "src/ci_invariants/classify.py",
+           "comb(l + max_degree - 1, l)", "comb(l + max_degree - 2, l)",
+           ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),
     Mutant("+b at k = 3 mod 4", "src/ci_invariants/topology.py",
            "b if k % 4 == 1 else -b)", "b if k % 4 == 1 else b)",
            ("tests/test_topology.py",)),

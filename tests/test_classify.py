@@ -13,6 +13,7 @@ import pytest
 from ci_invariants import (
     CIType,
     GaussianInteger,
+    InternalCheckError,
     LemmaCase,
     LemmaRecord,
     Verdict,
@@ -25,7 +26,7 @@ from ci_invariants import (
     theorem_verdict,
     write_scans,
 )
-from ci_invariants import classify, topology
+from ci_invariants import classify, cli, topology
 from ci_invariants.cli import main
 from reference import chi_structure_sheaf, reduce_type
 
@@ -191,6 +192,52 @@ def vanishing_at_a_point(ci, chi=None):
     return report
 
 
+#: A cubic threefold: rationally connected, not homogeneous, and stopped at
+#: the Poincare gate, where p_X(i) and p_F(i) are both nonzero.
+CUBIC_THREEFOLD = CIType(4, (3,))
+
+
+def vanishing_for_the_cubic(ci, chi=None):
+    """``compute_invariants``, but ``CUBIC_THREEFOLD`` vanishes at i, so it
+    passes the Poincare gate although it reduces to neither () nor (2)."""
+    report = topology.compute_invariants(ci, chi)
+    if ci == CUBIC_THREEFOLD:
+        report = report._replace(value_at_i=GaussianInteger(0, 0))
+    return report
+
+
+class TestNonHomogeneousSurvivor:
+    """A type that passes every gate but is not homogeneous contradicts the
+    classification, so ``theorem_verdict`` raises InternalCheckError."""
+
+    MESSAGE = f"{CUBIC_THREEFOLD} passed every obstruction but does not reduce to () or (2)"
+
+    def test_theorem_verdict_raises(self, monkeypatch):
+        monkeypatch.setattr(classify, "compute_invariants", vanishing_for_the_cubic)
+        with pytest.raises(InternalCheckError) as caught:
+            theorem_verdict(CUBIC_THREEFOLD)
+        assert str(caught.value) == self.MESSAGE
+
+    def test_violation_is_a_scan_violation(self, monkeypatch):
+        monkeypatch.setattr(classify, "compute_invariants", vanishing_for_the_cubic)
+        report = scan_theorem(4, 3)
+        assert report.violations == (self.MESSAGE,)
+        assert report.counts["internal_check_failed"] == 1
+        (rec,) = [rec for rec in report.records() if rec.ci == CUBIC_THREEFOLD]
+        assert rec == Verdict(CUBIC_THREEFOLD, None)
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_violation_fails_classify(self, capsys, monkeypatch, fmt):
+        # The CLI computes the type's report itself and passes it on, so
+        # the fault is injected there too.
+        monkeypatch.setattr(classify, "compute_invariants", vanishing_for_the_cubic)
+        monkeypatch.setattr(cli, "compute_invariants", vanishing_for_the_cubic)
+        code = main(["classify", "--n", "4", "--type", "3", "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == f"internal check failed: {self.MESSAGE}\n"
+
+
 class TestDimensionLeq1Catalog:
     """The rationally connected (d <= n) types of dimension <= 1 among the
     records of ``scan_theorem(4, 3)``: every such type with n <= 4 has its
@@ -227,6 +274,15 @@ class TestDimensionLeq1Catalog:
         quartic = CIType(3, (2, 2))  # d = 4 > 3
         assert self.verdicts()[quartic] is VerdictKind.NOT_RATIONALLY_CONNECTED
         assert quartic not in self.catalog()
+
+    def test_non_homogeneous_curve_is_a_violation(self, monkeypatch):
+        # The scan re-checks the catalog: a rationally connected curve or
+        # point whose shape is not homogeneous is a violation.
+        real, conic = classify._is_homogeneous_shape, CIType(2, (2,))
+        monkeypatch.setattr(classify, "_is_homogeneous_shape",
+                            lambda ci: ci != conic and real(ci))
+        assert scan_theorem(2, 2).violations == (
+            f"dimension <= 1 rationally connected type is not a point/line/conic: {conic}",)
 
 
 class TestReduced:
@@ -434,12 +490,17 @@ class TestScanLemma:
                 if reduce_type(ci.ambient_dim, ci.degrees) != (ci.ambient_dim, ci.degrees)
                 ] == [CIType(1, (1,))]
 
-    def test_records_equal_direct_computation(self):
-        # The per-class shortcut, cross-checked type by type at scan scale.
-        for rec in scan_lemma(10, 6).records():
-            report = compute_invariants(rec.ci)
-            case = lemma_classify(rec.ci, report)
-            assert rec == LemmaRecord(rec.ci, report.middle_betti, report.value_at_i, case)
+    # 10/6 is at scan scale; at max_degree = 1 every block is a prefix of
+    # one class, and at 1/60 the block (1, 1) holds the whole k = 0 row.
+    @pytest.mark.parametrize("bounds", [(10, 6), (10, 1), (1, 60)],
+                             ids=["10-6", "10-1", "1-60"])
+    def test_records_equal_direct_computation(self, bounds):
+        # The per-class shortcut, cross-checked type by type.
+        report = scan_lemma(*bounds)
+        for ci, rec in zip(iter_types(*bounds), report.records(), strict=True):
+            invariants = compute_invariants(ci)
+            case = lemma_classify(ci, invariants)
+            assert rec == LemmaRecord(ci, invariants.middle_betti, invariants.value_at_i, case)
 
     def test_internal_check_failure_is_a_violation(self, monkeypatch):
         # The fault enters where chi becomes invariants, the step that both
@@ -475,16 +536,8 @@ class TestScanLemma:
         assert_smaller_scan_is_a_prefix(scan_lemma, 7, 3)
 
     def test_vanishing_excluded_shape_is_a_violation(self, monkeypatch):
-        real = classify.compute_invariants
-        cubic = CIType(4, (3,))   # excluded: an entry >= 3
-
-        def vanishing_for_cubic(ci, chi=None):
-            report = real(ci, chi)
-            if ci == cubic:
-                return report._replace(value_at_i=GaussianInteger(0, 0))
-            return report
-
-        monkeypatch.setattr(classify, "compute_invariants", vanishing_for_cubic)
+        cubic = CUBIC_THREEFOLD   # excluded: an entry >= 3
+        monkeypatch.setattr(classify, "compute_invariants", vanishing_for_the_cubic)
         report = scan_lemma(4, 3)
         assert report.violations == (
             f"shape case nonvanishing disagrees with p(i) vanishing for {cubic}",
@@ -532,7 +585,7 @@ class TestScanRecords:
         assert held < 320 * report.types
 
     def test_lemma_table_holds_only_b_k(self):
-        # The table keeps one b_k per class, in a column per (|D|, k), with
+        # The table keeps one b_k per class, in a row per dimension k, with
         # no tuple, GaussianInteger or LemmaCase: on Python 3.11.7 it held
         # 40.7 B per class at max_n = 1, against 257 B for a fields tuple.
         tracemalloc.start()
