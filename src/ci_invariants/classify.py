@@ -63,6 +63,7 @@ from .topology import (
     GaussianInteger,
     InternalCheckError,
     InvariantReport,
+    _reduced,
     _value_at_i,
     compute_invariants,
     euler_characteristic_row,
@@ -90,11 +91,6 @@ class VerdictKind(Enum):
 
     # Members are singletons, looked up once per scanned type.
     __hash__ = object.__hash__
-
-
-def _reduced(ci: CIType) -> tuple[int, ...]:
-    # ``degrees`` is sorted ascending, so its degree-1 entries lead.
-    return ci.degrees[ci.degrees.count(1):]
 
 
 def _is_homogeneous_shape(ci: CIType) -> bool:
@@ -509,17 +505,19 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     Each record is the type's ``Verdict``, or ``Verdict(ci, None)`` when an
     internal check failed for it (recorded as a violation), such as a
     homogeneous type whose values at i break the parity pattern.
-    Survivors of all gates must reduce to () or (2); conversely every
-    rationally connected homogeneous-shaped type of dimension >= 2 must
-    survive.  (In dimension <= 1 points and conics have total degree n and
-    stop at the normal-bundle gate; lines survive.)
+    Each kept verdict must agree with the two degree gates: not rationally
+    connected exactly when d > n, a normal-bundle obstruction exactly when
+    d = n.  Survivors of all gates must reduce to () or (2); conversely
+    every rationally connected homogeneous-shaped type of dimension >= 2
+    must survive.  (In dimension <= 1 points and conics have total degree n
+    and stop at the normal-bundle gate; lines survive.)
 
     ``theorem_verdict`` runs on every type.  A type with d > n whose verdict
     is ``NOT_RATIONALLY_CONNECTED`` is only counted, because its record is
     that verdict again; the fields of every other verdict are kept, by n
     and then by degrees, for the second pass.
     """
-    not_rc = VerdictKind.NOT_RATIONALLY_CONNECTED
+    not_rc, normal = VerdictKind.NOT_RATIONALLY_CONNECTED, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
     kept: dict[int, dict[tuple[int, ...], tuple]] = {}
     skipped = 0
     violations: list[str] = []
@@ -536,10 +534,13 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
             continue
         kept.setdefault(n, {})[degrees] = verdict[1:]
 
-        # Finite-scale re-statement of the classification itself.  Every
-        # check below needs a type that passed or is rationally connected.
-        passed = verdict.kind in (VerdictKind.HOMOGENEOUS_LINEAR,
-                                  VerdictKind.HOMOGENEOUS_QUADRIC)
+        # Finite-scale re-statement of the classification itself, starting
+        # with the two degree gates.
+        kind = verdict.kind
+        if kind is not None and ((kind is not_rc) != (d > n) or (kind is normal) != (d == n)):
+            violations.append(f"{kind.value} verdict contradicts total degree {d}: {ci}")
+        # Every check below needs a type that passed or is rationally connected.
+        passed = kind in (VerdictKind.HOMOGENEOUS_LINEAR, VerdictKind.HOMOGENEOUS_QUADRIC)
         rc = d <= n
         if not (passed or rc):
             continue

@@ -10,8 +10,10 @@ function (Topological Methods in Algebraic Geometry, section 22)
 
 which expands with one first-order integer recurrence per degree, in
 O(k * l) exact steps.  Degree-1 entries only shift n, so one run of the
-recurrence for the degrees >= 2 gives chi at every k up to its length:
-``euler_characteristic`` reads one value off it, and
+recurrence for the degrees >= 2 gives chi at every k up to its length.
+That run is one generator, ``_chi_coefficients``, which yields the
+coefficients one at a time and holds one running value per degree:
+``euler_characteristic`` keeps its last value, and
 ``euler_characteristic_row`` the whole row.  The tests compare both with
 the coefficient of H^n in (1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)),
 an independent route kept in ``tests/reference.py``, outside the package.
@@ -35,7 +37,7 @@ Horner's rule, in ``tests/reference.py``, as the independent route.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import deque, namedtuple
 from typing import Iterable, Iterator
 
 
@@ -117,23 +119,24 @@ class CIType(namedtuple("CIType", "ambient_dim degrees")):
         return f"({inner}) in P^{self.ambient_dim}"
 
 
-#: The Euler characteristic's recurrence runs over blocks of this many
-#: coefficients, so it holds one block plus one carry per degree >= 2, not
-#: k + 1 growing coefficients per degree.
-_CHI_BLOCK = 512
+def _reduced(ci: CIType) -> tuple[int, ...]:
+    # ``degrees`` is sorted ascending, so its degree-1 entries lead.
+    return ci.degrees[ci.degrees.count(1):]
 
 
-def _divide_series(coeffs: list[int], ratios: list[int], carries: list[int]) -> None:
-    """Divide a block of series coefficients in place by each 1 + r z, for
-    r in ``ratios``: c_j <- c_j - r c_{j-1}, where ``carries`` holds, per
-    ratio, the c_{j-1} of the block's first coefficient and, on return,
-    the block's last c_j, to carry into the next block."""
-    for f, r in enumerate(ratios):
-        prev = carries[f]
-        for j, c in enumerate(coeffs):
-            prev = c - r * prev
-            coeffs[j] = prev
-        carries[f] = prev
+def _chi_coefficients(reduced: tuple[int, ...], max_k: int) -> Iterator[int]:
+    """The coefficients c_0 .. c_max_k of (1 - z)^-2 * prod_{d in reduced}
+    1 / (1 + (d - 1) z), one at a time.  Each coefficient j + 1 of
+    (1 - z)^-2 goes through every division by 1 + r z in turn, c <- c - r c',
+    where c' is that division's previous output; those outputs, one per
+    entry of ``reduced``, are the only state held."""
+    ratios = [d - 1 for d in reduced]
+    outputs = [0] * len(ratios)
+    for c in range(1, max_k + 2):
+        for f, r in enumerate(ratios):
+            c -= r * outputs[f]
+            outputs[f] = c
+        yield c
 
 
 def euler_characteristic(ci: CIType) -> int:
@@ -141,29 +144,22 @@ def euler_characteristic(ci: CIType) -> int:
     given type; the ambient space itself gives n + 1.
 
     chi = prod(d_i) * [z^k] (1 - z)^-2 * prod_{d_i >= 2} 1 / (1 + (d_i - 1) z):
-    the coefficients 1, 2, ..., k + 1 of (1 - z)^-2 go through
-    ``_divide_series`` in blocks of ``_CHI_BLOCK``, so memory is linear in
-    k.  Degree-1 entries only shift n, so they skip the recurrence.
+    the last coefficient of ``_chi_coefficients``, so the memory held is one
+    running value per degree >= 2.  Degree-1 entries only shift n, so they
+    skip the recurrence.
     """
-    k = ci.dimension
-    ratios = [d - 1 for d in ci.degrees if d > 1]
-    carries = [0] * len(ratios)
-    for start in range(0, k + 1, _CHI_BLOCK):
-        coeffs = list(range(start + 1, min(start + _CHI_BLOCK, k + 1) + 1))
-        _divide_series(coeffs, ratios, carries)
-    return math.prod(ci.degrees) * coeffs[-1]
+    coeffs = _chi_coefficients(_reduced(ci), ci.dimension)
+    return math.prod(ci.degrees) * deque(coeffs, maxlen=1)[0]
 
 
 def euler_characteristic_row(reduced: tuple[int, ...], max_k: int) -> list[int]:
     """The Euler characteristics of every type whose degrees >= 2 are
     ``reduced``, indexed by its dimension k = 0 .. max_k: the degree-1
     entries change neither the product of the degrees nor the series, so
-    one run of ``euler_characteristic``'s recurrence, over one block of
-    max_k + 1 coefficients, gives the whole row."""
-    coeffs = list(range(1, max_k + 2))
-    _divide_series(coeffs, [d - 1 for d in reduced], [0] * len(reduced))
+    every coefficient of one run of ``_chi_coefficients`` is one type's chi
+    divided by that product."""
     scale = math.prod(reduced)
-    return [scale * c for c in coeffs]
+    return [scale * c for c in _chi_coefficients(reduced, max_k)]
 
 
 def chi22(k: int) -> int:

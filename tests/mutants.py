@@ -54,6 +54,14 @@ MUTANTS = [
            "        if rc and ci.dimension <= 1 and not homogeneous:\n", "        if False:\n",
            ("tests/test_classify.py::TestDimensionLeq1Catalog"
             "::test_non_homogeneous_curve_is_a_violation",)),
+    Mutant("theorem scan without its degree-gate check", "src/ci_invariants/classify.py",
+           "        if kind is not None and ((kind is not_rc) != (d > n) or (kind is normal) != (d == n)):\n",
+           "        if False:\n",
+           ("tests/test_classify.py::TestScanTheorem"
+            "::test_verdicts_against_the_degree_gates_are_violations",)),
+    Mutant("field text memo never emptied", "src/ci_invariants/classify.py",
+           "        if len(self) >= 1024:\n", "        if False:\n",
+           ("tests/test_scan_output.py::test_field_text_memo_is_bounded",)),
     Mutant("lemma block prefix one class short per length", "src/ci_invariants/classify.py",
            "comb(l + max_degree - 1, l)", "comb(l + max_degree - 2, l)",
            ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),
@@ -64,7 +72,10 @@ MUTANTS = [
            "    if b < delta:\n", "    if b < 0:\n",
            ("tests/test_topology.py",)),
     Mutant("Euler recurrence with + r", "src/ci_invariants/topology.py",
-           "prev = c - r * prev", "prev = c + r * prev",
+           "c -= r * outputs[f]", "c += r * outputs[f]",
+           ("tests/test_topology.py",)),
+    Mutant("Euler recurrence without its running values", "src/ci_invariants/topology.py",
+           "            outputs[f] = c\n", "",
            ("tests/test_topology.py",)),
     Mutant("poincare without b_k", "src/ci_invariants/topology.py",
            "        coeffs[k] = self.middle_betti\n", "",

@@ -383,10 +383,33 @@ class TestScanTheorem:
         monkeypatch.setattr(classify, "theorem_verdict", misclassifying)
         report = scan_theorem(5, 3)
         assert report.violations == (
+            f"homogeneous_quadric verdict contradicts total degree 5: {far}",
             f"non-homogeneous type passed every gate: {far}",
             f"non-homogeneous type passed every gate: {cubic}",
             f"homogeneous type failed a gate: {quadric}",
         )
+
+    def test_verdicts_against_the_degree_gates_are_violations(self, monkeypatch):
+        # Not RC exactly when d > n, a normal-bundle obstruction exactly
+        # when d = n: each of these kinds breaks one side of a gate.
+        real = classify.theorem_verdict
+        wrong = {CIType(3, (2, 3)): VerdictKind.POINCARE_OBSTRUCTION,          # d > n
+                 CIType(4, (3,)): VerdictKind.NOT_RATIONALLY_CONNECTED,      # d < n
+                 CIType(4, (1, 3)): VerdictKind.POINCARE_OBSTRUCTION,        # d = n
+                 CIType(5, (1, 3)): VerdictKind.NORMAL_BUNDLE_OBSTRUCTION}   # d < n
+
+        def misclassifying(ci):
+            if ci in wrong:
+                return Verdict(ci, wrong[ci])
+            return real(ci)
+
+        monkeypatch.setattr(classify, "theorem_verdict", misclassifying)
+        report = scan_theorem(5, 3)
+        assert report.violations == tuple(
+            f"{kind.value} verdict contradicts total degree {ci.total_degree}: {ci}"
+            for ci, kind in wrong.items())
+        records = {rec.ci: rec.kind for rec in report.records() if rec.ci in wrong}
+        assert records == wrong
 
     def test_every_type_is_re_verified(self, monkeypatch):
         # The d > n types are walked and classified one by one, not counted.

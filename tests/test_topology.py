@@ -12,6 +12,7 @@ import copy
 import math
 import pickle
 import random
+import sys
 import tracemalloc
 from itertools import combinations_with_replacement
 
@@ -30,7 +31,7 @@ from ci_invariants import (
     verify_expansion_identities,
 )
 from ci_invariants.cli import MAX_K
-from ci_invariants.topology import _CHI_BLOCK, euler_characteristic_row
+from ci_invariants.topology import euler_characteristic_row
 from reference import (
     chi22_terms,
     horner,
@@ -162,16 +163,17 @@ class TestEulerCharacteristic:
         ci = CIType(2000, (2,) * 1500)
         assert euler_characteristic(ci) == self._all_quadrics(2000, 1500)
 
-    @pytest.mark.parametrize("k", [_CHI_BLOCK - 1, _CHI_BLOCK, _CHI_BLOCK + 1,
-                                   2 * _CHI_BLOCK, 2 * _CHI_BLOCK + 1])
+    @pytest.mark.parametrize("k", [511, 512, 513, 1024, 1025])
     def test_block_edges(self, k):
-        # The recurrence runs over blocks of coefficients and carries one
-        # value per degree from block to block; k on either side of an edge.
+        # The recurrence once ran over blocks of 512 coefficients, carrying
+        # one value per degree from block to block; k on either side of
+        # those edges, where a lost carry would show.
         assert euler_characteristic(CIType(k + 3, (2, 2, 2))) == self._all_quadrics(k + 3, 3)
         assert middle_betti(CIType(k + 1, (5,))) == hypersurface_middle_betti(5, k)
 
     def test_mixed_degrees_across_a_block_edge(self):
-        for n, degrees in ((_CHI_BLOCK + 3, (2, 5)), (_CHI_BLOCK + 2, (1, 3, 6))):
+        # k = 513 and k = 512, past the old block edge at 512.
+        for n, degrees in ((515, (2, 5)), (514, (1, 3, 6))):
             assert euler_characteristic(CIType(n, degrees)) == series_coefficient(degrees, n)
 
     def test_memory_is_linear_in_k(self):
@@ -186,6 +188,22 @@ class TestEulerCharacteristic:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    @pytest.mark.parametrize("ci", [CIType(5001, (10**9,)),
+                                    fiber_type(CIType(3000, (2, 5, 6)))], ids=str)
+    def test_state_is_one_value_per_degree(self, ci):
+        # The recurrence holds one running value per degree >= 2, none wider
+        # than the last coefficient, so the peak is a few times chi's size:
+        # 3.1 times for (10^9) and 9.2 times for this fiber (l = 10).  A
+        # block of 512 coefficients held 447.7 and 427.0 times.
+        tracemalloc.start()
+        try:
+            chi = euler_characteristic(ci)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        l = len(ci.degrees) - ci.degrees.count(1)
+        assert peak < (l + 4) * sys.getsizeof(chi)
+
 
 class TestEulerCharacteristicRow:
     def test_matches_series_oracle(self):
@@ -198,13 +216,12 @@ class TestEulerCharacteristicRow:
 
     @pytest.mark.parametrize("reduced", [(2,), (3, 3), (2, 5, 6)])
     def test_equals_euler_characteristic_across_blocks(self, reduced):
-        # k up to 600 crosses the first block edge at _CHI_BLOCK.
-        assert 600 > _CHI_BLOCK
+        # k up to 600 crosses the old block edge at 512.
         row = euler_characteristic_row(reduced, 600)
         assert row == [euler_characteristic(CIType(k + len(reduced), reduced))
                        for k in range(601)]
         # Degree-1 entries only shift n, so they read the same row.
-        for k in (0, 7, _CHI_BLOCK, 600):
+        for k in (0, 7, 512, 600):
             assert row[k] == euler_characteristic(CIType(k + len(reduced) + 2,
                                                          (1, 1) + reduced))
 
