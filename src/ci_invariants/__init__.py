@@ -4,57 +4,50 @@ connected ones among them.
 
 All arithmetic is exact (arbitrary-precision integers and Gaussian
 integers); there is no floating point anywhere.
+
+Each public name is imported from its module on first use (PEP 562), so
+a command line call loads only the modules that its subcommand runs.
 """
 
-from .topology import (
-    CIType,
-    GaussianInteger,
-    InternalCheckError,
-    InvariantReport,
-    chi22,
-    compute_invariants,
-    euler_characteristic,
-    verify_expansion_identities,
-)
-from .lines import LineGeometry, fiber_type, line_geometry
-from .classify import (
-    LemmaCase,
-    LemmaRecord,
-    ScanReport,
-    Verdict,
-    VerdictKind,
-    iter_types,
-    lemma_classify,
-    scan_lemma,
-    scan_theorem,
-    theorem_verdict,
-    write_scans,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "GaussianInteger",
-    "CIType",
-    "InternalCheckError",
-    "InvariantReport",
-    "chi22",
-    "compute_invariants",
-    "euler_characteristic",
-    "verify_expansion_identities",
-    "LineGeometry",
-    "fiber_type",
-    "line_geometry",
-    "LemmaCase",
-    "LemmaRecord",
-    "ScanReport",
-    "Verdict",
-    "VerdictKind",
-    "iter_types",
-    "lemma_classify",
-    "scan_lemma",
-    "scan_theorem",
-    "theorem_verdict",
-    "write_scans",
-    "__version__",
-]
+#: The module that defines each public name.
+_MODULES = {
+    "GaussianInteger": "topology",
+    "CIType": "topology",
+    "InternalCheckError": "topology",
+    "InvariantReport": "topology",
+    "chi22": "topology",
+    "compute_invariants": "topology",
+    "euler_characteristic": "topology",
+    "verify_expansion_identities": "topology",
+    "LineGeometry": "lines",
+    "fiber_type": "lines",
+    "line_geometry": "lines",
+    "LemmaCase": "classify",
+    "LemmaRecord": "scan",
+    "ScanReport": "scan",
+    "Verdict": "classify",
+    "VerdictKind": "classify",
+    "iter_types": "scan",
+    "lemma_classify": "classify",
+    "scan_lemma": "scan",
+    "scan_theorem": "scan",
+    "theorem_verdict": "classify",
+    "write_scans": "scan",
+}
+
+__all__ = [*_MODULES, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_MODULES[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -13,7 +13,10 @@ and ``_render`` is their one writer of all three formats.
 ``verify-identities`` writes its two formats by hand: its table lines are
 not ``label: value`` pairs.  A single-type document is rendered whole
 before it is written, so a failing command writes nothing to stdout; scan
-records are written one at a time by ``classify.write_scans``.
+records are written one at a time by ``scan.write_scans``.  The
+``classify`` and ``scan`` modules are imported inside the subcommands that
+run them, and ``json`` inside the JSON writers, so a call loads only the
+code that it runs.
 
 Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage, parse
 or I/O error.  Writes to stderr are best-effort: a stderr that cannot be
@@ -25,21 +28,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import json
 import re
 import reprlib
 import sys
 from enum import Enum
 
-from .classify import (
-    ScanReport,
-    VerdictKind,
-    lemma_classify,
-    scan_lemma,
-    scan_theorem,
-    theorem_verdict,
-    write_scans,
-)
 from .lines import fiber_type, line_geometry
 from .topology import (
     CIType,
@@ -162,6 +155,8 @@ def _render(fmt: str, fields: list[tuple]) -> None:
     in JSON and under ``column`` in CSV; a None name leaves the field out of
     that format."""
     if fmt == "json":
+        import json
+
         print(json.dumps(_json(fields), indent=2))
     elif fmt == "csv":
         # No cell holds a comma, a quote or a line break, so, as in
@@ -207,6 +202,8 @@ def run_invariants(args) -> int:
 
 
 def run_classify(args) -> int:
+    from .classify import VerdictKind, lemma_classify, theorem_verdict
+
     # The type's invariants are computed once and shared by every verdict below.
     ci = CIType(args.n, args.type)
     report = compute_invariants(ci)
@@ -292,6 +289,8 @@ def _scan_type_count(max_n: int, max_degree: int) -> int:
 
 
 def run_scan(args) -> int:
+    from .scan import scan_lemma, scan_theorem, write_scans
+
     # The size bound is checked and ``--out`` is opened before any scan
     # runs, so an oversized scan or an unwritable path fails at once and
     # creates no file; the summary is a diagnostic and goes to stderr.
@@ -301,7 +300,7 @@ def run_scan(args) -> int:
             f"than MAX_SCAN_TYPES = {MAX_SCAN_TYPES:,} types")
     out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
-        reports: list[ScanReport] = []
+        reports = []
         if args.which in ("theorem", "both"):
             reports.append(scan_theorem(args.max_n, args.max_degree))
         if args.which in ("lemma", "both"):
@@ -333,6 +332,8 @@ def run_verify_identities(args) -> int:
             first_failure = first_failure or str(exc)
     ok = expansion_ok and chi22_ok
     if args.format == "json":
+        import json
+
         print(json.dumps({
             "max_k": str(args.max_k),
             "expansion_identity_ok": expansion_ok,
@@ -408,17 +409,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except OSError:
-        # Python 3.10's argparse lets a failed write of its usage or help
-        # text escape (3.11+ drops it); that is a usage or I/O error.
-        return 2
     # The integers written are computed, not parsed: lift the int-to-str cap
-    # (Python 3.10.7+, 3.11+) for the output.  Only a scan streams to stdout.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # for the output.  Only a scan streams to stdout.
+    limit = sys.get_int_max_str_digits()
     buffer = io.StringIO()
     try:
-        if limit:
-            sys.set_int_max_str_digits(0)
+        sys.set_int_max_str_digits(0)
         with contextlib.redirect_stdout(sys.stdout if args.func is run_scan else buffer):
             code = args.func(args)
         sys.stdout.write(buffer.getvalue())
@@ -430,8 +426,7 @@ def main(argv: list[str] | None = None) -> int:
         _warn(f"internal check failed: {exc}")
         return 1
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def entry() -> None:

@@ -26,7 +26,7 @@ from ci_invariants import (
     theorem_verdict,
     write_scans,
 )
-from ci_invariants import classify, cli, topology
+from ci_invariants import classify, cli, scan, topology
 from ci_invariants.cli import main
 from reference import chi_structure_sheaf, reduce_type
 
@@ -278,8 +278,8 @@ class TestDimensionLeq1Catalog:
     def test_non_homogeneous_curve_is_a_violation(self, monkeypatch):
         # The scan re-checks the catalog: a rationally connected curve or
         # point whose shape is not homogeneous is a violation.
-        real, conic = classify._is_homogeneous_shape, CIType(2, (2,))
-        monkeypatch.setattr(classify, "_is_homogeneous_shape",
+        real, conic = scan._is_homogeneous_shape, CIType(2, (2,))
+        monkeypatch.setattr(scan, "_is_homogeneous_shape",
                             lambda ci: ci != conic and real(ci))
         assert scan_theorem(2, 2).violations == (
             f"dimension <= 1 rationally connected type is not a point/line/conic: {conic}",)
@@ -380,7 +380,7 @@ class TestScanTheorem:
                 return Verdict(ci, wrong[ci])
             return real(ci)
 
-        monkeypatch.setattr(classify, "theorem_verdict", misclassifying)
+        monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
         report = scan_theorem(5, 3)
         assert report.violations == (
             f"homogeneous_quadric verdict contradicts total degree 5: {far}",
@@ -403,7 +403,7 @@ class TestScanTheorem:
                 return Verdict(ci, wrong[ci])
             return real(ci)
 
-        monkeypatch.setattr(classify, "theorem_verdict", misclassifying)
+        monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
         report = scan_theorem(5, 3)
         assert report.violations == tuple(
             f"{kind.value} verdict contradicts total degree {ci.total_degree}: {ci}"
@@ -419,7 +419,7 @@ class TestScanTheorem:
             calls.append(ci)
             return real(ci)
 
-        monkeypatch.setattr(classify, "theorem_verdict", counting)
+        monkeypatch.setattr(scan, "theorem_verdict", counting)
         report = scan_theorem(8, 4)
         assert len(calls) == report.types == 1286
         assert calls == list(iter_types(8, 4))
@@ -474,7 +474,7 @@ class TestScanLemma:
         # The scan runs the recurrence once per reduced multiset D, for a row
         # of chi over every k, and the checks once per class, on that chi,
         # in class order (|D|, D, k).
-        real_row, real_checks = classify.euler_characteristic_row, classify.compute_invariants
+        real_row, real_checks = scan.euler_characteristic_row, scan.compute_invariants
         real_chi = topology.euler_characteristic
         rows, checks, single = [], [], []
 
@@ -490,8 +490,8 @@ class TestScanLemma:
             single.append(ci)
             return real_chi(ci)
 
-        monkeypatch.setattr(classify, "euler_characteristic_row", counting_row)
-        monkeypatch.setattr(classify, "compute_invariants", counting_checks)
+        monkeypatch.setattr(scan, "euler_characteristic_row", counting_row)
+        monkeypatch.setattr(scan, "compute_invariants", counting_checks)
         monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
         report = scan_lemma(12, 6)
         assert report.types == 50387
@@ -536,7 +536,7 @@ class TestScanLemma:
         def wrong_for_one_type(ci, chi=None):
             return real(ci, -100 if ci == bad else chi)
 
-        monkeypatch.setattr(classify, "compute_invariants", wrong_for_one_type)
+        monkeypatch.setattr(scan, "compute_invariants", wrong_for_one_type)
         report = scan_lemma(4, 3)
         assert not report.ok
         assert len(report.violations) == 1
@@ -560,7 +560,7 @@ class TestScanLemma:
 
     def test_vanishing_excluded_shape_is_a_violation(self, monkeypatch):
         cubic = CUBIC_THREEFOLD   # excluded: an entry >= 3
-        monkeypatch.setattr(classify, "compute_invariants", vanishing_for_the_cubic)
+        monkeypatch.setattr(scan, "compute_invariants", vanishing_for_the_cubic)
         report = scan_lemma(4, 3)
         assert report.violations == (
             f"shape case nonvanishing disagrees with p(i) vanishing for {cubic}",

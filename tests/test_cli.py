@@ -3,7 +3,6 @@ the JSON round-trip contract (all integers as decimal strings)."""
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import csv
 import hashlib
@@ -28,11 +27,19 @@ from ci_invariants import (
     iter_types,
     lemma_classify,
     line_geometry,
+    scan,
     theorem_verdict,
     topology,
 )
 from ci_invariants.cli import main
 from reference import poincare_coefficients, polynomial_text
+
+
+class Unwritable(io.StringIO):
+    """A stream whose every write fails, as a pipe whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
 
 
 def run_cli(capsys, *argv):
@@ -246,7 +253,7 @@ class TestScanCommand:
         assert code == 0
         obj = json.loads(out)
         assert [scan["scan"] for scan in obj["scans"]] == ["theorem", "lemma"]
-        reports = [classify.scan_theorem(3, 2), classify.scan_lemma(3, 2)]
+        reports = [scan.scan_theorem(3, 2), scan.scan_lemma(3, 2)]
         assert err.splitlines() == [text for report in reports
                                     for text in report.summary_lines()]
 
@@ -273,8 +280,8 @@ class TestScanCommand:
 
     def test_unwritable_out_fails_before_scanning(self, tmp_path, capsys, monkeypatch):
         calls = []
-        monkeypatch.setattr(cli, "scan_theorem", lambda *a: calls.append(("theorem", a)))
-        monkeypatch.setattr(cli, "scan_lemma", lambda *a: calls.append(("lemma", a)))
+        monkeypatch.setattr(scan, "scan_theorem", lambda *a: calls.append(("theorem", a)))
+        monkeypatch.setattr(scan, "scan_lemma", lambda *a: calls.append(("lemma", a)))
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run_cli(capsys, "scan", "--max-n", "12", "--max-degree",
                                  "6", "--format", "csv", "--out", str(target))
@@ -406,10 +413,6 @@ class TestUsage:
         assert proc.returncode == expected
 
     def test_unwritable_stderr_keeps_a_failed_check_at_1(self, monkeypatch):
-        class Unwritable(io.StringIO):
-            def write(self, text):
-                raise BrokenPipeError(32, "Broken pipe")
-
         def failing(*args):
             raise InternalCheckError("injected")
 
@@ -420,12 +423,9 @@ class TestUsage:
         assert main(["classify", "--n", "4", "--type", "3"]) == 1
 
     def test_failed_usage_write_is_exit_2(self, monkeypatch):
-        # Python 3.10's argparse lets a failed write of its usage text
-        # escape; 3.11+ drops it.  Either way a usage error exits 2.
-        def write(parser, message, file=None):
-            raise BrokenPipeError(32, "Broken pipe")
-
-        monkeypatch.setattr(argparse.ArgumentParser, "_print_message", write)
+        # argparse drops a usage text that it cannot write, so a usage error
+        # still exits 2.
+        monkeypatch.setattr(sys, "stderr", Unwritable())
         assert main(["classify", "--n", "x"]) == 2
 
     def test_help_exits_0(self, capsys):
@@ -440,18 +440,52 @@ class TestUsage:
         assert proc.returncode == 0
         assert "euler characteristic: 9" in proc.stdout
 
+    #: Modules that a command must not import: those of the code it does
+    #: not run.  dataclasses (with inspect) and csv do no work the package
+    #: needs, so no command imports them.
+    FOOTPRINTS = [
+        (["--help"], {"ci_invariants.classify", "ci_invariants.scan", "json"}),
+        *((command + fmt, {"ci_invariants.classify", "ci_invariants.scan", "json"})
+          for command in (["invariants", "--n", "5", "--type", "3"],
+                          ["fiber", "--n", "5", "--type", "3"])
+          for fmt in ([], ["--format", "csv"])),
+        (["invariants", "--n", "5", "--type", "3", "--format", "json"],
+         {"ci_invariants.classify", "ci_invariants.scan"}),
+        (["classify", "--n", "5", "--type", "3", "--format", "json"],
+         {"ci_invariants.scan"}),
+    ]
+
     def test_import_footprint(self):
-        # dataclasses (with inspect) and csv cost start-up time on every
-        # call and do no work the package needs.
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys; before = set(sys.modules); import ci_invariants.cli; "
-             "print(*sorted(set(sys.modules) - before))"],
-            capture_output=True, text=True, check=True,
-        )
-        added = set(proc.stdout.split())
-        assert "ci_invariants.cli" in added
-        assert not added & {"dataclasses", "inspect", "csv"}
+        # Each command, in a fresh process, imports only the code it runs.
+        script = ("import sys; before = set(sys.modules); "
+                  "from ci_invariants.cli import main; code = main(sys.argv[1:]); "
+                  "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)")
+        for argv, absent in self.FOOTPRINTS:
+            proc = subprocess.run([sys.executable, "-c", script, *argv],
+                                  capture_output=True, text=True, check=True)
+            code, *added = proc.stderr.split()
+            assert code == "0", argv
+            assert "ci_invariants.cli" in added, argv
+            assert not set(added) & (absent | {"dataclasses", "inspect", "csv"}), argv
+
+    def test_lazy_package_root(self, monkeypatch):
+        # Each public name is looked up in its module on first use: drop the
+        # names already looked up, so that each is resolved afresh.
+        import ci_invariants
+
+        public = [name for name in ci_invariants.__all__ if name != "__version__"]
+        for name in public:
+            monkeypatch.delitem(vars(ci_invariants), name, raising=False)
+        for name in public:
+            value = getattr(ci_invariants, name)
+            assert value.__module__.startswith("ci_invariants.")
+            assert value is getattr(sys.modules[value.__module__], name)
+        assert set(ci_invariants.__all__) <= set(dir(ci_invariants))
+        namespace: dict = {}
+        exec("from ci_invariants import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(ci_invariants.__all__)
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            ci_invariants.no_such_name
 
     def test_identical_invocations_byte_identical(self, capsys):
         results = [run_cli(capsys, "classify", "--n", "6", "--type", "2,2",
@@ -588,21 +622,14 @@ def test_single_type_document_digest(capsys, command, n, degrees, fmt):
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def _digit_limit() -> int:
-    """The interpreter's int-to-str digit cap; 0 when it has none."""
-    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
-
-
 @contextlib.contextmanager
 def _unlimited_digits():
-    limit = _digit_limit()
-    if limit:
-        sys.set_int_max_str_digits(0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         yield
     finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+        sys.set_int_max_str_digits(limit)
 
 
 def _gauss(g):
@@ -683,18 +710,18 @@ def past_the_digit_line():
 
 
 class TestPastTheDigitLine:
-    """Values with more digits than CPython's int-to-str cap (4300 from 3.11
-    and 3.10.7) are written in full, and the cap is restored afterwards."""
+    """Values with more digits than CPython's int-to-str cap (4300 by
+    default) are written in full, and the cap is restored afterwards."""
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
     @pytest.mark.parametrize("command", ["invariants", "classify", "fiber"])
     def test_every_integer_is_the_library_value(self, capsys, past_the_digit_line,
                                                 command, fmt):
-        limit = _digit_limit()
+        limit = sys.get_int_max_str_digits()
         code, out, err = run_cli(capsys, command, "--n", "20000", "--type", "3,3",
                                  "--format", fmt)
         assert (code, err) == (0, "")
-        assert _digit_limit() == limit
+        assert sys.get_int_max_str_digits() == limit
         doc, rows, table = past_the_digit_line[command]
         if fmt == "json":
             assert json.loads(out) == doc

@@ -25,7 +25,7 @@ from ci_invariants import (
     scan_theorem,
     write_scans,
 )
-from ci_invariants import classify, topology
+from ci_invariants import classify, scan, topology
 from ci_invariants.cli import main
 
 MAX_N, MAX_DEGREE = 6, 3
@@ -177,9 +177,12 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
     real = topology.compute_invariants
     for which, bad, counts in (("lemma", CIType(3, (3,)), [1]),
                                ("both", CIType(5, (2,)), [2, 1])):
-        monkeypatch.setattr(classify, "compute_invariants",
-                            lambda ci, chi=None, bad=bad:
-                            real(ci, -100 if ci == bad else chi))
+        # The theorem scan computes invariants in ``theorem_verdict``, the
+        # lemma scan in ``scan_lemma``.
+        for module in (classify, scan):
+            monkeypatch.setattr(module, "compute_invariants",
+                                lambda ci, chi=None, bad=bad:
+                                real(ci, -100 if ci == bad else chi))
         code, out = _scan_cli(capsys, which, fmt)
         assert code == 1
         reports = _reports(which, MAX_N, MAX_DEGREE)
@@ -203,7 +206,7 @@ def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
     # class's rows, in four blocks, is a failed record.
     real = topology.compute_invariants
     cubic_surfaces = [CIType(3 + m, (1,) * m + (3,)) for m in range(MAX_N - 2)]
-    monkeypatch.setattr(classify, "compute_invariants", lambda ci, chi=None:
+    monkeypatch.setattr(scan, "compute_invariants", lambda ci, chi=None:
                         real(ci, -100 if ci in cubic_surfaces else chi))
     code, out = _scan_cli(capsys, "lemma", fmt)
     assert code == 1
@@ -225,7 +228,7 @@ def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
 @pytest.mark.parametrize("bad", [CIType(3, (2,)), CIType(3, (3,))], ids=["head", "tail"])
 def test_failed_class_in_a_lemma_block(monkeypatch, bad, bounds, fmt):
     real = topology.compute_invariants
-    monkeypatch.setattr(classify, "compute_invariants",
+    monkeypatch.setattr(scan, "compute_invariants",
                         lambda ci, chi=None: real(ci, -100 if ci == bad else chi))
     report = scan_lemma(*bounds)
     assert len(report.violations) == 1 and str(bad) in report.violations[0]
@@ -262,11 +265,11 @@ def test_field_text_memo_is_bounded(fmt):
     # More distinct theorem fields than the memo's 1,024 entries, as a 20/6
     # theorem scan has (1,199): the memo is emptied when full, and each text,
     # also one looked up again after that, equals a fresh rendering.
-    texts = classify._FieldTexts("theorem", fmt)
+    texts = scan._FieldTexts("theorem", fmt)
     kind = classify.VerdictKind.POINCARE_OBSTRUCTION
     fields = [(kind, GaussianInteger(b, 0), GaussianInteger(0, -b)) for b in range(1, 1201)]
     for field in fields + fields[:10] + fields[-10:]:
-        assert texts[field] == classify._FieldTexts("theorem", fmt)[field]
+        assert texts[field] == scan._FieldTexts("theorem", fmt)[field]
         assert len(texts) <= 1024
 
 
