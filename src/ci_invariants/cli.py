@@ -54,15 +54,6 @@ MAX_N = 100_000
 #: 0.32 s and 0.17 s at 800: about 5-fold per doubling of k.
 MAX_K = 400
 
-#: The most types one ``scan`` may walk; the count grows as a high power of
-#: both bounds, so a scan past this is a usage error, not a hang.  Memory
-#: grows with the classes, so the worst case has one class per type: ``scan
-#: --max-n 1 --max-degree 999999 --which lemma --format csv --quiet`` takes
-#: 10.3-10.9 s at a peak RSS of 130 MB.  ``scan --max-n 20 --max-degree 6
-#: --which both --format json`` (888,029 types, 906 MB to /dev/null) takes
-#: 7.3-9.5 s at 28.5 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
-MAX_SCAN_TYPES = 1_000_000
-
 #: An integer argument: an optional minus sign and ASCII digits, nothing
 #: else.  ``int()`` alone would also take "1_0", " 3" and non-ASCII digits.
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -273,23 +264,8 @@ def run_fiber(args) -> int:
     return 0
 
 
-def _scan_type_count(max_n: int, max_degree: int) -> int:
-    """The number of types a scan walks, C(max_n + max_degree + 1, max_n) - 1,
-    or MAX_SCAN_TYPES + 1 once it is known to be larger.  The binomial is a
-    product whose partial values C(base + i, i) grow with i, so the count
-    stops early instead of forming a huge binomial."""
-    r = min(max_n, max_degree + 1)
-    base = max_n + max_degree + 1 - r
-    value = 1
-    for i in range(1, r + 1):
-        value = value * (base + i) // i
-        if value - 1 > MAX_SCAN_TYPES:
-            return MAX_SCAN_TYPES + 1
-    return value - 1
-
-
 def run_scan(args) -> int:
-    from .scan import scan_lemma, scan_theorem, write_scans
+    from .scan import MAX_SCAN_TYPES, _scan_type_count, scan_lemma, scan_theorem, write_scans
 
     # The size bound is checked and ``--out`` is opened before any scan
     # runs, so an oversized scan or an unwritable path fails at once and

@@ -1,39 +1,32 @@
 """Exhaustive scans that re-verify the classification of ``classify`` over
 finite ranges, and their one writer.
 
-Scan bounds are a verification budget, not a completeness claim: the
-classification holds for all types, the scans re-check it mechanically on
-everything within the bounds.  Degree-1 entries only lower the ambient
-space, so a type's lemma record depends only on its class (D, k): its
-reduced multiset D, the degrees >= 2, and its dimension k.  The theorem
-scan walks the types in canonical (n, l, degrees) order; the lemma scan
-walks the classes, with one run of the recurrence per D for a row of chi
-over every k, and runs the checks once per class, on that chi.
+Scan bounds are a verification budget, not a completeness claim: the scans
+re-check mechanically, within the bounds, a classification that holds for
+all types.  Degree-1 entries only lower the ambient space, so a type's
+verdict and its lemma record depend only on its class (D, k): D its
+degrees >= 2, k its dimension.
 
 Each scan makes two passes, serially.  The first runs every check and
-keeps only the counts, the violations and a small table: the verdicts not
-decided by the d > n gate, keyed by n and degrees, or the lemma scan's
-b_k, one row per dimension k listing its classes by |D|, then D.  A
-class's p(i) and case follow from (D, k, b_k), so the lemma table holds
-one int per class and no fields.  A ``ScanReport`` is plain data: those
-results, the number of types, and that table as its ``table`` field, whose
-layout is not a contract.  The second pass, run each time the scan is
-written or its records are read, walks the types one (n, l) block at a
-time and reads each block's fields from the table, a lemma block's as a
-prefix of its row; no check is re-run, so a scan's memory grows with its
-classes and its d <= n verdicts, not with the types.
+keeps the counts, the violations and one class table: ``table[k]`` lists
+the classes of dimension k by |D|, then D, each as its verdict's fields or
+as its b_k, from which p(i) and the case follow.  The theorem scan checks
+each type's verdict against its class's; the lemma scan runs the
+recurrence once per D and its checks once per class.  Every type of a
+failed class is a failed record.  A ``ScanReport`` is plain data; its
+table's layout is not a contract.  The second pass, run each time a scan
+is written or its records are read, walks the (n, l) blocks, whose types
+are the classes with |D| <= l at k = n - l: a prefix of ``table[k]``.  No
+check is re-run, so a scan's memory grows with its classes, not its types.
 
 ``write_scans`` is the one scan writer.  It fills a row template's n and k
 once per block and joins each row, at C level, from constant pieces, the
-degree list, the total degree and the text of the row's fields, in
-exactly the layout of ``json.dump(..., indent=2)`` for JSON; it builds no
-record.  A theorem row's fields are rendered on their first lookup.  A
-lemma block's rows past D = () and D = (2) cannot vanish, so their text is
-one template per k mod 4, mapped over the block's b_k at C level.  Records,
-``Verdict``s for the theorem scan and ``LemmaRecord``s for the lemma scan,
-are built only by the generator ``ScanReport.records``, which walks the
-same blocks.  No record renders itself; the single-type documents are
-rendered by the CLI.
+degree list, the total degree and the text of the row's fields, in exactly
+the layout of ``json.dump(..., indent=2)`` for JSON.  A theorem row's
+fields are rendered on their first lookup; a lemma row past D = () and
+D = (2) cannot vanish, so its text is one template per k mod 4, filled
+from b_k at C level.  Only ``ScanReport.records`` builds records, and no
+record renders itself.
 """
 
 from __future__ import annotations
@@ -67,6 +60,31 @@ def _check_bounds(max_n: int, max_degree: int) -> None:
     for name, bound in (("max_n", max_n), ("max_degree", max_degree)):
         if type(bound) is not int or bound < 1:
             raise ValueError(f"{name} must be an integer >= 1, got {bound!r}")
+
+
+#: The most types one ``scan`` may walk; the count grows as a high power of
+#: both bounds, so a scan past this is a usage error, not a hang.  Memory
+#: grows with the classes, so the worst case has one class per type: ``scan
+#: --max-n 1 --max-degree 999999 --which both --format csv --quiet`` takes
+#: 15-18 s at a peak RSS of 168 MB (lemma alone 129 MB, theorem 130 MB).
+#: ``--max-n 20 --max-degree 6 --which both --format json`` (888,029 types)
+#: takes 7.3-9.5 s at 28.5 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
+MAX_SCAN_TYPES = 1_000_000
+
+
+def _scan_type_count(max_n: int, max_degree: int) -> int:
+    """The number of types a scan walks, C(max_n + max_degree + 1, max_n) - 1,
+    or MAX_SCAN_TYPES + 1 once it is known to be larger.  The binomial is a
+    product whose partial values C(base + i, i) grow with i, so the count
+    stops early instead of forming a huge binomial."""
+    r = min(max_n, max_degree + 1)
+    base = max_n + max_degree + 1 - r
+    value = 1
+    for i in range(1, r + 1):
+        value = value * (base + i) // i
+        if value - 1 > MAX_SCAN_TYPES:
+            return MAX_SCAN_TYPES + 1
+    return value - 1
 
 
 def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
@@ -182,11 +200,10 @@ _OUTCOME_TEXT = {
 class _FieldTexts(dict):
     """The text of each fields tuple of one scan in one format, rendered on
     its first lookup: a later row with the same fields is a C-level hit.
-    The theorem scan has few distinct fields: 278 at 14/6, but 1,199 at
-    20/6, where the bound of 1,024 entries is reached.  A lemma block comes
-    here only for its first two rows, or for every row when it holds a
-    failed class; ``lemma_block`` renders the rest from its prefix of b_k.
-    The memo is emptied when full, bounding it."""
+    The theorem scan has 279 distinct fields at 14/6 but 1,200 at 20/6,
+    past the bound of 1,024 entries, at which the memo is emptied.  A lemma
+    block comes here only for its first two rows, or for every row when it
+    holds a failed class; ``lemma_block`` renders the rest from b_k."""
 
     def __init__(self, kind: str, fmt: str):
         self.template = _FIELD_TEMPLATES[kind][fmt]
@@ -215,7 +232,6 @@ class _FieldTexts(dict):
         if k % 4 == 2:
             second = map((2).__sub__, second)
         return chain(islice(fields, 2), map(self.tails[k % 4].__mod__, zip(betti, second)))
-
 
 
 class LemmaRecord(namedtuple("LemmaRecord", "ci middle_betti value_at_i case")):
@@ -262,9 +278,8 @@ class ScanReport(namedtuple(
         check re-run; a lemma record's fields are rebuilt from k and b_k."""
         record_type = _RECORD_TYPES[self.kind]
         theorem = self.kind == "theorem"
-        walk = _theorem_blocks if theorem else _lemma_blocks
-        blocks = walk(self.max_n, self.max_degree, self.table)
-        rows = chain.from_iterable(block if theorem else _lemma_fields(n - l, block)
+        blocks = _blocks(self.max_n, self.max_degree, self.table)
+        rows = chain.from_iterable(islice(*block) if theorem else _lemma_fields(n - l, block)
                                    for n, l, block in blocks)
         for ci, fields in zip(iter_types(self.max_n, self.max_degree), rows):
             yield record_type(ci, *fields)
@@ -274,15 +289,14 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
     """Write one document holding every report, with no record object: for
     ``json`` the object {"scans": [...]}, for ``csv`` one table (header and
     rows) per report separated by a blank line, for ``table`` one line per
-    record of each report in turn.  Each (n, l) block fills its row
-    template's n and k once; each row then joins, at C level, the template's
-    pieces with the degree list, the total degree (theorem scan) and the
-    text of its fields: a theorem row's fields rendered on their first
-    lookup, a lemma row's from its block's prefix of a row of b_k.  An
-    unknown ``fmt`` raises ValueError before anything is written."""
+    record of each report in turn, each row joined at C level from its
+    (n, l) block's template and the prefix of the row of classes that the
+    block reads.  The reports share the text of each degree.  An unknown
+    ``fmt`` raises ValueError before anything is written."""
     if fmt not in _DEGREE_LISTS:
         raise ValueError(f"unknown output format {fmt!r}")
     open_, sep, close, empty = _DEGREE_LISTS[fmt]
+    degree_texts: tuple[str, ...] = ()
     if fmt == "json":
         import json  # only a JSON document loads it
 
@@ -305,17 +319,18 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
         template = _ROW_TEMPLATES[report.kind][fmt]
         texts = _FieldTexts(report.kind, fmt)
         degree_range = range(1, report.max_degree + 1)
-        degree_texts = tuple(map(str, degree_range))
+        if len(degree_texts) != report.max_degree:
+            degree_texts = tuple(map(str, degree_range))
         theorem = report.kind == "theorem"
-        walk = _theorem_blocks if theorem else _lemma_blocks
-        for n, l, block in walk(report.max_n, report.max_degree, report.table):
+        for n, l, block in _blocks(report.max_n, report.max_degree, report.table):
             pieces = (template % {"n": n, "k": n - l}).split("\0")
             before, after = (open_, close) if l else (empty, "")
             pieces[:2] = pieces[0] + before, after + pieces[1]
             if fmt == "json" and n == 1 and not l:  # the scan's first record
                 pieces[0] = "[" + pieces[0][1:]
             slots = [map(sep.join, combinations_with_replacement(degree_texts, l)),
-                     map(texts.__getitem__, block) if theorem else texts.lemma_block(n - l, block)]
+                     map(texts.__getitem__, islice(*block)) if theorem
+                     else texts.lemma_block(n - l, block)]
             if theorem:
                 slots.insert(1, map(str, map(sum, combinations_with_replacement(
                     degree_range, l))))
@@ -351,48 +366,40 @@ def _scan_report(
 def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     """Classify every type within the bounds and re-verify the survivor set.
 
-    Each record is the type's ``Verdict``, or ``Verdict(ci, None)`` when an
-    internal check failed for it (recorded as a violation), such as a
-    homogeneous type whose values at i break the parity pattern.
-    Each kept verdict must agree with the two degree gates: not rationally
-    connected exactly when d > n, a normal-bundle obstruction exactly when
-    d = n.  Survivors of all gates must reduce to () or (2); conversely
-    every rationally connected homogeneous-shaped type of dimension >= 2
-    must survive.  (In dimension <= 1 points and conics have total degree n
-    and stop at the normal-bundle gate; lines survive.)
+    ``theorem_verdict`` runs on every type, in canonical order.  The table
+    keeps one verdict per class (D, k), its fields (kind, p_X(i), p_F(i))
+    from the class's first type, D in P^(k + |D|) or (1) in P^1, each
+    distinct tuple stored once.  Every later type of the class must have
+    that verdict, which is invariant under hyperplane sections; a type that
+    differs is a violation.  A class fails when one of its types differs or
+    raises InternalCheckError (recorded as a violation), and each of its
+    types is then the record ``Verdict(ci, None)``.
 
-    ``theorem_verdict`` runs on every type.  A type with d > n whose verdict
-    is ``NOT_RATIONALLY_CONNECTED`` is only counted, because its record is
-    that verdict again; the fields of every other verdict are kept, by n
-    and then by degrees, for the second pass.
+    Each class's first type, and each type that differs, must agree with
+    the two degree gates: not rationally connected exactly when d > n, a
+    normal-bundle obstruction exactly when d = n.  Survivors of all gates
+    must reduce to () or (2); conversely every rationally connected
+    homogeneous-shaped type of dimension >= 2 must survive.  (In dimension
+    <= 1 points and conics have total degree n and stop at the
+    normal-bundle gate; lines survive.)
     """
     not_rc, normal = VerdictKind.NOT_RATIONALLY_CONNECTED, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
-    kept: dict[int, dict[tuple[int, ...], tuple]] = {}
-    skipped = 0
+    table: list[list[tuple]] = [[] for _ in range(max_n + 1)]
+    beyond = (not_rc, None, None)  # the fields of every class with d > n
+    shared = {beyond: beyond}  # one stored tuple per distinct fields
+    failed = (None, None, None)  # the fields of a failed class
     violations: list[str] = []
-    for ci in iter_types(max_n, max_degree):
-        try:
-            verdict = theorem_verdict(ci)
-        except InternalCheckError as exc:
-            violations.append(str(exc))
-            verdict = Verdict(ci, None)
-        n, degrees = ci
-        d = sum(degrees)
-        if d > n and verdict.kind is not_rc:
-            skipped += 1
-            continue
-        kept.setdefault(n, {})[degrees] = verdict[1:]
+    tally: Counter = Counter()
 
+    def check(ci: CIType, kind: VerdictKind | None) -> None:
         # Finite-scale re-statement of the classification itself, starting
         # with the two degree gates.
-        kind = verdict.kind
+        n, degrees = ci
+        d = sum(degrees)
         if kind is not None and ((kind is not_rc) != (d > n) or (kind is normal) != (d == n)):
             violations.append(f"{kind.value} verdict contradicts total degree {d}: {ci}")
-        # Every check below needs a type that passed or is rationally connected.
         passed = kind in (VerdictKind.HOMOGENEOUS_LINEAR, VerdictKind.HOMOGENEOUS_QUADRIC)
         rc = d <= n
-        if not (passed or rc):
-            continue
         homogeneous = _is_homogeneous_shape(ci)
         if passed and not homogeneous:
             violations.append(f"non-homogeneous type passed every gate: {ci}")
@@ -403,20 +410,39 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 f"dimension <= 1 rationally connected type is not a "
                 f"point/line/conic: {ci}"
             )
-    tally = Counter(fields[0] for by_n in kept.values() for fields in by_n.values())
-    tally[not_rc] += skipped
-    return _scan_report("theorem", max_n, max_degree, kept, violations,
+
+    # A block's types with a 1 are those of the classes already in its row,
+    # in row order; the rest open new classes.
+    types = iter_types(max_n, max_degree)
+    for n, l, (row, size) in _blocks(max_n, max_degree, table):
+        known = len(row)
+        for i, ci in enumerate(islice(types, size)):
+            try:
+                fields = theorem_verdict(ci)[1:]
+            except InternalCheckError as exc:
+                violations.append(str(exc))
+                fields = failed
+            if i < known:
+                cls = row[i]
+                if fields == cls and cls is not failed:
+                    continue  # the hot path: the type agrees with its class
+                if cls is not failed:  # the class fails at this type
+                    if fields is not failed:
+                        violations.append(f"verdict differs from its class: {ci}")
+                    # From its first type, at n less this type's 1s, or 1, to max_n.
+                    weight = max_n + 1 - (n - ci[1].count(1) or 1)
+                    tally[cls[0]] -= weight
+                    tally[None] += weight
+                    row[i] = failed
+            else:  # the type opens a class
+                fields = shared.setdefault(fields, fields)
+                row.append(fields)
+                tally[fields[0]] += max_n - n + 1
+                if fields is beyond and sum(ci[1]) > n:
+                    continue  # the first pass's most common class: no check can fail
+            check(ci, fields[0])
+    return _scan_report("theorem", max_n, max_degree, table, violations,
                         VerdictKind, tally)
-
-
-def _theorem_blocks(max_n: int, max_degree: int, kept: dict) -> Iterator:
-    # P^n itself has d = 0 <= n, so every n has kept verdicts.
-    not_rc = (VerdictKind.NOT_RATIONALLY_CONNECTED, None, None)
-    degree_range = range(1, max_degree + 1)
-    for n in range(1, max_n + 1):
-        for l in range(n + 1):
-            yield n, l, map(kept[n].get, combinations_with_replacement(degree_range, l),
-                            repeat(not_rc))
 
 
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
@@ -428,12 +454,9 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     once per class, on its first type in scan order, D in P^(k + |D|), or
     (1) in P^1 for the point.  The class is tallied once per type within
     the bounds.  A class whose checks fail is one violation, naming that
-    first type, and each of its types is a failed record.
-
-    The table keeps only b_k: ``table[k]`` lists the b_k of every class of
-    dimension k, ordered by |D| and then D, None for a failed class.  A
-    record's p(i) and case follow from (D, k, b_k), and k mod 4 fixes them
-    for all D but () and (2)."""
+    first type, and each of its types is a failed record.  The table keeps
+    only each class's b_k, or None for a failed class: k mod 4 then fixes
+    p(i) and the case for all D but () and (2)."""
     _check_bounds(max_n, max_degree)
     table: list[list] = [[] for _ in range(max_n + 1)]
     violations: list[str] = []
@@ -463,7 +486,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                         LemmaCase, tally)
 
 
-def _lemma_blocks(max_n: int, max_degree: int, table: list) -> Iterator:
+def _blocks(max_n: int, max_degree: int, table: list) -> Iterator:
     """A block lists its types with m leading 1s, for m = l down to 0, each
     m in the order of their reduced multisets D: so its classes are the D
     with |D| <= l at k = n - l, by |D|, then D, which are the first

@@ -59,6 +59,11 @@ MUTANTS = [
            "        if False:\n",
            ("tests/test_classify.py::TestScanTheorem"
             "::test_verdicts_against_the_degree_gates_are_violations",)),
+    Mutant("theorem scan without its class check", "src/ci_invariants/scan.py",
+           "                if cls is not failed:  # the class fails at this type\n",
+           "                if False:\n",
+           ("tests/test_classify.py::TestScanTheorem"
+            "::test_a_type_that_differs_from_its_class_fails_the_class",)),
     Mutant("field text memo never emptied", "src/ci_invariants/scan.py",
            "        if len(self) >= 1024:\n", "        if False:\n",
            ("tests/test_scan_output.py::test_field_text_memo_is_bounded",)),

@@ -160,13 +160,16 @@ class TestHomogeneousParity:
                 assert both == (ci.dimension % 2 == 1)
 
     def test_violation_is_a_scan_violation(self, monkeypatch):
+        # The fault fails the class of lines ((), 1), so each of its four
+        # types at 4/3 is a failed record, not only ``BROKEN_LINE``.
         monkeypatch.setattr(classify, "compute_invariants", vanishing_at_a_point)
         report = scan_theorem(4, 3)
         assert report.violations == (
             f"parity pattern violated for {BROKEN_LINE}: p_X(i) = 0+0i, p_F(i) = 0+0i",)
-        assert report.counts["internal_check_failed"] == 1
-        (rec,) = [rec for rec in report.records() if rec.ci == BROKEN_LINE]
-        assert rec == Verdict(BROKEN_LINE, None)
+        assert report.counts["internal_check_failed"] == 4
+        lines = [CIType(n, (1,) * (n - 1)) for n in range(1, 5)]
+        assert [rec for rec in report.records() if rec.kind is None] == [
+            Verdict(ci, None) for ci in lines]
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_violation_fails_classify(self, capsys, monkeypatch, fmt):
@@ -382,11 +385,15 @@ class TestScanTheorem:
 
         monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
         report = scan_theorem(5, 3)
+        # The other types of the classes of ``far`` and ``cubic`` keep their
+        # true verdicts, so each class differs at its next type and fails.
         assert report.violations == (
             f"homogeneous_quadric verdict contradicts total degree 5: {far}",
             f"non-homogeneous type passed every gate: {far}",
             f"non-homogeneous type passed every gate: {cubic}",
+            f"verdict differs from its class: {CIType(4, (1, 2, 3))}",
             f"homogeneous type failed a gate: {quadric}",
+            f"verdict differs from its class: {CIType(5, (1, 3))}",
         )
 
     def test_verdicts_against_the_degree_gates_are_violations(self, monkeypatch):
@@ -405,11 +412,45 @@ class TestScanTheorem:
 
         monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
         report = scan_theorem(5, 3)
-        assert report.violations == tuple(
-            f"{kind.value} verdict contradicts total degree {ci.total_degree}: {ci}"
-            for ci, kind in wrong.items())
-        records = {rec.ci: rec.kind for rec in report.records() if rec.ci in wrong}
-        assert records == wrong
+        gates = [f"{kind.value} verdict contradicts total degree {ci.total_degree}: {ci}"
+                 for ci, kind in wrong.items()]
+        # Each wrong verdict also breaks its class: (1,3) in P^4 and P^5
+        # differ from the first types of their classes, and (1,2,3) in P^4,
+        # with its true verdict, from the wrong one of (2,3) in P^3.
+        differs = [f"verdict differs from its class: {ci}"
+                   for ci in (CIType(4, (1, 3)), CIType(4, (1, 2, 3)), CIType(5, (1, 3)))]
+        assert report.violations == (gates[0], gates[1], differs[0], gates[2], differs[1],
+                                     differs[2], gates[3])
+        # The three classes fail, with every one of their types.
+        failed = [CIType(3, (3,)), CIType(3, (2, 3)), CIType(4, (3,)), CIType(4, (1, 3)),
+                  CIType(4, (1, 2, 3)), CIType(5, (1, 3)), CIType(5, (1, 1, 3)),
+                  CIType(5, (1, 1, 2, 3))]
+        assert [rec.ci for rec in report.records() if rec.kind is None] == failed
+        assert report.counts["internal_check_failed"] == len(failed)
+
+    def test_a_type_that_differs_from_its_class_fails_the_class(self, monkeypatch):
+        # (1,3) in P^5 is a hyperplane section of the cubic threefold (3) in
+        # P^4, the first type of its class ((3,), 3): a verdict with other
+        # values at i passes every gate check but breaks the invariance,
+        # and all three types of the class at 6/3 become failed records.
+        real, section = classify.theorem_verdict, CIType(5, (1, 3))
+        kind = VerdictKind.POINCARE_OBSTRUCTION
+
+        def misclassifying(ci):
+            if ci == section:
+                return Verdict(ci, kind, GaussianInteger(1, 0), GaussianInteger(1, 0))
+            return real(ci)
+
+        assert real(section).kind is kind
+        monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
+        report = scan_theorem(6, 3)
+        assert report.violations == (f"verdict differs from its class: {section}",)
+        cubics = [CIType(4, (3,)), section, CIType(6, (1, 1, 3))]
+        assert [rec for rec in report.records() if rec.kind is None] == [
+            Verdict(ci, None) for ci in cubics]
+        assert report.counts["internal_check_failed"] == 3
+        assert sum(report.counts.values()) == report.types
+        assert "\n5,1 3,4,3,internal_check_failed,-,-\n" in rendered(report, "csv")
 
     def test_every_type_is_re_verified(self, monkeypatch):
         # The d > n types are walked and classified one by one, not counted.

@@ -781,10 +781,10 @@ class TestBounds:
             for max_degree in range(1, 7):
                 walked = sum(1 for _ in iter_types(max_n, max_degree))
                 assert walked == comb(max_n + max_degree + 1, max_n) - 1
-                assert cli._scan_type_count(max_n, max_degree) == walked
-        assert cli._scan_type_count(14, 6) == 116_279
-        assert cli._scan_type_count(20, 6) == 888_029 <= cli.MAX_SCAN_TYPES
-        assert cli._scan_type_count(21, 6) == cli.MAX_SCAN_TYPES + 1
+                assert scan._scan_type_count(max_n, max_degree) == walked
+        assert scan._scan_type_count(14, 6) == 116_279
+        assert scan._scan_type_count(20, 6) == 888_029 <= scan.MAX_SCAN_TYPES
+        assert scan._scan_type_count(21, 6) == scan.MAX_SCAN_TYPES + 1
 
     @pytest.mark.parametrize("bounds", [("40", "6"), ("1000000000", "1000000000")])
     def test_scan_past_the_bound_is_a_usage_error(self, tmp_path, capsys, bounds):

@@ -245,6 +245,16 @@ def test_failed_class_in_a_lemma_block(monkeypatch, bad, bounds, fmt):
     assert buffer.getvalue() == expected_document([report], fmt)
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_reports_of_other_degree_bounds_in_one_document(fmt):
+    # The writer shares each degree's text between the reports of one
+    # document; a report with another max_degree gets its own.
+    reports = [scan_theorem(5, 3), scan_lemma(4, 5), scan_theorem(3, 5), scan_lemma(6, 2)]
+    buffer = io.StringIO()
+    write_scans(reports, fmt, buffer)
+    assert buffer.getvalue() == expected_document(reports, fmt)
+
+
 def test_empty_scan_object_layout():
     buffer = io.StringIO()
     write_scans([], "json", buffer)
@@ -263,7 +273,7 @@ def test_unknown_format_is_rejected_before_writing(count):
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_field_text_memo_is_bounded(fmt):
     # More distinct theorem fields than the memo's 1,024 entries, as a 20/6
-    # theorem scan has (1,199): the memo is emptied when full, and each text,
+    # theorem scan has (1,200): the memo is emptied when full, and each text,
     # also one looked up again after that, equals a fresh rendering.
     texts = scan._FieldTexts("theorem", fmt)
     kind = classify.VerdictKind.POINCARE_OBSTRUCTION
