@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import io
 import re
 import reprlib
 import sys
@@ -142,23 +141,23 @@ def _json(value):
 
 def _render(fmt: str, fields: list[tuple]) -> None:
     """Write one single-type document, a list of fields (label, key, column,
-    value), to stdout: ``value`` under ``label`` in the table, under ``key``
-    in JSON and under ``column`` in CSV; a None name leaves the field out of
-    that format."""
+    value), to stdout in one write: ``value`` under ``label`` in the table,
+    under ``key`` in JSON and under ``column`` in CSV; a None name leaves
+    the field out of that format."""
     if fmt == "json":
         import json
 
-        print(json.dumps(_json(fields), indent=2))
+        text = json.dumps(_json(fields), indent=2)
     elif fmt == "csv":
         # No cell holds a comma, a quote or a line break, so, as in
         # ``write_scans``, none needs quoting.
         cells = [(column, value) for _, _, column, value in fields if column is not None]
-        print(",".join(column for column, _ in cells))
-        print(",".join(_cell(value) for _, value in cells))
+        text = (",".join(column for column, _ in cells) + "\n"
+                + ",".join(_cell(value) for _, value in cells))
     else:
-        for label, _, _, value in fields:
-            if label is not None:
-                print(f"{label}: {_text(value)}")
+        text = "\n".join(f"{label}: {_text(value)}"
+                         for label, _, _, value in fields if label is not None)
+    sys.stdout.write(text + "\n")
 
 
 def _invariant_fields(report: InvariantReport, poincare: tuple[int, ...]) -> list[tuple]:
@@ -310,15 +309,16 @@ def run_verify_identities(args) -> int:
     if args.format == "json":
         import json
 
-        print(json.dumps({
+        text = json.dumps({
             "max_k": str(args.max_k),
             "expansion_identity_ok": expansion_ok,
             "chi22_closed_form_ok": chi22_ok,
-        }, indent=2))
+        }, indent=2)
     else:
-        print(f"checked k = 0 .. {args.max_k}")
-        print(f"expansion identity: {'ok' if expansion_ok else 'FAILED'}")
-        print(f"chi22 sum vs closed form: {'ok' if chi22_ok else 'FAILED'}")
+        text = (f"checked k = 0 .. {args.max_k}\n"
+                f"expansion identity: {'ok' if expansion_ok else 'FAILED'}\n"
+                f"chi22 sum vs closed form: {'ok' if chi22_ok else 'FAILED'}")
+    sys.stdout.write(text + "\n")
     if not ok:
         _warn(f"error: {first_failure}")
     return 0 if ok else 1
@@ -386,15 +386,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     # The integers written are computed, not parsed: lift the int-to-str cap
-    # for the output.  Only a scan streams to stdout.
+    # for the output.
     limit = sys.get_int_max_str_digits()
-    buffer = io.StringIO()
     try:
         sys.set_int_max_str_digits(0)
-        with contextlib.redirect_stdout(sys.stdout if args.func is run_scan else buffer):
-            code = args.func(args)
-        sys.stdout.write(buffer.getvalue())
-        return code
+        return args.func(args)
     except (ValueError, OSError) as exc:
         _warn(f"error: {exc}")
         return 2

@@ -22,10 +22,12 @@ check is re-run, so a scan's memory grows with its classes, not its types.
 ``write_scans`` is the one scan writer.  It fills a row template's n and k
 once per block and joins each row, at C level, from constant pieces, the
 degree list, the total degree and the text of the row's fields, in exactly
-the layout of ``json.dump(..., indent=2)`` for JSON.  A theorem row's
-fields are rendered on their first lookup; a lemma row past D = () and
-D = (2) cannot vanish, so its text is one template per k mod 4, filled
-from b_k at C level.  Only ``ScanReport.records`` builds records, and no
+the layout of ``json.dump(..., indent=2)`` for JSON.  Each distinct
+theorem fields tuple is rendered once per report; a lemma row past D = ()
+and D = (2) cannot vanish, so its text is one template per k mod 4, filled
+from b_k at C level.  Degree multisets of size 0 and 1 are walked with no
+pool of the degree range, so beside its table a scan holds nothing that
+grows with max_degree.  Only ``ScanReport.records`` builds records, and no
 record renders itself.
 """
 
@@ -35,7 +37,8 @@ from collections import Counter, namedtuple
 from enum import Enum
 from itertools import chain, combinations_with_replacement, islice, repeat
 from math import comb
-from typing import Iterator, Sequence, TextIO
+from operator import call
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .classify import (
     LemmaCase,
@@ -66,7 +69,8 @@ def _check_bounds(max_n: int, max_degree: int) -> None:
 #: both bounds, so a scan past this is a usage error, not a hang.  Memory
 #: grows with the classes, so the worst case has one class per type: ``scan
 #: --max-n 1 --max-degree 999999 --which both --format csv --quiet`` takes
-#: 15-18 s at a peak RSS of 168 MB (lemma alone 129 MB, theorem 130 MB).
+#: 9.4-12.2 s at a peak RSS of 61 MB (lemma alone 53 MB, theorem 23 MB),
+#: almost all of it the two tables and the interpreter.
 #: ``--max-n 20 --max-degree 6 --which both --format json`` (888,029 types)
 #: takes 7.3-9.5 s at 28.5 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
 MAX_SCAN_TYPES = 1_000_000
@@ -87,6 +91,15 @@ def _scan_type_count(max_n: int, max_degree: int) -> int:
     return value - 1
 
 
+def _multisets(items: Iterable, size: int) -> Iterator[tuple]:
+    """The multisets of ``size`` elements of ``items``, as sorted tuples in
+    lexicographic order.  Sizes 0 and 1 hold no pool of ``items``, so a
+    lazy ``items`` is never materialized for them."""
+    if size >= 2:
+        return combinations_with_replacement(items, size)
+    return zip(items) if size else iter(((),))
+
+
 def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     """All types with 1 <= n <= max_n, 0 <= l <= n and degrees in
     [1, max_degree], in canonical (n, l, lexicographic) order.  The bounds
@@ -96,7 +109,7 @@ def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     _check_bounds(max_n, max_degree)
     degree_range = range(1, max_degree + 1)
     return map(tuple.__new__, repeat(CIType), chain.from_iterable(
-        zip(repeat(n), combinations_with_replacement(degree_range, l))
+        zip(repeat(n), _multisets(degree_range, l))
         for n in range(1, max_n + 1) for l in range(n + 1)))
 
 
@@ -197,41 +210,30 @@ _OUTCOME_TEXT = {
 }
 
 
-class _FieldTexts(dict):
-    """The text of each fields tuple of one scan in one format, rendered on
-    its first lookup: a later row with the same fields is a C-level hit.
-    The theorem scan has 279 distinct fields at 14/6 but 1,200 at 20/6,
-    past the bound of 1,024 entries, at which the memo is emptied.  A lemma
-    block comes here only for its first two rows, or for every row when it
-    holds a failed class; ``lemma_block`` renders the rest from b_k."""
+def _field_renderer(kind: str, fmt: str):
+    """The function that renders one fields tuple of a ``kind`` scan in
+    ``fmt``: (kind, p_X(i), p_F(i)) or (b_k, p(i), case)."""
+    template = _FIELD_TEMPLATES[kind][fmt]
+    value, out = (_json_value if fmt == "json" else _text), _OUTCOME_TEXT.__getitem__
+    cells = (out, value, value) if kind == "theorem" else (value, value, out)
+    return lambda fields: template % tuple(map(call, cells, fields))
 
-    def __init__(self, kind: str, fmt: str):
-        self.template = _FIELD_TEMPLATES[kind][fmt]
-        value, out = _json_value if fmt == "json" else _text, _OUTCOME_TEXT.__getitem__
-        # One cell per field: (kind, p_x, p_f) or (betti, value, case).
-        self.cells = (out, value, value) if kind == "theorem" else (value, value, out)
-        self.tails = _tail_templates(fmt) if kind == "lemma" else None
 
-    def __missing__(self, fields: tuple) -> str:
-        if len(self) >= 1024:
-            self.clear()
-        (a, b, c), (cell_a, cell_b, cell_c) = fields, self.cells
-        text = self[fields] = self.template % (cell_a(a), cell_b(b), cell_c(c))
-        return text
-
-    def lemma_block(self, k: int, block: tuple[list, int]) -> Iterator[str]:
-        """The field texts of the lemma block (row, size) at dimension k.
-        Only its first two classes, D = () and D = (2), can vanish, so the
-        rest share one template, mapped over the prefix at C level; a block
-        holding a failed class (None) is rendered per field."""
-        row, size = block
-        fields = map(self.__getitem__, _lemma_fields(k, block))
-        if None in islice(row, size):
-            return fields
-        betti, second = islice(row, 2, size), islice(row, 2, size)
-        if k % 4 == 2:
-            second = map((2).__sub__, second)
-        return chain(islice(fields, 2), map(self.tails[k % 4].__mod__, zip(betti, second)))
+def _lemma_block(render, tails: tuple[str, ...], k: int,
+                 block: tuple[list, int]) -> Iterator[str]:
+    """The field texts of the lemma block (row, size) at dimension k.  Only
+    its first two classes, D = () and D = (2), can vanish, so they go
+    through ``render`` and the rest share ``tails[k % 4]``, mapped over the
+    prefix at C level; a block holding a failed class (None) is rendered
+    field by field."""
+    row, size = block
+    fields = map(render, _lemma_fields(k, block))
+    if None in islice(row, size):
+        return fields
+    betti, second = islice(row, 2, size), islice(row, 2, size)
+    if k % 4 == 2:
+        second = map((2).__sub__, second)
+    return chain(islice(fields, 2), map(tails[k % 4].__mod__, zip(betti, second)))
 
 
 class LemmaRecord(namedtuple("LemmaRecord", "ci middle_betti value_at_i case")):
@@ -291,12 +293,12 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
     rows) per report separated by a blank line, for ``table`` one line per
     record of each report in turn, each row joined at C level from its
     (n, l) block's template and the prefix of the row of classes that the
-    block reads.  The reports share the text of each degree.  An unknown
-    ``fmt`` raises ValueError before anything is written."""
+    block reads.  Each distinct theorem fields tuple is rendered once per
+    report.  An unknown ``fmt`` raises ValueError before anything is
+    written."""
     if fmt not in _DEGREE_LISTS:
         raise ValueError(f"unknown output format {fmt!r}")
     open_, sep, close, empty = _DEGREE_LISTS[fmt]
-    degree_texts: tuple[str, ...] = ()
     if fmt == "json":
         import json  # only a JSON document loads it
 
@@ -317,23 +319,24 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
             stream.write(("," if idx else "") + _NEWLINE[_SCAN_DEPTH]
                          + head[:-len("0\n}")].replace("\n", _NEWLINE[_SCAN_DEPTH]))
         template = _ROW_TEMPLATES[report.kind][fmt]
-        texts = _FieldTexts(report.kind, fmt)
+        render = _field_renderer(report.kind, fmt)
         degree_range = range(1, report.max_degree + 1)
-        if len(degree_texts) != report.max_degree:
-            degree_texts = tuple(map(str, degree_range))
         theorem = report.kind == "theorem"
+        if theorem:  # the first pass stored each distinct tuple once
+            texts = {fields: render(fields) for fields in set(chain.from_iterable(report.table))}
+        else:
+            tails = _tail_templates(fmt)
         for n, l, block in _blocks(report.max_n, report.max_degree, report.table):
             pieces = (template % {"n": n, "k": n - l}).split("\0")
             before, after = (open_, close) if l else (empty, "")
             pieces[:2] = pieces[0] + before, after + pieces[1]
             if fmt == "json" and n == 1 and not l:  # the scan's first record
                 pieces[0] = "[" + pieces[0][1:]
-            slots = [map(sep.join, combinations_with_replacement(degree_texts, l)),
+            slots = [map(sep.join, _multisets(map(str, degree_range), l)),
                      map(texts.__getitem__, islice(*block)) if theorem
-                     else texts.lemma_block(n - l, block)]
+                     else _lemma_block(render, tails, n - l, block)]
             if theorem:
-                slots.insert(1, map(str, map(sum, combinations_with_replacement(
-                    degree_range, l))))
+                slots.insert(1, map(str, map(sum, _multisets(degree_range, l))))
             # Each row joins the pieces with the slots between them.
             stream.writelines(map("".join, zip(*chain.from_iterable(
                 zip(map(repeat, pieces), slots)), repeat(pieces[-1]))))
@@ -462,7 +465,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     violations: list[str] = []
     tally: Counter = Counter()
     for length in range(max_n + 1):
-        for reduced in combinations_with_replacement(range(2, max_degree + 1), length):
+        for reduced in _multisets(range(2, max_degree + 1), length):
             row = euler_characteristic_row(reduced, max_n - length)
             for k, chi in enumerate(row):
                 n = k + length

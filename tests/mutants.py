@@ -64,9 +64,10 @@ MUTANTS = [
            "                if False:\n",
            ("tests/test_classify.py::TestScanTheorem"
             "::test_a_type_that_differs_from_its_class_fails_the_class",)),
-    Mutant("field text memo never emptied", "src/ci_invariants/scan.py",
-           "        if len(self) >= 1024:\n", "        if False:\n",
-           ("tests/test_scan_output.py::test_field_text_memo_is_bounded",)),
+    Mutant("multisets of sizes 0 and 1 from a pool", "src/ci_invariants/scan.py",
+           "    if size >= 2:\n", "    if size >= 0:\n",
+           ("tests/test_classify.py::TestScanRecords"
+            "::test_one_class_per_type_peaks_at_its_table",)),
     Mutant("lemma block prefix one class short per length", "src/ci_invariants/scan.py",
            "comb(l + max_degree - 1, l)", "comb(l + max_degree - 2, l)",
            ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),

@@ -39,12 +39,12 @@ def poly_product(a, b):
     return tuple(truncated_product(a, b, len(a) + len(b) - 2))
 
 
-class TestIntPolynomial:
+class TestHornerAndDivisibility:
     """The reference route on polynomials as plain coefficient tuples, the
     form ``InvariantReport.poincare`` returns: Horner's rule and the
     division by 1 + t^2."""
 
-    def test_eval_gaussian_examples(self):
+    def test_horner_at_i_examples(self):
         assert horner_at_i(ONE_PLUS_T_SQUARED) == (0, 0)
         assert horner_at_i((1, 0, 1, 0, 1, 0, 1)) == (0, 0)
         cubic_threefold = (1, 0, 1, 10, 1, 0, 1)
@@ -90,7 +90,7 @@ class TestGaussianInteger:
         assert str(GaussianInteger(-2, 5)) == "-2+5i"
 
 
-class TestTruncatedSeries:
+class TestTruncatedProduct:
     """The reference series route: truncated products of coefficient lists."""
 
     def test_inverse_is_alternating_geometric(self):

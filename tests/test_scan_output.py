@@ -18,7 +18,6 @@ import pytest
 
 from ci_invariants import (
     CIType,
-    GaussianInteger,
     LemmaRecord,
     Verdict,
     scan_lemma,
@@ -268,19 +267,6 @@ def test_unknown_format_is_rejected_before_writing(count):
     with pytest.raises(ValueError, match="unknown output format 'xml'"):
         write_scans(reports, "xml", buffer)
     assert buffer.getvalue() == ""
-
-
-@pytest.mark.parametrize("fmt", FORMATS)
-def test_field_text_memo_is_bounded(fmt):
-    # More distinct theorem fields than the memo's 1,024 entries, as a 20/6
-    # theorem scan has (1,200): the memo is emptied when full, and each text,
-    # also one looked up again after that, equals a fresh rendering.
-    texts = scan._FieldTexts("theorem", fmt)
-    kind = classify.VerdictKind.POINCARE_OBSTRUCTION
-    fields = [(kind, GaussianInteger(b, 0), GaussianInteger(0, -b)) for b in range(1, 1201)]
-    for field in fields + fields[:10] + fields[-10:]:
-        assert texts[field] == scan._FieldTexts("theorem", fmt)[field]
-        assert len(texts) <= 1024
 
 
 #: sha256 of the stdout of ``scan --max-n 10 --max-degree 5 --which both
