@@ -11,9 +11,11 @@ Each scan makes two passes, serially.  The first runs every check and
 keeps the counts, the violations and one class table: ``table[k]`` lists
 the classes of dimension k by |D|, then D, each as its verdict's fields or
 as its b_k, from which p(i) and the case follow.  The theorem scan checks
-each type's verdict against its class's; the lemma scan runs the
-recurrence once per D and its checks once per class.  Every type of a
-failed class is a failed record.  A ``ScanReport`` is plain data; its
+each type's verdict against its class's.  The lemma scan walks the D depth
+first, gets each D's chi row from its parent's by one series division and
+checks each row's b_k at C level; only the rows of () and (2), and a row
+that fails, run the checks once per class.  Every type of a failed class
+is a failed record.  A ``ScanReport`` is plain data; its
 table's layout is not a contract.  The second pass, run each time a scan
 is written or its records are read, walks the (n, l) blocks, whose types
 are the classes with |D| <= l at k = n - l: a prefix of ``table[k]``.  No
@@ -33,11 +35,11 @@ record renders itself.
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import Counter, deque, namedtuple
 from enum import Enum
 from itertools import chain, combinations_with_replacement, islice, repeat
 from math import comb
-from operator import call
+from operator import call, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .classify import (
@@ -53,9 +55,9 @@ from .topology import (
     CIType,
     GaussianInteger,
     InternalCheckError,
+    _chi_coefficients,
     _value_at_i,
     compute_invariants,
-    euler_characteristic_row,
 )
 
 
@@ -72,7 +74,7 @@ def _check_bounds(max_n: int, max_degree: int) -> None:
 #: 9.4-12.2 s at a peak RSS of 61 MB (lemma alone 53 MB, theorem 23 MB),
 #: almost all of it the two tables and the interpreter.
 #: ``--max-n 20 --max-degree 6 --which both --format json`` (888,029 types)
-#: takes 7.3-9.5 s at 28.5 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
+#: takes 7.3-7.7 s at 28.2 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
 MAX_SCAN_TYPES = 1_000_000
 
 
@@ -448,44 +450,100 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                         VerdictKind, tally)
 
 
+def _child_row(row: list[int], d: int) -> list[int]:
+    """The chi row of D + (d,) from the chi row of D, one entry shorter:
+    ``row`` divided by 1 + (d - 1) z and scaled by d, which is one run of
+    ``_chi_coefficients``."""
+    return list(map(d.__mul__, _chi_coefficients((d,), row[:-1])))
+
+
+def _chi_rows(max_n: int, max_degree: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """Each reduced multiset D of degrees 2 .. max_degree with |D| <= max_n,
+    depth first in lexicographic order, with its chi row: chi of D in
+    P^(k + |D|) for k = 0 .. max_n - |D|.  The row of D = () is (1 - z)^-2,
+    and every other row is its parent D[:-1]'s ``_child_row``: one run of
+    ``_chi_coefficients`` per D.  Only the rows along the current path are
+    held, never those of the last length."""
+    root = ((), list(_chi_coefficients((), range(1, max_n + 2))))
+    yield root
+    path = [(root, iter(range(2, max_degree + 1)))]
+    while path:
+        (parent, row), degrees = path[-1]
+        d = next(degrees, None)
+        if d is None:
+            path.pop()
+            continue
+        child = parent + (d,), _child_row(row, d)
+        yield child
+        if len(row) > 2:  # the child has children of its own
+            path.append((child, iter(range(d, max_degree + 1))))
+
+
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     """Evaluate p(i) for every type within the bounds and verify that it
     vanishes exactly on the three allowed shapes and nowhere else.
 
-    The scan walks the classes (D, k), not the types: one run of the
-    recurrence per D gives chi for k = 0 .. max_n - |D|, and the checks run
-    once per class, on its first type in scan order, D in P^(k + |D|), or
-    (1) in P^1 for the point.  The class is tallied once per type within
-    the bounds.  A class whose checks fail is one violation, naming that
-    first type, and each of its types is a failed record.  The table keeps
+    The scan walks the reduced multisets D, not the types: each D's chi
+    row from ``_chi_rows`` gives its classes (D, k) for k = 0 .. max_n -
+    |D|, and the row of b_k (chi - k for even k, k + 1 - chi for odd k) is
+    checked at C level: b_k >= delta_k, and, for D other than () and (2),
+    no b_k = 0 at odd k and no b_k = 2 at k = 2 mod 4, where p(i) would
+    vanish.  A row that passes is stored whole and tallied in closed form.
+    The rows of () and (2), which can vanish, and any row that a check
+    rejects run the checks once per class instead, on its first type in
+    scan order, D in P^(k + |D|), or (1) in P^1 for the point: one
+    violation per failing check, naming that type, in class order
+    (|D|, D, k).  Each class is tallied once per type within the bounds,
+    and each type of a failed class is a failed record.  The table keeps
     only each class's b_k, or None for a failed class: k mod 4 then fixes
     p(i) and the case for all D but () and (2)."""
     _check_bounds(max_n, max_degree)
-    table: list[list] = [[] for _ in range(max_n + 1)]
-    violations: list[str] = []
+    # table[k] holds the D with |D| <= max_n - k, by |D|, then D, so a D
+    # of length l sits at the same place in every row: after the shorter
+    # multisets, in its place among those of length l.  The walk meets the
+    # D of one length in that order, and slots[l] is the next free place.
+    table = [[None] * comb(max_n - k + max_degree - 1, max_n - k) for k in range(max_n + 1)]
+    even_rows, odd_rows = table[::2], table[1::2]
+    slots = [0] + [comb(length + max_degree - 2, length - 1) for length in range(1, max_n + 1)]
+    found: list[list[str]] = [[] for _ in range(max_n + 1)]  # violations by |D|
     tally: Counter = Counter()
-    for length in range(max_n + 1):
-        for reduced in _multisets(range(2, max_degree + 1), length):
-            row = euler_characteristic_row(reduced, max_n - length)
-            for k, chi in enumerate(row):
-                n = k + length
-                ci = tuple.__new__(CIType, (n, reduced) if n else (1, (1,)))  # unchecked
-                betti = value = case = None
-                try:
-                    report = compute_invariants(ci, chi)
-                    betti, value = report.middle_betti, report.value_at_i
-                    case = lemma_classify(ci, report)
-                except InternalCheckError as exc:
-                    violations.append(str(exc))
-                # No type with an entry >= 3, or with two entries >= 2, may
-                # vanish: a vanishing p(i) needs a reduced type () or (2).
-                # Either violation makes the class a failed one.
-                if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
-                    violations.append(f"excluded shape vanishes at i: {ci}")
-                    case = None
-                table[k].append(None if case is None else betti)
-                tally[case] += max_n - n + 1 if n else max_n
-    return _scan_report("lemma", max_n, max_degree, table, violations,
+    nonvanishing = 0  # the types of the rows that pass their checks
+    for reduced, chi in _chi_rows(max_n, max_degree):
+        length = len(reduced)
+        slot = slots[length]
+        slots[length] += 1
+        size = len(chi)
+        even = list(map(sub, chi[::2], range(0, size, 2)))
+        odd = list(map(sub, range(2, size + 1, 2), chi[1::2]))
+        if (reduced not in ((), (2,))
+                and min(even) >= 1 and (not odd or min(odd) >= 0)  # b_k >= delta_k
+                and 0 not in odd  # p(i) = b_k i^k at odd k
+                and 2 not in even[1::2]):  # p(i) = 2 - b_k at k = 2 mod 4
+            deque(map(list.__setitem__, even_rows, repeat(slot), even), 0)
+            deque(map(list.__setitem__, odd_rows, repeat(slot), odd), 0)
+            # Its class at k has max_n - (k + length) + 1 = size - k types.
+            nonvanishing += size * (size + 1) // 2
+            continue
+        for k, chi_k in enumerate(chi):
+            n = k + length
+            ci = tuple.__new__(CIType, (n, reduced) if n else (1, (1,)))  # unchecked
+            betti = value = case = None
+            try:
+                report = compute_invariants(ci, chi_k)
+                betti, value = report.middle_betti, report.value_at_i
+                case = lemma_classify(ci, report)
+            except InternalCheckError as exc:
+                found[length].append(str(exc))
+            # No type with an entry >= 3, or with two entries >= 2, may
+            # vanish: a vanishing p(i) needs a reduced type () or (2).
+            # Either violation makes the class a failed one.
+            if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
+                found[length].append(f"excluded shape vanishes at i: {ci}")
+                case = None
+            table[k][slot] = None if case is None else betti
+            tally[case] += max_n - n + 1 if n else max_n
+    tally[LemmaCase.NONVANISHING] += nonvanishing
+    return _scan_report("lemma", max_n, max_degree, table, list(chain.from_iterable(found)),
                         LemmaCase, tally)
 
 

@@ -11,10 +11,11 @@ function (Topological Methods in Algebraic Geometry, section 22)
 which expands with one first-order integer recurrence per degree, in
 O(k * l) exact steps.  Degree-1 entries only shift n, so one run of the
 recurrence for the degrees >= 2 gives chi at every k up to its length.
-That run is one generator, ``_chi_coefficients``, which yields the
-coefficients one at a time and holds one running value per degree:
-``euler_characteristic`` keeps its last value, and
-``euler_characteristic_row`` the whole row.  The tests compare both with
+That run is one generator, ``_chi_coefficients``, which divides a series by
+1 + (d - 1) z for each degree d, yields the coefficients one at a time and
+holds one running value per degree: ``euler_characteristic`` divides
+(1 - z)^-2 by every factor and keeps the last value, and the lemma scan
+extends each multiset's row by one factor.  The tests compare both with
 the coefficient of H^n in (1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)),
 an independent route kept in ``tests/reference.py``, outside the package.
 
@@ -124,15 +125,16 @@ def _reduced(ci: CIType) -> tuple[int, ...]:
     return ci.degrees[ci.degrees.count(1):]
 
 
-def _chi_coefficients(reduced: tuple[int, ...], max_k: int) -> Iterator[int]:
-    """The coefficients c_0 .. c_max_k of (1 - z)^-2 * prod_{d in reduced}
-    1 / (1 + (d - 1) z), one at a time.  Each coefficient j + 1 of
-    (1 - z)^-2 goes through every division by 1 + r z in turn, c <- c - r c',
-    where c' is that division's previous output; those outputs, one per
-    entry of ``reduced``, are the only state held."""
+def _chi_coefficients(reduced: tuple[int, ...], series: Iterable[int]) -> Iterator[int]:
+    """The coefficients of S(z) * prod_{d in reduced} 1 / (1 + (d - 1) z),
+    one at a time, where ``series`` holds those of S: range(1, k + 2) for
+    (1 - z)^-2.  Each coefficient of S goes through every division by
+    1 + r z in turn, c <- c - r c', where c' is that division's previous
+    output; those outputs, one per entry of ``reduced``, are the only state
+    held."""
     ratios = [d - 1 for d in reduced]
     outputs = [0] * len(ratios)
-    for c in range(1, max_k + 2):
+    for c in series:
         for f, r in enumerate(ratios):
             c -= r * outputs[f]
             outputs[f] = c
@@ -148,18 +150,8 @@ def euler_characteristic(ci: CIType) -> int:
     running value per degree >= 2.  Degree-1 entries only shift n, so they
     skip the recurrence.
     """
-    coeffs = _chi_coefficients(_reduced(ci), ci.dimension)
+    coeffs = _chi_coefficients(_reduced(ci), range(1, ci.dimension + 2))
     return math.prod(ci.degrees) * deque(coeffs, maxlen=1)[0]
-
-
-def euler_characteristic_row(reduced: tuple[int, ...], max_k: int) -> list[int]:
-    """The Euler characteristics of every type whose degrees >= 2 are
-    ``reduced``, indexed by its dimension k = 0 .. max_k: the degree-1
-    entries change neither the product of the degrees nor the series, so
-    every coefficient of one run of ``_chi_coefficients`` is one type's chi
-    divided by that product."""
-    scale = math.prod(reduced)
-    return [scale * c for c in _chi_coefficients(reduced, max_k)]
 
 
 def chi22(k: int) -> int:
@@ -263,8 +255,8 @@ def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
     b_k >= 1.
 
     ``chi`` is the type's Euler characteristic when the caller already has
-    it, as the lemma scan does from ``euler_characteristic_row``; otherwise
-    it is computed here.
+    it, as the lemma scan does from its chi rows; otherwise it is computed
+    here.
     """
     k = ci.dimension
     if chi is None:

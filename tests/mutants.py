@@ -71,6 +71,17 @@ MUTANTS = [
     Mutant("lemma block prefix one class short per length", "src/ci_invariants/scan.py",
            "comb(l + max_degree - 1, l)", "comb(l + max_degree - 2, l)",
            ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),
+    Mutant("lemma row check without b_k >= delta_k", "src/ci_invariants/scan.py",
+           "                and min(even) >= 1 and (not odd or min(odd) >= 0)  # b_k >= delta_k\n",
+           "",
+           ("tests/test_classify.py::TestScanLemma::test_internal_check_failure_is_a_violation",)),
+    Mutant("lemma row check without 0 at odd k", "src/ci_invariants/scan.py",
+           "                and 0 not in odd  # p(i) = b_k i^k at odd k\n", "",
+           ("tests/test_classify.py::TestScanLemma"
+            "::test_vanishing_excluded_shape_is_a_violation",)),
+    Mutant("lemma row check without 2 at k = 2 mod 4", "src/ci_invariants/scan.py",
+           "                and 2 not in even[1::2]):", "                ):",
+           ("tests/test_classify.py::TestScanLemma::test_vanishing_at_k_2_mod_4_is_a_violation",)),
     Mutant("+b at k = 3 mod 4", "src/ci_invariants/topology.py",
            "b if k % 4 == 1 else -b)", "b if k % 4 == 1 else b)",
            ("tests/test_topology.py",)),
@@ -80,6 +91,9 @@ MUTANTS = [
     Mutant("Euler recurrence with + r", "src/ci_invariants/topology.py",
            "c -= r * outputs[f]", "c += r * outputs[f]",
            ("tests/test_topology.py",)),
+    Mutant("Euler recurrence with + r, in the lemma scan's rows", "src/ci_invariants/topology.py",
+           "c -= r * outputs[f]", "c += r * outputs[f]",
+           ("tests/test_classify.py::TestScanLemma::test_small_scan_clean",)),
     Mutant("Euler recurrence without its running values", "src/ci_invariants/topology.py",
            "            outputs[f] = c\n", "",
            ("tests/test_topology.py",)),

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import tracemalloc
+from itertools import chain, combinations_with_replacement
 
 import pytest
 
@@ -28,7 +29,7 @@ from ci_invariants import (
 )
 from ci_invariants import classify, cli, scan, topology
 from ci_invariants.cli import main
-from reference import chi_structure_sheaf, reduce_type
+from reference import chi_structure_sheaf
 
 
 def rendered(report, fmt):
@@ -512,16 +513,21 @@ class TestScanLemma:
 
     def test_one_euler_characteristic_per_class(self, monkeypatch):
         # A class is a reduced type: its degrees >= 2 and its dimension k.
-        # The scan runs the recurrence once per reduced multiset D, for a row
-        # of chi over every k, and the checks once per class, on that chi,
-        # in class order (|D|, D, k).
-        real_row, real_checks = scan.euler_characteristic_row, scan.compute_invariants
+        # The scan runs one series division per reduced multiset D, depth
+        # first in lexicographic order: the row of its parent D[:-1], one
+        # entry shorter, divided by 1 + (D[-1] - 1) z, and for D = () the
+        # series (1 - z)^-2 of length 13, divided by nothing.  The checks
+        # run over each row at C level, so ``compute_invariants`` runs only
+        # on the classes of D = () and D = (2), which can vanish, in class
+        # order (|D|, D, k).
+        real_division, real_checks = scan._chi_coefficients, scan.compute_invariants
         real_chi = topology.euler_characteristic
-        rows, checks, single = [], [], []
+        divisions, checks, single = [], [], []
 
-        def counting_row(reduced, max_k):
-            rows.append((reduced, max_k))
-            return real_row(reduced, max_k)
+        def counting_division(reduced, series):
+            series = list(series)
+            divisions.append((reduced, len(series)))
+            return real_division(reduced, series)
 
         def counting_checks(ci, chi=None):
             checks.append(ci)
@@ -531,28 +537,19 @@ class TestScanLemma:
             single.append(ci)
             return real_chi(ci)
 
-        monkeypatch.setattr(scan, "euler_characteristic_row", counting_row)
+        monkeypatch.setattr(scan, "_chi_coefficients", counting_division)
         monkeypatch.setattr(scan, "compute_invariants", counting_checks)
         monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
         report = scan_lemma(12, 6)
-        assert report.types == 50387
-        first_of_class, first_of_reduced = {}, {}
-        for rec in report.records():
-            n, degrees = reduce_type(rec.ci.ambient_dim, rec.ci.degrees)
-            first_of_class.setdefault((n, degrees), rec.ci)
-            first_of_reduced.setdefault(degrees, 12 - len(degrees))
-        assert rows == list(first_of_reduced.items())
-        assert len(rows) == 6188
-        by_class = sorted(first_of_class.items(),
-                          key=lambda item: (len(item[0][1]), item[0][1], item[0][0]))
-        assert checks == [ci for _, ci in by_class]
-        assert len(checks) == len(first_of_class) == 18564
+        assert report.ok and report.types == 50387
+        reduced = sorted(chain.from_iterable(
+            combinations_with_replacement(range(2, 7), size) for size in range(13)))
+        assert divisions == [(d[-1:], 13 - len(d)) for d in reduced]
+        assert len(divisions) == 6188
+        # The point is (1) in P^1: its reduced type P^0 lies below n >= 1.
+        assert checks == [CIType(1, (1,)), *(CIType(k) for k in range(1, 13)),
+                          *(CIType(k + 1, (2,)) for k in range(12))]
         assert single == []
-        # The first type of a class is its reduced type, except for the
-        # point, whose reduced type P^0 lies below the scan's n >= 1.
-        assert [ci for ci in checks
-                if reduce_type(ci.ambient_dim, ci.degrees) != (ci.ambient_dim, ci.degrees)
-                ] == [CIType(1, (1,))]
 
     # 10/6 is at scan scale; at max_degree = 1 every block is a prefix of
     # one class, and at 1/60 the block (1, 1) holds the whole k = 0 row.
@@ -566,18 +563,14 @@ class TestScanLemma:
             case = lemma_classify(ci, invariants)
             assert rec == LemmaRecord(ci, invariants.middle_betti, invariants.value_at_i, case)
 
-    def test_internal_check_failure_is_a_violation(self, monkeypatch):
-        # The fault enters where chi becomes invariants, the step that both
-        # scans share: the lemma scan passes each class its chi from the row.
-        # The class ((3,), 2) has two types at 4/3, (3) in P^3 and (1,3) in
-        # P^4: its checks run once, on the first, and both records fail.
-        real = topology.compute_invariants
+    def test_internal_check_failure_is_a_violation(self, plant_chi):
+        # The fault enters the chi row of D = (3), where b_2 = -102 < 1
+        # fails the row check, so the row's classes run the checks one by
+        # one.  The class ((3,), 2) has two types at 4/3, (3) in P^3 and
+        # (1,3) in P^4: its checks run once, on the first, and both records
+        # fail.
         bad = CIType(3, (3,))
-
-        def wrong_for_one_type(ci, chi=None):
-            return real(ci, -100 if ci == bad else chi)
-
-        monkeypatch.setattr(scan, "compute_invariants", wrong_for_one_type)
+        plant_chi({((3,), 2): -100})
         report = scan_lemma(4, 3)
         assert not report.ok
         assert len(report.violations) == 1
@@ -599,14 +592,26 @@ class TestScanLemma:
     def test_smaller_scan_is_a_prefix(self):
         assert_smaller_scan_is_a_prefix(scan_lemma, 7, 3)
 
-    def test_vanishing_excluded_shape_is_a_violation(self, monkeypatch):
+    def test_vanishing_excluded_shape_is_a_violation(self, plant_chi):
         cubic = CUBIC_THREEFOLD   # excluded: an entry >= 3
-        monkeypatch.setattr(scan, "compute_invariants", vanishing_for_the_cubic)
+        plant_chi({((3,), 3): 4})  # b_3 = 3 + 1 - 4 = 0
         report = scan_lemma(4, 3)
         assert report.violations == (
             f"shape case nonvanishing disagrees with p(i) vanishing for {cubic}",
             f"excluded shape vanishes at i: {cubic}",
         )
+
+    def test_vanishing_at_k_2_mod_4_is_a_violation(self, plant_chi):
+        # p(i) = 2 - b_k at k = 2 mod 4: b_2 = 2 on the cubic surface, an
+        # excluded shape, fails the row check and then both per-class checks.
+        surface = CIType(3, (3,))
+        plant_chi({((3,), 2): 4})  # b_2 = 4 - 2
+        report = scan_lemma(4, 3)
+        assert report.violations == (
+            f"shape case nonvanishing disagrees with p(i) vanishing for {surface}",
+            f"excluded shape vanishes at i: {surface}",
+        )
+        assert report.counts["internal_check_failed"] == 2
 
 
 class _NullStream(io.TextIOBase):

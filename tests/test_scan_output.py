@@ -24,7 +24,7 @@ from ci_invariants import (
     scan_theorem,
     write_scans,
 )
-from ci_invariants import classify, scan, topology
+from ci_invariants import classify, topology
 from ci_invariants.cli import main
 
 MAX_N, MAX_DEGREE = 6, 3
@@ -166,22 +166,20 @@ def test_out_file_equals_stdout(tmp_path, capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_internal_check_failure_document(monkeypatch, capsys, fmt):
+def test_internal_check_failure_document(monkeypatch, plant_chi, capsys, fmt):
     # A wrong Euler characteristic for one type makes its records carry null
     # fields and puts its violations into the document: the cubic surface
     # fails the lemma scan, and a quadric fourfold fails both scans (the
     # theorem scan also records that the homogeneous type failed a gate).
-    # The fault enters where chi becomes invariants, the step both scans
-    # share.
     real = topology.compute_invariants
     for which, bad, counts in (("lemma", CIType(3, (3,)), [1]),
                                ("both", CIType(5, (2,)), [2, 1])):
-        # The theorem scan computes invariants in ``theorem_verdict``, the
-        # lemma scan in ``scan_lemma``.
-        for module in (classify, scan):
-            monkeypatch.setattr(module, "compute_invariants",
-                                lambda ci, chi=None, bad=bad:
-                                real(ci, -100 if ci == bad else chi))
+        # The theorem scan computes invariants in ``theorem_verdict``; the
+        # lemma scan reads chi from the row of the type's degrees.
+        monkeypatch.setattr(classify, "compute_invariants",
+                            lambda ci, chi=None, bad=bad:
+                            real(ci, -100 if ci == bad else chi))
+        plant_chi({(bad.degrees, bad.dimension): -100})
         code, out = _scan_cli(capsys, which, fmt)
         assert code == 1
         reports = _reports(which, MAX_N, MAX_DEGREE)
@@ -199,14 +197,12 @@ def test_internal_check_failure_document(monkeypatch, capsys, fmt):
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
+def test_internal_check_failure_of_a_whole_class(plant_chi, capsys, fmt):
     # Every type of the class (D, k) = ((3,), 2) fails.  Its checks run
     # once, on its first type, and record one violation; each of the
     # class's rows, in four blocks, is a failed record.
-    real = topology.compute_invariants
     cubic_surfaces = [CIType(3 + m, (1,) * m + (3,)) for m in range(MAX_N - 2)]
-    monkeypatch.setattr(scan, "compute_invariants", lambda ci, chi=None:
-                        real(ci, -100 if ci in cubic_surfaces else chi))
+    plant_chi({((3,), 2): -100})
     code, out = _scan_cli(capsys, "lemma", fmt)
     assert code == 1
     (report,) = _reports("lemma", MAX_N, MAX_DEGREE)
@@ -225,10 +221,9 @@ def test_internal_check_failure_of_a_whole_class(monkeypatch, capsys, fmt):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("bounds", [(MAX_N, MAX_DEGREE), (11, 4)], ids=["6-3", "11-4"])
 @pytest.mark.parametrize("bad", [CIType(3, (2,)), CIType(3, (3,))], ids=["head", "tail"])
-def test_failed_class_in_a_lemma_block(monkeypatch, bad, bounds, fmt):
+def test_failed_class_in_a_lemma_block(plant_chi, bad, bounds, fmt):
     real = topology.compute_invariants
-    monkeypatch.setattr(scan, "compute_invariants",
-                        lambda ci, chi=None: real(ci, -100 if ci == bad else chi))
+    plant_chi({(bad.degrees, bad.dimension): -100})
     report = scan_lemma(*bounds)
     assert len(report.violations) == 1 and str(bad) in report.violations[0]
     failed = [rec.ci for rec in report.records() if rec.case is None]

@@ -27,11 +27,11 @@ from ci_invariants import (
     euler_characteristic,
     fiber_type,
     iter_types,
+    scan,
     topology,
     verify_expansion_identities,
 )
 from ci_invariants.cli import MAX_K
-from ci_invariants.topology import euler_characteristic_row
 from reference import (
     chi22_terms,
     horner,
@@ -124,6 +124,18 @@ class TestCIType:
             assert rebuilt.degrees == tuple(sorted(degrees))
 
 
+class TestGaussianInteger:
+    def test_i_squared(self):
+        # t^2 at i, by the reference's Horner rule on plain ints
+        assert horner_at_i([0, 0, 1]) == (-1, 0)
+        assert GaussianInteger(*horner_at_i([0, 0, 1])) == GaussianInteger(-1, 0)
+
+    def test_str(self):
+        assert str(GaussianInteger(0, -10)) == "0-10i"
+        assert str(GaussianInteger(6, 0)) == "6+0i"
+        assert str(GaussianInteger(-2, 5)) == "-2+5i"
+
+
 class TestEulerCharacteristic:
     def test_examples(self):
         assert euler_characteristic(CIType(3)) == 4
@@ -206,18 +218,26 @@ class TestEulerCharacteristic:
 
 
 class TestEulerCharacteristicRow:
+    """The lemma scan's chi rows: each is its parent's, one entry shorter,
+    extended by one series division."""
+
     def test_matches_series_oracle(self):
         # Every reduced multiset with entries 2..6 and at most five entries,
         # at every k <= 8: the type in P^(k + |D|).
+        rows = dict(scan._chi_rows(13, 6))
         for size in range(6):
             for reduced in combinations_with_replacement(range(2, 7), size):
-                assert euler_characteristic_row(reduced, 8) == [
+                assert rows[reduced][:9] == [
                     series_coefficient(reduced, k + size) for k in range(9)]
 
     @pytest.mark.parametrize("reduced", [(2,), (3, 3), (2, 5, 6)])
     def test_equals_euler_characteristic_across_blocks(self, reduced):
-        # k up to 600 crosses the old block edge at 512.
-        row = euler_characteristic_row(reduced, 600)
+        # k up to 600 crosses the old block edge at 512.  The row of () is
+        # chi(P^k) = k + 1, and each step to a longer prefix of ``reduced``
+        # is one ``_child_row``.
+        row = list(range(1, 602 + len(reduced)))
+        for d in reduced:
+            row = scan._child_row(row, d)
         assert row == [euler_characteristic(CIType(k + len(reduced), reduced))
                        for k in range(601)]
         # Degree-1 entries only shift n, so they read the same row.
