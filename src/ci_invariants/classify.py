@@ -39,9 +39,6 @@ class LemmaCase(Enum):
     QUADRIC_2_MOD_4 = "quadric_2_mod_4"  # type (1,...,1,2), k = 2 mod 4
     NONVANISHING = "nonvanishing"
 
-    # Members are singletons; the lemma scan tallies them once per class.
-    __hash__ = object.__hash__
-
 
 class VerdictKind(Enum):
     HOMOGENEOUS_LINEAR = "homogeneous_linear"
@@ -50,7 +47,8 @@ class VerdictKind(Enum):
     NORMAL_BUNDLE_OBSTRUCTION = "normal_bundle_obstruction"
     POINCARE_OBSTRUCTION = "poincare_obstruction"
 
-    # Members are singletons, looked up once per scanned type.
+    # Members are singletons; the theorem scan's counting walk hashes one
+    # kind per type.
     __hash__ = object.__hash__
 
 

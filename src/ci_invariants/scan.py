@@ -8,17 +8,18 @@ verdict and its lemma record depend only on its class (D, k): D its
 degrees >= 2, k its dimension.
 
 Each scan makes two passes, serially.  The first runs every check and
-keeps the counts, the violations and one class table: ``table[k]`` lists
-the classes of dimension k by |D|, then D, each as its verdict's fields or
-as its b_k, from which p(i) and the case follow.  The theorem scan checks
+keeps the violations and one class table: ``table[k]`` lists the classes
+of dimension k by |D|, then D, each as its verdict's fields or as its
+b_k, from which p(i) and the case follow.  The theorem scan checks
 each type's verdict against its class's.  The lemma scan walks the D depth
 first, gets each D's chi row from its parent's by one series division and
 checks each row's b_k at C level; only the rows of () and (2), and a row
 that fails, run the checks once per class.  Every type of a failed class
 is a failed record.  A ``ScanReport`` is plain data; its
-table's layout is not a contract.  The second pass, run each time a scan
-is written or its records are read, walks the (n, l) blocks, whose types
-are the classes with |D| <= l at k = n - l: a prefix of ``table[k]``.  No
+table's layout is not a contract.  The second pass walks the (n, l)
+blocks, whose types are the classes with |D| <= l at k = n - l: a prefix
+of ``table[k]``.  It runs once to count the outcomes when the report is
+built, and again each time a scan is written or its records are read.  No
 check is re-run, so a scan's memory grows with its classes, not its types.
 
 ``write_scans`` is the one scan writer.  It fills a row template's n and k
@@ -36,10 +37,9 @@ record renders itself.
 from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
-from enum import Enum
 from itertools import chain, combinations_with_replacement, islice, repeat
 from math import comb
-from operator import call, sub
+from operator import call, countOf, itemgetter, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .classify import (
@@ -348,19 +348,25 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
         stream.write((_NEWLINE[1] if reports else "") + "]" + _NEWLINE[0] + "}\n")
 
 
-def _scan_report(
-    kind: str,
-    max_n: int,
-    max_degree: int,
-    table: dict | list,
-    violations: list[str],
-    outcomes: type[Enum],
-    tally: Counter,
-) -> ScanReport:
-    """The report of a finished scan.  ``tally`` counts the types by
-    outcome, a member of ``outcomes`` or None for a failed internal check;
-    the counts list every member of ``outcomes`` in order, then the failed
-    checks if there were any."""
+def _scan_report(kind: str, max_n: int, max_degree: int, table: list,
+                 violations: list[str]) -> ScanReport:
+    """The report of a finished scan, its counts read off ``table`` by one
+    walk of its blocks, so they are the outcomes of ``records()`` by
+    construction: a theorem block counts the kinds of its prefix, a lemma
+    block the cases of D = () and D = (2), then its failed classes, and the
+    rest as nonvanishing.  The counts list every outcome in order, then the
+    failed internal checks (None) if there were any."""
+    tally: Counter = Counter()
+    for n, l, block in _blocks(max_n, max_degree, table):
+        row, size = block
+        if kind == "theorem":
+            tally.update(map(itemgetter(0), islice(row, size)))
+            continue
+        tally.update(map(itemgetter(2), islice(_lemma_fields(n - l, block), 2)))
+        failed = countOf(islice(row, 2, size), None)
+        tally[None] += failed
+        tally[LemmaCase.NONVANISHING] += max(size - 2, 0) - failed
+    outcomes = VerdictKind if kind == "theorem" else LemmaCase
     counts = {outcome.value: tally[outcome] for outcome in outcomes}
     if tally[None]:
         counts["internal_check_failed"] = tally[None]
@@ -388,13 +394,13 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     <= 1 points and conics have total degree n and stop at the
     normal-bundle gate; lines survive.)
     """
+    _check_bounds(max_n, max_degree)
     not_rc, normal = VerdictKind.NOT_RATIONALLY_CONNECTED, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
     table: list[list[tuple]] = [[] for _ in range(max_n + 1)]
     beyond = (not_rc, None, None)  # the fields of every class with d > n
     shared = {beyond: beyond}  # one stored tuple per distinct fields
     failed = (None, None, None)  # the fields of a failed class
     violations: list[str] = []
-    tally: Counter = Counter()
 
     def check(ci: CIType, kind: VerdictKind | None) -> None:
         # Finite-scale re-statement of the classification itself, starting
@@ -434,20 +440,14 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 if cls is not failed:  # the class fails at this type
                     if fields is not failed:
                         violations.append(f"verdict differs from its class: {ci}")
-                    # From its first type, at n less this type's 1s, or 1, to max_n.
-                    weight = max_n + 1 - (n - ci[1].count(1) or 1)
-                    tally[cls[0]] -= weight
-                    tally[None] += weight
                     row[i] = failed
             else:  # the type opens a class
                 fields = shared.setdefault(fields, fields)
                 row.append(fields)
-                tally[fields[0]] += max_n - n + 1
                 if fields is beyond and sum(ci[1]) > n:
                     continue  # the first pass's most common class: no check can fail
             check(ci, fields[0])
-    return _scan_report("theorem", max_n, max_degree, table, violations,
-                        VerdictKind, tally)
+    return _scan_report("theorem", max_n, max_degree, table, violations)
 
 
 def _child_row(row: list[int], d: int) -> list[int]:
@@ -488,15 +488,14 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     |D|, and the row of b_k (chi - k for even k, k + 1 - chi for odd k) is
     checked at C level: b_k >= delta_k, and, for D other than () and (2),
     no b_k = 0 at odd k and no b_k = 2 at k = 2 mod 4, where p(i) would
-    vanish.  A row that passes is stored whole and tallied in closed form.
-    The rows of () and (2), which can vanish, and any row that a check
-    rejects run the checks once per class instead, on its first type in
-    scan order, D in P^(k + |D|), or (1) in P^1 for the point: one
-    violation per failing check, naming that type, in class order
-    (|D|, D, k).  Each class is tallied once per type within the bounds,
-    and each type of a failed class is a failed record.  The table keeps
-    only each class's b_k, or None for a failed class: k mod 4 then fixes
-    p(i) and the case for all D but () and (2)."""
+    vanish.  A row that passes is stored whole.  The rows of () and (2),
+    which can vanish, and any row that a check rejects run the checks once
+    per class instead, on its first type in scan order, D in P^(k + |D|),
+    or (1) in P^1 for the point: one violation per failing check, naming
+    that type, in class order (|D|, D, k).  Each type of a failed class is
+    a failed record.  The table keeps only each class's b_k, or None for a
+    failed class: k mod 4 then fixes p(i) and the case for all D but ()
+    and (2)."""
     _check_bounds(max_n, max_degree)
     # table[k] holds the D with |D| <= max_n - k, by |D|, then D, so a D
     # of length l sits at the same place in every row: after the shorter
@@ -506,8 +505,6 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     even_rows, odd_rows = table[::2], table[1::2]
     slots = [0] + [comb(length + max_degree - 2, length - 1) for length in range(1, max_n + 1)]
     found: list[list[str]] = [[] for _ in range(max_n + 1)]  # violations by |D|
-    tally: Counter = Counter()
-    nonvanishing = 0  # the types of the rows that pass their checks
     for reduced, chi in _chi_rows(max_n, max_degree):
         length = len(reduced)
         slot = slots[length]
@@ -521,8 +518,6 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                 and 2 not in even[1::2]):  # p(i) = 2 - b_k at k = 2 mod 4
             deque(map(list.__setitem__, even_rows, repeat(slot), even), 0)
             deque(map(list.__setitem__, odd_rows, repeat(slot), odd), 0)
-            # Its class at k has max_n - (k + length) + 1 = size - k types.
-            nonvanishing += size * (size + 1) // 2
             continue
         for k, chi_k in enumerate(chi):
             n = k + length
@@ -541,10 +536,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                 found[length].append(f"excluded shape vanishes at i: {ci}")
                 case = None
             table[k][slot] = None if case is None else betti
-            tally[case] += max_n - n + 1 if n else max_n
-    tally[LemmaCase.NONVANISHING] += nonvanishing
-    return _scan_report("lemma", max_n, max_degree, table, list(chain.from_iterable(found)),
-                        LemmaCase, tally)
+    return _scan_report("lemma", max_n, max_degree, table, list(chain.from_iterable(found)))
 
 
 def _blocks(max_n: int, max_degree: int, table: list) -> Iterator:

@@ -64,6 +64,14 @@ MUTANTS = [
            "                if False:\n",
            ("tests/test_classify.py::TestScanTheorem"
             "::test_a_type_that_differs_from_its_class_fails_the_class",)),
+    Mutant("theorem counts of the whole row, not the block's prefix", "src/ci_invariants/scan.py",
+           "tally.update(map(itemgetter(0), islice(row, size)))",
+           "tally.update(map(itemgetter(0), row))",
+           ("tests/test_classify.py::TestScanRecords::test_counts_are_the_records_outcomes",)),
+    Mutant("failed lemma tail classes counted as nonvanishing", "src/ci_invariants/scan.py",
+           "        tally[LemmaCase.NONVANISHING] += max(size - 2, 0) - failed\n",
+           "        tally[LemmaCase.NONVANISHING] += max(size - 2, 0)\n",
+           ("tests/test_classify.py::TestScanLemma::test_internal_check_failure_is_a_violation",)),
     Mutant("multisets of sizes 0 and 1 from a pool", "src/ci_invariants/scan.py",
            "    if size >= 2:\n", "    if size >= 0:\n",
            ("tests/test_classify.py::TestScanRecords"

@@ -7,6 +7,7 @@ import io
 import json
 import random
 import tracemalloc
+from collections import Counter
 from itertools import chain, combinations_with_replacement
 
 import pytest
@@ -331,6 +332,21 @@ class TestIterTypes:
             iter_types(*bounds)
 
 
+def assert_counts_are_the_records_outcomes(report):
+    """A report's counts are its records' outcomes: every outcome of its
+    scan in order, then the failed checks (None) if there are any."""
+    outcomes = VerdictKind if report.kind == "theorem" else LemmaCase
+    field = "kind" if report.kind == "theorem" else "case"
+    tally = Counter(getattr(rec, field) for rec in report.records())
+    failed = tally.pop(None, 0)
+    names = [outcome.value for outcome in outcomes]
+    assert list(report.counts) == names + ["internal_check_failed"] * bool(failed)
+    assert Counter(report.counts) == Counter(
+        {outcome.value: count for outcome, count in tally.items()},
+        internal_check_failed=failed)
+    assert sum(report.counts.values()) == report.types
+
+
 class TestScanTheorem:
     def test_small_scan_clean(self):
         report = scan_theorem(5, 3)
@@ -450,7 +466,7 @@ class TestScanTheorem:
         assert [rec for rec in report.records() if rec.kind is None] == [
             Verdict(ci, None) for ci in cubics]
         assert report.counts["internal_check_failed"] == 3
-        assert sum(report.counts.values()) == report.types
+        assert_counts_are_the_records_outcomes(report)
         assert "\n5,1 3,4,3,internal_check_failed,-,-\n" in rendered(report, "csv")
 
     def test_every_type_is_re_verified(self, monkeypatch):
@@ -483,11 +499,14 @@ class TestScanTheorem:
         assert rec.reason == "an internal check failed for the type"
         assert "\n4,3,3,3,internal_check_failed,-,-\n" in rendered(report, "csv")
 
-    def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
-            scan_theorem(0, 3)
-        with pytest.raises(ValueError):
-            scan_lemma(3, 0)
+    # Both scans check their bounds before anything else runs.
+    @pytest.mark.parametrize("scan", [scan_theorem, scan_lemma])
+    @pytest.mark.parametrize("bounds", [("3", 6), (2.5, 6), (True, 2), (0, 6), (3, 0), (3, "6")],
+                             ids=["str-n", "float-n", "bool-n", "zero-n", "zero-degree",
+                                  "str-degree"])
+    def test_rejects_bad_bounds(self, scan, bounds):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            scan(*bounds)
 
 
 class TestScanLemma:
@@ -577,6 +596,7 @@ class TestScanLemma:
         assert "middle Betti number -102 < 1" in report.violations[0]
         assert str(bad) in report.violations[0]
         assert report.counts["internal_check_failed"] == 2
+        assert_counts_are_the_records_outcomes(report)
         for ci in (bad, CIType(4, (1, 3))):
             (rec,) = [rec for rec in report.records() if rec.ci == ci]
             assert (rec.middle_betti, rec.value_at_i, rec.case) == (None, None, None)
@@ -588,6 +608,16 @@ class TestScanLemma:
         (entry,) = [e for e in json_object(report)["records"]
                     if e["n"] == "3" and e["degrees"] == ["3"]]
         assert entry["middle_betti"] is None and entry["p_at_i"] is None
+
+    def test_failed_head_class_is_counted(self, plant_chi):
+        # b_2 = -102 < 1 fails the quadric surface's class ((2,), 2), one of
+        # the first two classes of every block it is in, with its types
+        # (2) in P^3 .. (1,1,1,2) in P^6.
+        plant_chi({((2,), 2): -100})
+        report = scan_lemma(6, 4)
+        assert len(report.violations) == 1
+        assert report.counts["internal_check_failed"] == 4
+        assert_counts_are_the_records_outcomes(report)
 
     def test_smaller_scan_is_a_prefix(self):
         assert_smaller_scan_is_a_prefix(scan_lemma, 7, 3)
@@ -628,6 +658,14 @@ class TestScanRecords:
         assert report.types == len(first) == sum(1 for _ in iter_types(6, 4))
         assert report == scan(6, 4)
         assert report != scan(5, 4) and report != scan(6, 3)
+
+    # At 1/60 the block (1, 1) holds the whole k = 0 row, at 10/1 every
+    # block is one class, and 12/6 is at scan scale.
+    @pytest.mark.parametrize("scan", [scan_theorem, scan_lemma])
+    @pytest.mark.parametrize("bounds", [(1, 60), (10, 1), (6, 4), (12, 6)],
+                             ids=["1-60", "10-1", "6-4", "12-6"])
+    def test_counts_are_the_records_outcomes(self, scan, bounds):
+        assert_counts_are_the_records_outcomes(scan(*bounds))
 
     def test_memory_is_bounded_by_the_tables(self):
         # Holding one record per type, both 10/6 scans and their document
