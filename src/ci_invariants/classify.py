@@ -109,16 +109,30 @@ def theorem_verdict(ci: CIType, report: InvariantReport | None = None) -> Verdic
     one.  Anything else contradicts the classification and raises
     InternalCheckError; it must never happen.
     """
+    # The fields are always three, so the named tuple's Python-level
+    # __new__ is skipped.
+    return tuple.__new__(Verdict, (ci, *_verdict_fields(ci, report)))
+
+
+#: The fields (kind, p_X(i), p_F(i)) of every verdict of the two degree
+#: gates, shared by all the types that stop there.
+_NOT_RC_FIELDS = (VerdictKind.NOT_RATIONALLY_CONNECTED, None, None)
+_NORMAL_FIELDS = (VerdictKind.NORMAL_BUNDLE_OBSTRUCTION, None, None)
+
+
+def _verdict_fields(ci: CIType, report: InvariantReport | None = None) -> tuple:
+    """The obstruction pipeline of ``theorem_verdict``: the verdict's fields
+    (kind, p_X(i), p_F(i)) without the type.  A scan stops most types at a
+    degree gate, whose fields are one module constant each, so those calls
+    allocate nothing."""
     n, degrees = ci
     if n < 1:
         raise ValueError("classification requires ambient dimension >= 1")
-    # A scan stops most types here, so these verdicts skip the named
-    # tuple's Python-level __new__.
     d = sum(degrees)
     if d > n:
-        return tuple.__new__(Verdict, (ci, VerdictKind.NOT_RATIONALLY_CONNECTED, None, None))
+        return _NOT_RC_FIELDS
     if d > n - 1:
-        return tuple.__new__(Verdict, (ci, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION, None, None))
+        return _NORMAL_FIELDS
     if report is None:
         report = compute_invariants(ci)
     p_x = report.value_at_i
@@ -140,7 +154,7 @@ def theorem_verdict(ci: CIType, report: InvariantReport | None = None) -> Verdic
                 f"parity pattern violated for {ci}: p_X(i) = {p_x}, p_F(i) = {p_f}"
             )
         kind = VerdictKind.HOMOGENEOUS_QUADRIC if reduced else VerdictKind.HOMOGENEOUS_LINEAR
-    return Verdict(ci, kind, p_x, p_f)
+    return kind, p_x, p_f
 
 
 #: The reason of each verdict kind, filled in from the type and the values

@@ -11,10 +11,11 @@ Each scan makes two passes, serially.  The first runs every check and
 keeps the violations and one class table: ``table[k]`` lists the classes
 of dimension k by |D|, then D, each as its verdict's fields or as its
 b_k, from which p(i) and the case follow.  The theorem scan checks
-each type's verdict against its class's.  The lemma scan walks the D depth
-first, gets each D's chi row from its parent's by one series division and
-checks each row's b_k at C level; only the rows of () and (2), and a row
-that fails, run the checks once per class.  Every type of a failed class
+each type's verdict against its class's, at C level for the types of
+known classes.  The lemma scan walks the D depth first, gets each D's chi
+row from its parent's by one series division and checks each row's b_k at
+C level; only the rows of () and (2), and a row that fails, run the checks
+once per class.  Every type of a failed class
 is a failed record.  A ``ScanReport`` is plain data; its
 table's layout is not a contract.  The second pass walks the (n, l)
 blocks, whose types are the classes with |D| <= l at k = n - l: a prefix
@@ -46,10 +47,11 @@ from .classify import (
     LemmaCase,
     Verdict,
     VerdictKind,
+    _NOT_RC_FIELDS,
     _is_homogeneous_shape,
     _shape_case,
+    _verdict_fields,
     lemma_classify,
-    theorem_verdict,
 )
 from .topology import (
     CIType,
@@ -71,10 +73,10 @@ def _check_bounds(max_n: int, max_degree: int) -> None:
 #: both bounds, so a scan past this is a usage error, not a hang.  Memory
 #: grows with the classes, so the worst case has one class per type: ``scan
 #: --max-n 1 --max-degree 999999 --which both --format csv --quiet`` takes
-#: 9.4-12.2 s at a peak RSS of 61 MB (lemma alone 53 MB, theorem 23 MB),
+#: 9.0-11.3 s at a peak RSS of 61 MB (lemma alone 53 MB, theorem 23 MB),
 #: almost all of it the two tables and the interpreter.
 #: ``--max-n 20 --max-degree 6 --which both --format json`` (888,029 types)
-#: takes 7.3-7.7 s at 28.2 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
+#: takes 5.4-6.7 s at 28.5 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
 MAX_SCAN_TYPES = 1_000_000
 
 
@@ -110,9 +112,13 @@ def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     validation."""
     _check_bounds(max_n, max_degree)
     degree_range = range(1, max_degree + 1)
-    return map(tuple.__new__, repeat(CIType), chain.from_iterable(
-        zip(repeat(n), _multisets(degree_range, l))
-        for n in range(1, max_n + 1) for l in range(n + 1)))
+    return chain.from_iterable(_block_types(n, l, degree_range)
+                               for n in range(1, max_n + 1) for l in range(n + 1))
+
+
+def _block_types(n: int, l: int, degree_range: range) -> Iterator[CIType]:
+    """The types of the (n, l) block, unchecked, in canonical order."""
+    return map(tuple.__new__, repeat(CIType), zip(repeat(n), _multisets(degree_range, l)))
 
 
 #: ``_NEWLINE[depth]`` starts a line at ``depth`` levels of the two-space
@@ -377,14 +383,22 @@ def _scan_report(kind: str, max_n: int, max_degree: int, table: list,
 def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     """Classify every type within the bounds and re-verify the survivor set.
 
-    ``theorem_verdict`` runs on every type, in canonical order.  The table
-    keeps one verdict per class (D, k), its fields (kind, p_X(i), p_F(i))
-    from the class's first type, D in P^(k + |D|) or (1) in P^1, each
-    distinct tuple stored once.  Every later type of the class must have
-    that verdict, which is invariant under hyperplane sections; a type that
-    differs is a violation.  A class fails when one of its types differs or
-    raises InternalCheckError (recorded as a violation), and each of its
-    types is then the record ``Verdict(ci, None)``.
+    ``_verdict_fields``, the pipeline of ``theorem_verdict``, runs once on
+    every type, in canonical order.  The table keeps one verdict per class
+    (D, k), its fields (kind, p_X(i), p_F(i)) from the class's first type,
+    D in P^(k + |D|) or (1) in P^1, each distinct tuple stored once.  Every
+    later type of the class must have that verdict, which is invariant
+    under hyperplane sections; a type that differs is a violation.  A class
+    fails when one of its types differs or raises InternalCheckError
+    (recorded as a violation), and each of its types is then the record
+    ``Verdict(ci, None)``.
+
+    In each (n, l) block the types with a 1 are those of the classes
+    already in the table.  Their fields are mapped at C level into one list
+    and compared with the class row at once; a type whose pipeline raises
+    leaves its InternalCheckError in the list.  After a violation, or where
+    the list differs, the block is walked type by type with the fields in
+    the list.  The block's other types open new classes.
 
     Each class's first type, and each type that differs, must agree with
     the two degree gates: not rationally connected exactly when d > n, a
@@ -397,7 +411,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     _check_bounds(max_n, max_degree)
     not_rc, normal = VerdictKind.NOT_RATIONALLY_CONNECTED, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
     table: list[list[tuple]] = [[] for _ in range(max_n + 1)]
-    beyond = (not_rc, None, None)  # the fields of every class with d > n
+    beyond = _NOT_RC_FIELDS  # the fields of every class with d > n
     shared = {beyond: beyond}  # one stored tuple per distinct fields
     failed = (None, None, None)  # the fields of a failed class
     violations: list[str] = []
@@ -422,31 +436,45 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 f"point/line/conic: {ci}"
             )
 
-    # A block's types with a 1 are those of the classes already in its row,
-    # in row order; the rest open new classes.
-    types = iter_types(max_n, max_degree)
-    for n, l, (row, size) in _blocks(max_n, max_degree, table):
+    # A block's first len(row) types, those with a 1, are those of the
+    # classes already in its row, in row order; the rest open new classes.
+    degree_range = range(1, max_degree + 1)
+    for n, l, (row, _) in _blocks(max_n, max_degree, table):
         known = len(row)
-        for i, ci in enumerate(islice(types, size)):
+        types = _block_types(n, l, degree_range)
+        fields: list = []  # a type whose pipeline raises holds its InternalCheckError
+        while len(fields) < known:
             try:
-                fields = theorem_verdict(ci)[1:]
+                fields.extend(map(_verdict_fields, islice(types, known - len(fields))))
             except InternalCheckError as exc:
-                violations.append(str(exc))
-                fields = failed
-            if i < known:
+                fields.append(exc)
+        # Only a violation fails a class, so with none yet an equal prefix
+        # agrees with its classes type by type: the hot path.
+        if violations or fields != row:
+            types = _block_types(n, l, degree_range)
+            for i, ci, got in zip(range(known), types, fields):
+                if isinstance(got, InternalCheckError):
+                    violations.append(str(got))
+                    got = failed
                 cls = row[i]
-                if fields == cls and cls is not failed:
-                    continue  # the hot path: the type agrees with its class
+                if got == cls and cls is not failed:
+                    continue  # the type agrees with its class
                 if cls is not failed:  # the class fails at this type
-                    if fields is not failed:
+                    if got is not failed:
                         violations.append(f"verdict differs from its class: {ci}")
                     row[i] = failed
-            else:  # the type opens a class
-                fields = shared.setdefault(fields, fields)
-                row.append(fields)
-                if fields is beyond and sum(ci[1]) > n:
-                    continue  # the first pass's most common class: no check can fail
-            check(ci, fields[0])
+                check(ci, got[0])
+        for ci in types:  # the type opens a class
+            try:
+                got = _verdict_fields(ci)
+            except InternalCheckError as exc:
+                violations.append(str(exc))
+                got = failed
+            got = shared.setdefault(got, got)
+            row.append(got)
+            if got is beyond and sum(ci[1]) > n:
+                continue  # the first pass's most common class: no check can fail
+            check(ci, got[0])
     return _scan_report("theorem", max_n, max_degree, table, violations)
 
 

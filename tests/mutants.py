@@ -64,6 +64,14 @@ MUTANTS = [
            "                if False:\n",
            ("tests/test_classify.py::TestScanTheorem"
             "::test_a_type_that_differs_from_its_class_fails_the_class",)),
+    Mutant("known prefix accepted without comparison", "src/ci_invariants/scan.py",
+           "        if violations or fields != row:\n", "        if violations:\n",
+           ("tests/test_classify.py::TestScanTheorem"
+            "::test_a_type_that_differs_from_its_class_fails_the_class",)),
+    Mutant("re-walk calls the pipeline again", "src/ci_invariants/scan.py",
+           "zip(range(known), types, fields)",
+           "zip(range(known), types, map(_verdict_fields, _block_types(n, l, degree_range)))",
+           ("tests/test_classify.py::TestScanTheorem::test_a_failure_inside_a_known_prefix",)),
     Mutant("theorem counts of the whole row, not the block's prefix", "src/ci_invariants/scan.py",
            "tally.update(map(itemgetter(0), islice(row, size)))",
            "tally.update(map(itemgetter(0), row))",

@@ -387,7 +387,7 @@ class TestScanTheorem:
             assert rec == theorem_verdict(ci)
 
     def test_wrong_verdicts_are_violations(self, monkeypatch):
-        real = classify.theorem_verdict
+        real = classify._verdict_fields
         cubic = CIType(4, (3,))       # rationally connected, not homogeneous
         far = CIType(3, (2, 3))       # not rationally connected
         quadric = CIType(5, (2,))     # homogeneous of dimension 4
@@ -397,10 +397,10 @@ class TestScanTheorem:
 
         def misclassifying(ci):
             if ci in wrong:
-                return Verdict(ci, wrong[ci])
+                return wrong[ci], None, None
             return real(ci)
 
-        monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
+        monkeypatch.setattr(scan, "_verdict_fields", misclassifying)
         report = scan_theorem(5, 3)
         # The other types of the classes of ``far`` and ``cubic`` keep their
         # true verdicts, so each class differs at its next type and fails.
@@ -416,7 +416,7 @@ class TestScanTheorem:
     def test_verdicts_against_the_degree_gates_are_violations(self, monkeypatch):
         # Not RC exactly when d > n, a normal-bundle obstruction exactly
         # when d = n: each of these kinds breaks one side of a gate.
-        real = classify.theorem_verdict
+        real = classify._verdict_fields
         wrong = {CIType(3, (2, 3)): VerdictKind.POINCARE_OBSTRUCTION,          # d > n
                  CIType(4, (3,)): VerdictKind.NOT_RATIONALLY_CONNECTED,      # d < n
                  CIType(4, (1, 3)): VerdictKind.POINCARE_OBSTRUCTION,        # d = n
@@ -424,10 +424,10 @@ class TestScanTheorem:
 
         def misclassifying(ci):
             if ci in wrong:
-                return Verdict(ci, wrong[ci])
+                return wrong[ci], None, None
             return real(ci)
 
-        monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
+        monkeypatch.setattr(scan, "_verdict_fields", misclassifying)
         report = scan_theorem(5, 3)
         gates = [f"{kind.value} verdict contradicts total degree {ci.total_degree}: {ci}"
                  for ci, kind in wrong.items()]
@@ -450,16 +450,16 @@ class TestScanTheorem:
         # P^4, the first type of its class ((3,), 3): a verdict with other
         # values at i passes every gate check but breaks the invariance,
         # and all three types of the class at 6/3 become failed records.
-        real, section = classify.theorem_verdict, CIType(5, (1, 3))
+        real, section = classify._verdict_fields, CIType(5, (1, 3))
         kind = VerdictKind.POINCARE_OBSTRUCTION
 
         def misclassifying(ci):
             if ci == section:
-                return Verdict(ci, kind, GaussianInteger(1, 0), GaussianInteger(1, 0))
+                return kind, GaussianInteger(1, 0), GaussianInteger(1, 0)
             return real(ci)
 
-        assert real(section).kind is kind
-        monkeypatch.setattr(scan, "theorem_verdict", misclassifying)
+        assert theorem_verdict(section).kind is kind
+        monkeypatch.setattr(scan, "_verdict_fields", misclassifying)
         report = scan_theorem(6, 3)
         assert report.violations == (f"verdict differs from its class: {section}",)
         cubics = [CIType(4, (3,)), section, CIType(6, (1, 1, 3))]
@@ -471,16 +471,41 @@ class TestScanTheorem:
 
     def test_every_type_is_re_verified(self, monkeypatch):
         # The d > n types are walked and classified one by one, not counted.
-        real, calls = classify.theorem_verdict, []
+        real, calls = classify._verdict_fields, []
 
         def counting(ci):
             calls.append(ci)
             return real(ci)
 
-        monkeypatch.setattr(scan, "theorem_verdict", counting)
+        monkeypatch.setattr(scan, "_verdict_fields", counting)
         report = scan_theorem(8, 4)
         assert len(calls) == report.types == 1286
         assert calls == list(iter_types(8, 4))
+
+    def test_a_failure_inside_a_known_prefix(self, monkeypatch):
+        # In the (6, 3) block the classes with |D| <= 2 are known: the
+        # pipeline raises on (1,1,3), third of them, and misclassifies
+        # (1,2,2), the fourth.  The per-type walk that follows reuses the
+        # fields already computed, so the pipeline still runs once per type.
+        real, calls = classify._verdict_fields, []
+        raising, wrong = CIType(6, (1, 1, 3)), CIType(6, (1, 2, 2))
+
+        def planted(ci):
+            calls.append(ci)
+            if ci == raising:
+                raise InternalCheckError(f"planted failure for {ci}")
+            if ci == wrong:
+                return VerdictKind.HOMOGENEOUS_QUADRIC, None, None
+            return real(ci)
+
+        monkeypatch.setattr(scan, "_verdict_fields", planted)
+        report = scan_theorem(6, 3)
+        assert calls == list(iter_types(6, 3))
+        assert report.violations == (
+            "planted failure for (1,1,3) in P^6",
+            "verdict differs from its class: (1,2,2) in P^6",
+            "non-homogeneous type passed every gate: (1,2,2) in P^6",
+        )
 
     def test_internal_check_failure_is_a_kindless_verdict(self, monkeypatch):
         real = topology.euler_characteristic
@@ -699,10 +724,13 @@ class TestScanRecords:
         over = [peak - held for peak in peaks]
         assert max(over) < 2**18, over
 
-    def test_lemma_table_cost_per_class(self):
+    def test_lemma_table_holds_only_b_k(self):
         # At max_n = 1 every type is its own class, so the held report
-        # measures the table's cost per class: on Python 3.11.7 a table keyed
-        # by D held 380 B per class, the rows grouped by length 257 B.
+        # measures the table's cost per class.  It keeps one b_k per class,
+        # in a row per dimension k, with no tuple, GaussianInteger or
+        # LemmaCase: on Python 3.11.7 a table keyed by D held 380 B per
+        # class, the rows grouped by length 257 B, a fields tuple per class
+        # 257 B and the rows of b_k 40.7 B.
         tracemalloc.start()
         try:
             report = scan_lemma(1, 50_000)
@@ -711,18 +739,6 @@ class TestScanRecords:
             tracemalloc.stop()
         assert report.types == 50_001
         assert held < 320 * report.types
-
-    def test_lemma_table_holds_only_b_k(self):
-        # The table keeps one b_k per class, in a row per dimension k, with
-        # no tuple, GaussianInteger or LemmaCase: on Python 3.11.7 it held
-        # 40.7 B per class at max_n = 1, against 257 B for a fields tuple.
-        tracemalloc.start()
-        try:
-            report = scan_lemma(1, 50_000)
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert report.types == 50_001
         assert held < 100 * report.types
 
 
