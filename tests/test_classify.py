@@ -724,22 +724,33 @@ class TestScanRecords:
         over = [peak - held for peak in peaks]
         assert max(over) < 2**18, over
 
-    def test_lemma_table_holds_only_b_k(self):
+    @pytest.fixture(scope="class")
+    def lemma_table_held(self):
         # At max_n = 1 every type is its own class, so the held report
-        # measures the table's cost per class.  It keeps one b_k per class,
-        # in a row per dimension k, with no tuple, GaussianInteger or
-        # LemmaCase: on Python 3.11.7 a table keyed by D held 380 B per
-        # class, the rows grouped by length 257 B, a fields tuple per class
-        # 257 B and the rows of b_k 40.7 B.
+        # measures the table's cost per class.  One traced scan serves both
+        # tests below.
         tracemalloc.start()
         try:
             report = scan_lemma(1, 50_000)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert report.types == 50_001
-        assert held < 320 * report.types
-        assert held < 100 * report.types
+        return report.types, held
+
+    def test_lemma_table_cost_per_class(self, lemma_table_held):
+        # On Python 3.11.7 a table keyed by D held 380 B per class, the rows
+        # grouped by length 257 B.
+        types, held = lemma_table_held
+        assert types == 50_001
+        assert held < 320 * types
+
+    def test_lemma_table_holds_only_b_k(self, lemma_table_held):
+        # The table keeps one b_k per class, in a row per dimension k, with
+        # no tuple, GaussianInteger or LemmaCase: on Python 3.11.7 it held
+        # 40.7 B per class at max_n = 1, against 257 B for a fields tuple.
+        types, held = lemma_table_held
+        assert types == 50_001
+        assert held < 100 * types
 
 
 def test_no_polynomial_on_the_scan_path(monkeypatch, capsys):
