@@ -264,15 +264,12 @@ def run_fiber(args) -> int:
 
 
 def run_scan(args) -> int:
-    from .scan import MAX_SCAN_TYPES, _scan_type_count, scan_lemma, scan_theorem, write_scans
+    from .scan import _check_scan, scan_lemma, scan_theorem, write_scans
 
     # The size bound is checked and ``--out`` is opened before any scan
     # runs, so an oversized scan or an unwritable path fails at once and
     # creates no file; the summary is a diagnostic and goes to stderr.
-    if _scan_type_count(args.max_n, args.max_degree) > MAX_SCAN_TYPES:
-        raise ValueError(
-            f"--max-n {args.max_n} --max-degree {args.max_degree} spans more "
-            f"than MAX_SCAN_TYPES = {MAX_SCAN_TYPES:,} types")
+    _check_scan(args.max_n, args.max_degree)
     out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         reports = []

@@ -12,11 +12,11 @@ keeps the violations and one class table: ``table[k]`` lists the classes
 of dimension k by |D|, then D, each as its verdict's fields or as its
 b_k, from which p(i) and the case follow.  The theorem scan checks
 each type's verdict against its class's, at C level for the types of
-known classes.  The lemma scan walks the D depth first, gets each D's chi
-row from its parent's by one series division and checks each row's b_k at
-C level; only the rows of () and (2), and a row that fails, run the checks
-once per class.  Every type of a failed class
-is a failed record.  A ``ScanReport`` is plain data; its
+known classes.  The lemma scan builds each level |D|'s column of b_k at
+each k from its parent level's with a few C-level maps, and checks it at
+C level in its slice of ``table[k]``; only the classes of () and (2), and
+of a D that fails a column, run the checks once per class.  Every type of
+a failed class is a failed record.  A ``ScanReport`` is plain data; its
 table's layout is not a contract.  The second pass walks the (n, l)
 blocks, whose types are the classes with |D| <= l at k = n - l: a prefix
 of ``table[k]``.  It runs once to count the outcomes when the report is
@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import Counter, deque, namedtuple
 from itertools import chain, combinations_with_replacement, islice, repeat
 from math import comb
-from operator import call, countOf, itemgetter, sub
+from operator import add, call, countOf, itemgetter, mul, sub
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .classify import (
@@ -73,18 +73,25 @@ def _check_bounds(max_n: int, max_degree: int) -> None:
 #: both bounds, so a scan past this is a usage error, not a hang.  Memory
 #: grows with the classes, so the worst case has one class per type: ``scan
 #: --max-n 1 --max-degree 999999 --which both --format csv --quiet`` takes
-#: 9.0-11.3 s at a peak RSS of 61 MB (lemma alone 53 MB, theorem 23 MB),
-#: almost all of it the two tables and the interpreter.
+#: 1.9-2.0 s at a peak RSS of 60-61 MB (lemma alone 0.8 s at 52 MB, theorem
+#: 22 MB), almost all of it the two tables and the interpreter.
 #: ``--max-n 20 --max-degree 6 --which both --format json`` (888,029 types)
-#: takes 5.4-6.7 s at 28.5 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
+#: takes 2.8-3.0 s at 28 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
 MAX_SCAN_TYPES = 1_000_000
+
+
+def _check_scan(max_n: int, max_degree: int) -> None:
+    """Reject bad bounds, and bounds past ``MAX_SCAN_TYPES``, with ValueError."""
+    _check_bounds(max_n, max_degree)
+    if _scan_type_count(max_n, max_degree) > MAX_SCAN_TYPES:
+        raise ValueError(f"--max-n {max_n} --max-degree {max_degree} spans more "
+                         f"than MAX_SCAN_TYPES = {MAX_SCAN_TYPES:,} types")
 
 
 def _scan_type_count(max_n: int, max_degree: int) -> int:
     """The number of types a scan walks, C(max_n + max_degree + 1, max_n) - 1,
-    or MAX_SCAN_TYPES + 1 once it is known to be larger.  The binomial is a
-    product whose partial values C(base + i, i) grow with i, so the count
-    stops early instead of forming a huge binomial."""
+    or MAX_SCAN_TYPES + 1 as soon as a partial product C(base + i, i) of
+    the binomial shows it is larger, so no huge binomial is formed."""
     r = min(max_n, max_degree + 1)
     base = max_n + max_degree + 1 - r
     value = 1
@@ -408,7 +415,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     <= 1 points and conics have total degree n and stop at the
     normal-bundle gate; lines survive.)
     """
-    _check_bounds(max_n, max_degree)
+    _check_scan(max_n, max_degree)
     not_rc, normal = VerdictKind.NOT_RATIONALLY_CONNECTED, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
     table: list[list[tuple]] = [[] for _ in range(max_n + 1)]
     beyond = _NOT_RC_FIELDS  # the fields of every class with d > n
@@ -478,93 +485,100 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     return _scan_report("theorem", max_n, max_degree, table, violations)
 
 
-def _child_row(row: list[int], d: int) -> list[int]:
-    """The chi row of D + (d,) from the chi row of D, one entry shorter:
-    ``row`` divided by 1 + (d - 1) z and scaled by d, which is one run of
-    ``_chi_coefficients``."""
-    return list(map(d.__mul__, _chi_coefficients((d,), row[:-1])))
+def _level_column(parent: list, counts: list, degrees: Iterable,
+                  previous: list | None, k: int) -> Iterator:
+    """Column k of a level, lazily: the b_k of each child D + (d,) of the
+    parent level, from ``parent``, the parent level's column k, ``counts``,
+    the number of children of each D, ``degrees``, each child's d, and
+    ``previous``, this level's column k - 1.  Since chi_k(D + (d,)) =
+    d chi_k(D) - (d - 1) chi_(k-1)(D + (d,)), and b_k is chi_k - k at even
+    k and k + 1 - chi_k at odd k, b_k(D + (d,)) = d (b_k(D) + q) - q with
+    q = b_(k-1)(D + (d,)), less 2 at odd k."""
+    parent = chain.from_iterable(map(repeat, parent, counts))
+    if not k:
+        return map(mul, degrees, parent)
+    if k % 2:
+        previous = list(map((-2).__add__, previous))
+    return map(sub, map(mul, degrees, map(add, parent, previous)), previous)
 
 
-def _chi_rows(max_n: int, max_degree: int) -> Iterator[tuple[tuple[int, ...], list[int]]]:
-    """Each reduced multiset D of degrees 2 .. max_degree with |D| <= max_n,
-    depth first in lexicographic order, with its chi row: chi of D in
-    P^(k + |D|) for k = 0 .. max_n - |D|.  The row of D = () is (1 - z)^-2,
-    and every other row is its parent D[:-1]'s ``_child_row``: one run of
-    ``_chi_coefficients`` per D.  Only the rows along the current path are
-    held, never those of the last length."""
-    root = ((), list(_chi_coefficients((), range(1, max_n + 2))))
-    yield root
-    path = [(root, iter(range(2, max_degree + 1)))]
-    while path:
-        (parent, row), degrees = path[-1]
-        d = next(degrees, None)
-        if d is None:
-            path.pop()
-            continue
-        child = parent + (d,), _child_row(row, d)
-        yield child
-        if len(row) > 2:  # the child has children of its own
-            path.append((child, iter(range(d, max_degree + 1))))
+def _levels(max_n: int, max_degree: int) -> Iterator:
+    """Each l = 0 .. max_n with its columns: for k = 0 .. max_n - l, the b_k
+    of the D of length l in P^(k + l), D in lexicographic order.  Only a
+    level and its parent are held, as lists of the ints the table keeps;
+    the last level's one column is lazy."""
+    chi = enumerate(_chi_coefficients((), range(1, max_n + 2)))
+    columns = [[k + 1 - c if k % 2 else c - k] for k, c in chi]
+    yield 0, columns
+    top, degrees = max_degree + 1, [2]  # () has a child of each degree >= 2
+    for l in range(1, max_n + 1):
+        # The children of D are D + (d,) for d = D[-1] .. max_degree.
+        counts = list(map(top.__sub__, degrees))
+        degrees = chain.from_iterable(map(range, degrees, repeat(top)))
+        if l < max_n:
+            degrees = list(degrees)
+        parent, columns = columns, []
+        for k in range(max_n - l + 1):
+            column = _level_column(parent[k], counts, degrees, columns[-1] if k else None, k)
+            columns.append(column if l == max_n else list(column))
+        yield l, columns
 
 
 def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     """Evaluate p(i) for every type within the bounds and verify that it
     vanishes exactly on the three allowed shapes and nowhere else.
 
-    The scan walks the reduced multisets D, not the types: each D's chi
-    row from ``_chi_rows`` gives its classes (D, k) for k = 0 .. max_n -
-    |D|, and the row of b_k (chi - k for even k, k + 1 - chi for odd k) is
-    checked at C level: b_k >= delta_k, and, for D other than () and (2),
+    Each column of ``_levels`` is written into its slice of ``table[k]``
+    and checked there at C level: b_k >= delta_k, and, past D = () and (2),
     no b_k = 0 at odd k and no b_k = 2 at k = 2 mod 4, where p(i) would
-    vanish.  A row that passes is stored whole.  The rows of () and (2),
-    which can vanish, and any row that a check rejects run the checks once
-    per class instead, on its first type in scan order, D in P^(k + |D|),
-    or (1) in P^1 for the point: one violation per failing check, naming
-    that type, in class order (|D|, D, k).  Each type of a failed class is
-    a failed record.  The table keeps only each class's b_k, or None for a
-    failed class: k mod 4 then fixes p(i) and the case for all D but ()
-    and (2)."""
-    _check_bounds(max_n, max_degree)
-    # table[k] holds the D with |D| <= max_n - k, by |D|, then D, so a D
-    # of length l sits at the same place in every row: after the shorter
-    # multisets, in its place among those of length l.  The walk meets the
-    # D of one length in that order, and slots[l] is the next free place.
+    vanish.  The classes of () and (2), and of each D that fails a column,
+    run the checks once per class, on its first type in scan order, D in
+    P^(k + |D|) or (1) in P^1: one violation per failing check, naming that
+    type, in class order (|D|, D, k).  The table keeps each class's b_k,
+    which with k mod 4 fixes p(i) and the case past () and (2), or None for
+    a failed class."""
+    _check_scan(max_n, max_degree)
+    # table[k] lists the D with |D| <= max_n - k by |D|, then D, so those
+    # of length l fill the slice [C(l + m - 1, l - 1), C(l + m, l)) of
+    # every row, with m = max_degree - 1.
     table = [[None] * comb(max_n - k + max_degree - 1, max_n - k) for k in range(max_n + 1)]
-    even_rows, odd_rows = table[::2], table[1::2]
-    slots = [0] + [comb(length + max_degree - 2, length - 1) for length in range(1, max_n + 1)]
-    found: list[list[str]] = [[] for _ in range(max_n + 1)]  # violations by |D|
-    for reduced, chi in _chi_rows(max_n, max_degree):
-        length = len(reduced)
-        slot = slots[length]
-        slots[length] += 1
-        size = len(chi)
-        even = list(map(sub, chi[::2], range(0, size, 2)))
-        odd = list(map(sub, range(2, size + 1, 2), chi[1::2]))
-        if (reduced not in ((), (2,))
-                and min(even) >= 1 and (not odd or min(odd) >= 0)  # b_k >= delta_k
-                and 0 not in odd  # p(i) = b_k i^k at odd k
-                and 2 not in even[1::2]):  # p(i) = 2 - b_k at k = 2 mod 4
-            deque(map(list.__setitem__, even_rows, repeat(slot), even), 0)
-            deque(map(list.__setitem__, odd_rows, repeat(slot), odd), 0)
-            continue
-        for k, chi_k in enumerate(chi):
-            n = k + length
-            ci = tuple.__new__(CIType, (n, reduced) if n else (1, (1,)))  # unchecked
-            betti = value = case = None
-            try:
-                report = compute_invariants(ci, chi_k)
-                betti, value = report.middle_betti, report.value_at_i
-                case = lemma_classify(ci, report)
-            except InternalCheckError as exc:
-                found[length].append(str(exc))
-            # No type with an entry >= 3, or with two entries >= 2, may
-            # vanish: a vanishing p(i) needs a reduced type () or (2).
-            # Either violation makes the class a failed one.
-            if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
-                found[length].append(f"excluded shape vanishes at i: {ci}")
-                case = None
-            table[k][slot] = None if case is None else betti
-    return _scan_report("lemma", max_n, max_degree, table, list(chain.from_iterable(found)))
+    violations = []
+    stop = 0
+    for l, columns in _levels(max_n, max_degree):
+        start, stop = stop, comb(l + max_degree - 1, max_degree - 1)
+        lo = max(start, 2)  # past D = () and D = (2), which can vanish
+        failed = {start} if l < 2 else set()  # () and (2) run per class
+        for k, column in enumerate(columns):
+            row = table[k]
+            deque(map(row.__setitem__, range(start, stop), column), 0)
+            if (min(islice(row, lo, stop), default=1) < 1 - k % 2  # b_k >= delta_k
+                    or k % 2 and 0 in islice(row, lo, stop)  # p(i) = b_k i^k at odd k
+                    or k % 4 == 2 and 2 in islice(row, lo, stop)):  # p(i) = 2 - b_k
+                failed.update(slot for slot in range(lo, stop)
+                              if row[slot] < 1 or k % 4 == 2 and row[slot] == 2)
+        # One walk of the level's multisets finds each failing D.
+        for slot, reduced in zip(range(start, max(failed, default=0) + 1),
+                                 _multisets(range(2, max_degree + 1), l)):
+            if slot not in failed:
+                continue
+            for k, row in enumerate(table[:len(columns)]):
+                n, b = k + l, row[slot]
+                ci = tuple.__new__(CIType, (n, reduced) if n else (1, (1,)))  # unchecked
+                betti = value = case = None
+                try:
+                    report = compute_invariants(ci, k + 1 - b if k % 2 else b + k)  # chi
+                    betti, value = report.middle_betti, report.value_at_i
+                    case = lemma_classify(ci, report)
+                except InternalCheckError as exc:
+                    violations.append(str(exc))
+                # No type with an entry >= 3, or with two entries >= 2, may
+                # vanish: a vanishing p(i) needs a reduced type () or (2).
+                # Either violation makes the class a failed one.
+                if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
+                    violations.append(f"excluded shape vanishes at i: {ci}")
+                    case = None
+                row[slot] = None if case is None else betti
+    return _scan_report("lemma", max_n, max_degree, table, violations)
 
 
 def _blocks(max_n: int, max_degree: int, table: list) -> Iterator:

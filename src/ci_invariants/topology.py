@@ -15,9 +15,9 @@ That run is one generator, ``_chi_coefficients``, which divides a series by
 1 + (d - 1) z for each degree d, yields the coefficients one at a time and
 holds one running value per degree: ``euler_characteristic`` divides
 (1 - z)^-2 by every factor and keeps the last value, and the lemma scan
-extends each multiset's row by one factor.  The tests compare both with
-the coefficient of H^n in (1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)),
-an independent route kept in ``tests/reference.py``, outside the package.
+takes the row of () from it.  The tests compare both with the
+coefficient of H^n in (1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)), an
+independent route kept in ``tests/reference.py``, outside the package.
 
 Every Betti number except the middle one is forced by the Lefschetz
 hyperplane theorem together with Poincare duality: rank 1 in each even
@@ -255,8 +255,8 @@ def compute_invariants(ci: CIType, chi: int | None = None) -> InvariantReport:
     b_k >= 1.
 
     ``chi`` is the type's Euler characteristic when the caller already has
-    it, as the lemma scan does from its chi rows; otherwise it is computed
-    here.
+    it, as the lemma scan does from its columns of b_k; otherwise it is
+    computed here.
     """
     k = ci.dimension
     if chi is None:

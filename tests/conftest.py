@@ -7,6 +7,8 @@ example database, so the suite is reproducible and its run time bounded.
 The ``plant_chi`` fixture plants faults where the lemma scan reads chi.
 """
 
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import settings
 
@@ -23,18 +25,24 @@ settings.load_profile("ci-invariants")
 @pytest.fixture
 def plant_chi(monkeypatch):
     """A function that makes the lemma scan read chi = ``chi[D, k]`` for
-    each class (D, k) in the dict ``chi``: the fault sits in D's chi row
-    only, not in the rows of its children, which the walk divides from its
-    own.  A later call replaces the faults of an earlier one."""
+    each class (D, k) in the dict ``chi``: the fault sits in the copy of
+    D's level column that the scan stores and checks, not in the columns
+    that the walk builds D's own later columns and its children from.  A
+    later call replaces the faults of an earlier one."""
     from ci_invariants import scan
 
-    real = scan._chi_rows
+    real = scan._levels
 
     def plant(chi):
-        def rows(max_n, max_degree):
-            for reduced, row in real(max_n, max_degree):
-                yield reduced, [chi.get((reduced, k), c) for k, c in enumerate(row)]
+        def levels(max_n, max_degree):
+            for l, columns in real(max_n, max_degree):
+                columns = [list(column) for column in columns]
+                reduced = list(combinations_with_replacement(range(2, max_degree + 1), l))
+                for (d, k), value in chi.items():
+                    if len(d) == l and k < len(columns):
+                        columns[k][reduced.index(d)] = k + 1 - value if k % 2 else value - k
+                yield l, columns
 
-        monkeypatch.setattr(scan, "_chi_rows", rows)
+        monkeypatch.setattr(scan, "_levels", levels)
 
     return plant

@@ -88,16 +88,23 @@ MUTANTS = [
            "comb(l + max_degree - 1, l)", "comb(l + max_degree - 2, l)",
            ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),
     Mutant("lemma row check without b_k >= delta_k", "src/ci_invariants/scan.py",
-           "                and min(even) >= 1 and (not odd or min(odd) >= 0)  # b_k >= delta_k\n",
-           "",
+           "min(islice(row, lo, stop), default=1) < 1 - k % 2", "False",
            ("tests/test_classify.py::TestScanLemma::test_internal_check_failure_is_a_violation",)),
     Mutant("lemma row check without 0 at odd k", "src/ci_invariants/scan.py",
-           "                and 0 not in odd  # p(i) = b_k i^k at odd k\n", "",
+           "or k % 2 and 0 in islice(row, lo, stop)", "or False",
            ("tests/test_classify.py::TestScanLemma"
             "::test_vanishing_excluded_shape_is_a_violation",)),
     Mutant("lemma row check without 2 at k = 2 mod 4", "src/ci_invariants/scan.py",
-           "                and 2 not in even[1::2]):", "                ):",
+           "or k % 4 == 2 and 2 in islice(row, lo, stop)", "or False",
            ("tests/test_classify.py::TestScanLemma::test_vanishing_at_k_2_mod_4_is_a_violation",)),
+    Mutant("leaf level without its b_k check", "src/ci_invariants/scan.py",
+           "            if (min(islice(row, lo, stop)",
+           "            if l < max_n and (min(islice(row, lo, stop)",
+           ("tests/test_classify.py::TestScanLemma::test_failure_in_the_leaf_level",)),
+    Mutant("level column written one slot off", "src/ci_invariants/scan.py",
+           "map(row.__setitem__, range(start, stop), column)",
+           "map(row.__setitem__, range(start + 1, stop + 1), column)",
+           ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),
     Mutant("+b at k = 3 mod 4", "src/ci_invariants/topology.py",
            "b if k % 4 == 1 else -b)", "b if k % 4 == 1 else b)",
            ("tests/test_topology.py",)),
@@ -107,8 +114,9 @@ MUTANTS = [
     Mutant("Euler recurrence with + r", "src/ci_invariants/topology.py",
            "c -= r * outputs[f]", "c += r * outputs[f]",
            ("tests/test_topology.py",)),
-    Mutant("Euler recurrence with + r, in the lemma scan's rows", "src/ci_invariants/topology.py",
-           "c -= r * outputs[f]", "c += r * outputs[f]",
+    Mutant("Euler recurrence with + r, in the lemma scan's rows", "src/ci_invariants/scan.py",
+           "map(sub, map(mul, degrees, map(add, parent, previous)), previous)",
+           "map(add, map(mul, degrees, map(sub, parent, previous)), previous)",
            ("tests/test_classify.py::TestScanLemma::test_small_scan_clean",)),
     Mutant("Euler recurrence without its running values", "src/ci_invariants/topology.py",
            "            outputs[f] = c\n", "",

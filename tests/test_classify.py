@@ -6,9 +6,10 @@ from __future__ import annotations
 import io
 import json
 import random
+import time
 import tracemalloc
 from collections import Counter
-from itertools import chain, combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -534,6 +535,20 @@ class TestScanTheorem:
             scan(*bounds)
 
 
+@pytest.mark.parametrize("scan", [scan_theorem, scan_lemma])
+@pytest.mark.parametrize("bounds", [(21, 6), (2, 10**6)], ids=["21-6", "2-1000000"])
+def test_oversized_scan_is_rejected_at_once(scan, bounds):
+    # Past MAX_SCAN_TYPES a library scan raises the CLI's error before any
+    # work: (2, 10**6) would otherwise allocate a table of 5 * 10**11
+    # classes, and (21, 6) would walk 1,184,039 types.
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=(
+            f"^--max-n {bounds[0]} --max-degree {bounds[1]} spans more than "
+            "MAX_SCAN_TYPES = 1,000,000 types$")):
+        scan(*bounds)
+    assert time.perf_counter() - start < 1
+
+
 class TestScanLemma:
     def test_small_scan_clean(self):
         report = scan_lemma(6, 4)
@@ -557,21 +572,26 @@ class TestScanLemma:
 
     def test_one_euler_characteristic_per_class(self, monkeypatch):
         # A class is a reduced type: its degrees >= 2 and its dimension k.
-        # The scan runs one series division per reduced multiset D, depth
-        # first in lexicographic order: the row of its parent D[:-1], one
-        # entry shorter, divided by 1 + (D[-1] - 1) z, and for D = () the
-        # series (1 - z)^-2 of length 13, divided by nothing.  The checks
-        # run over each row at C level, so ``compute_invariants`` runs only
-        # on the classes of D = () and D = (2), which can vanish, in class
-        # order (|D|, D, k).
-        real_division, real_checks = scan._chi_coefficients, scan.compute_invariants
-        real_chi = topology.euler_characteristic
-        divisions, checks, single = [], [], []
+        # The scan walks the reduced multisets D by levels |D| = l: one
+        # series division gives the columns of D = (), the series (1 - z)^-2
+        # of length 13 divided by nothing, and each later column (l, k) is
+        # one step from the parent level's column k, which lists the
+        # C(l + 3, 4) multisets of length l - 1.  The checks run over each
+        # column at C level, so ``compute_invariants`` runs only on the
+        # classes of D = () and D = (2), which can vanish, in class order
+        # (|D|, D, k).
+        real_division, real_step = scan._chi_coefficients, scan._level_column
+        real_checks, real_chi = scan.compute_invariants, topology.euler_characteristic
+        divisions, steps, checks, single = [], [], [], []
 
         def counting_division(reduced, series):
             series = list(series)
             divisions.append((reduced, len(series)))
             return real_division(reduced, series)
+
+        def counting_step(parent, counts, degrees, previous, k):
+            steps.append((len(parent), k))
+            return real_step(parent, counts, degrees, previous, k)
 
         def counting_checks(ci, chi=None):
             checks.append(ci)
@@ -582,14 +602,14 @@ class TestScanLemma:
             return real_chi(ci)
 
         monkeypatch.setattr(scan, "_chi_coefficients", counting_division)
+        monkeypatch.setattr(scan, "_level_column", counting_step)
         monkeypatch.setattr(scan, "compute_invariants", counting_checks)
         monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
         report = scan_lemma(12, 6)
         assert report.ok and report.types == 50387
-        reduced = sorted(chain.from_iterable(
-            combinations_with_replacement(range(2, 7), size) for size in range(13)))
-        assert divisions == [(d[-1:], 13 - len(d)) for d in reduced]
-        assert len(divisions) == 6188
+        assert divisions == [((), 13)]
+        assert steps == [(comb(l + 3, 4), k) for l in range(1, 13) for k in range(13 - l)]
+        assert len(steps) == 78
         # The point is (1) in P^1: its reduced type P^0 lies below n >= 1.
         assert checks == [CIType(1, (1,)), *(CIType(k) for k in range(1, 13)),
                           *(CIType(k + 1, (2,)) for k in range(12))]
@@ -646,6 +666,20 @@ class TestScanLemma:
 
     def test_smaller_scan_is_a_prefix(self):
         assert_smaller_scan_is_a_prefix(scan_lemma, 7, 3)
+
+    # The leaf level, |D| = max_n, has one column, k = 0, which is never
+    # held as a list: at 1/60 it is the whole level (7), at 4/3 the last of
+    # five levels.
+    @pytest.mark.parametrize("bounds, bad", [((1, 60), CIType(1, (7,))),
+                                             ((4, 3), CIType(4, (2, 3, 3, 3)))], ids=str)
+    def test_failure_in_the_leaf_level(self, plant_chi, bounds, bad):
+        plant_chi({(bad.degrees, 0): -100})
+        report = scan_lemma(*bounds)
+        assert report.violations == (f"middle Betti number -100 < 1 for {bad}",)
+        assert report.counts["internal_check_failed"] == 1
+        assert_counts_are_the_records_outcomes(report)
+        (rec,) = [rec for rec in report.records() if rec.case is None]
+        assert rec == LemmaRecord(bad, None, None, None)
 
     def test_vanishing_excluded_shape_is_a_violation(self, plant_chi):
         cubic = CUBIC_THREEFOLD   # excluded: an entry >= 3

@@ -218,32 +218,47 @@ class TestEulerCharacteristic:
 
 
 class TestEulerCharacteristicRow:
-    """The lemma scan's chi rows: each is its parent's, one entry shorter,
-    extended by one series division."""
+    """The lemma scan's level columns: each column of b_k is one step from
+    its parent level's column at the same k and its own column at k - 1."""
 
     def test_matches_series_oracle(self):
         # Every reduced multiset with entries 2..6 and at most five entries,
         # at every k <= 8: the type in P^(k + |D|).
-        rows = dict(scan._chi_rows(13, 6))
+        levels = {l: [list(column) for column in columns]
+                  for l, columns in scan._levels(13, 6)}
         for size in range(6):
-            for reduced in combinations_with_replacement(range(2, 7), size):
-                assert rows[reduced][:9] == [
-                    series_coefficient(reduced, k + size) for k in range(9)]
+            for i, reduced in enumerate(combinations_with_replacement(range(2, 7), size)):
+                row = [chi_of(k, column[i]) for k, column in enumerate(levels[size])]
+                assert row[:9] == [series_coefficient(reduced, k + size) for k in range(9)]
 
     @pytest.mark.parametrize("reduced", [(2,), (3, 3), (2, 5, 6)])
     def test_equals_euler_characteristic_across_blocks(self, reduced):
-        # k up to 600 crosses the old block edge at 512.  The row of () is
-        # chi(P^k) = k + 1, and each step to a longer prefix of ``reduced``
-        # is one ``_child_row``.
-        row = list(range(1, 602 + len(reduced)))
+        # k up to 600 crosses the old block edge at 512.  The column of ()
+        # is read off chi(P^k) = k + 1, and each step to a longer prefix of
+        # ``reduced`` is a level of one D, one ``_level_column`` per k.
+        columns = [[b_of(k, k + 1)] for k in range(601 + len(reduced))]
         for d in reduced:
-            row = scan._child_row(row, d)
+            parent, columns = columns, []
+            for k in range(len(parent) - 1):
+                previous = columns[-1] if k else None
+                columns.append(list(scan._level_column(parent[k], [1], [d], previous, k)))
+        row = [chi_of(k, b) for k, (b,) in enumerate(columns)]
         assert row == [euler_characteristic(CIType(k + len(reduced), reduced))
                        for k in range(601)]
         # Degree-1 entries only shift n, so they read the same row.
         for k in (0, 7, 512, 600):
             assert row[k] == euler_characteristic(CIType(k + len(reduced) + 2,
                                                          (1, 1) + reduced))
+
+
+def b_of(k, chi):
+    """b_k of a k-dimensional type with Euler characteristic chi."""
+    return k + 1 - chi if k % 2 else chi - k
+
+
+def chi_of(k, b):
+    """chi of a k-dimensional type with middle Betti number b."""
+    return k + 1 - b if k % 2 else b + k
 
 
 class TestMiddleBetti:
