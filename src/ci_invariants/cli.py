@@ -13,7 +13,7 @@ and ``_render`` is their one writer of all three formats.
 ``verify-identities`` writes its two formats by hand: its table lines are
 not ``label: value`` pairs.  A single-type document is rendered whole
 before it is written, so a failing command writes nothing to stdout; scan
-records are written one at a time by ``scan.write_scans``.  The
+rows are written in chunks of 128 by ``scan.write_scans``.  The
 ``classify`` and ``scan`` modules are imported inside the subcommands that
 run them, and ``json`` inside the JSON writers, so a call loads only the
 code that it runs.

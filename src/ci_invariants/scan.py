@@ -26,13 +26,14 @@ check is re-run, so a scan's memory grows with its classes, not its types.
 ``write_scans`` is the one scan writer.  It fills a row template's n and k
 once per block and joins each row, at C level, from constant pieces, the
 degree list, the total degree and the text of the row's fields, in exactly
-the layout of ``json.dump(..., indent=2)`` for JSON.  Each distinct
-theorem fields tuple is rendered once per report; a lemma row past D = ()
-and D = (2) cannot vanish, so its text is one template per k mod 4, filled
-from b_k at C level.  Degree multisets of size 0 and 1 are walked with no
-pool of the degree range, so beside its table a scan holds nothing that
-grows with max_degree.  Only ``ScanReport.records`` builds records, and no
-record renders itself.
+the layout of ``json.dump(..., indent=2)`` for JSON.  It writes a block's
+rows in chunks of ``_CHUNK_ROWS`` = 128, one ``write`` per chunk, not one
+per row.  Each distinct theorem fields tuple is rendered once per report;
+a lemma row past D = () and D = (2) cannot vanish, so its text is one
+template per k mod 4, filled from b_k at C level.  Degree multisets of
+size 0 and 1 are walked with no pool of the degree range, so beside its
+table a scan holds nothing that grows with max_degree.  Only
+``ScanReport.records`` builds records, and no record renders itself.
 """
 
 from __future__ import annotations
@@ -73,10 +74,11 @@ def _check_bounds(max_n: int, max_degree: int) -> None:
 #: both bounds, so a scan past this is a usage error, not a hang.  Memory
 #: grows with the classes, so the worst case has one class per type: ``scan
 #: --max-n 1 --max-degree 999999 --which both --format csv --quiet`` takes
-#: 1.9-2.0 s at a peak RSS of 60-61 MB (lemma alone 0.8 s at 52 MB, theorem
-#: 22 MB), almost all of it the two tables and the interpreter.
+#: 1.9-2.4 s at a peak RSS of 61 MB (lemma alone 0.8 s at 53 MB, theorem
+#: 1.2 s at 23 MB), almost all of it the two tables and the interpreter.
 #: ``--max-n 20 --max-degree 6 --which both --format json`` (888,029 types)
-#: takes 2.8-3.0 s at 28 MB.  Three runs each, 2-vCPU Xeon VM, Python 3.11.7.
+#: takes 2.1 s at 28 MB.  Three runs each on one CPU of a 2-vCPU Xeon VM,
+#: Python 3.11.7, stdout to /dev/null.
 MAX_SCAN_TYPES = 1_000_000
 
 
@@ -280,14 +282,11 @@ class ScanReport(namedtuple(
         return not self.violations
 
     def summary_lines(self) -> list[str]:
-        lines = [
-            f"scan={self.kind} max_n={self.max_n} max_degree={self.max_degree}",
-            f"types={self.types}",
-        ]
-        lines.extend(f"{name}={count}" for name, count in self.counts.items())
-        lines.append(f"violations={len(self.violations)}")
-        lines.extend(f"violation: {v}" for v in self.violations)
-        return lines
+        return [f"scan={self.kind} max_n={self.max_n} max_degree={self.max_degree}",
+                f"types={self.types}",
+                *(f"{name}={count}" for name, count in self.counts.items()),
+                f"violations={len(self.violations)}",
+                *(f"violation: {v}" for v in self.violations)]
 
     def records(self) -> Iterator:
         """The scan's records, one per type in canonical order, each built
@@ -295,11 +294,18 @@ class ScanReport(namedtuple(
         check re-run; a lemma record's fields are rebuilt from k and b_k."""
         record_type = _RECORD_TYPES[self.kind]
         theorem = self.kind == "theorem"
-        blocks = _blocks(self.max_n, self.max_degree, self.table)
-        rows = chain.from_iterable(islice(*block) if theorem else _lemma_fields(n - l, block)
-                                   for n, l, block in blocks)
+        rows = chain.from_iterable(
+            islice(*block) if theorem else _lemma_fields(n - l, block)
+            for n, l, block in _blocks(self.max_n, self.max_degree, self.table))
         for ci, fields in zip(iter_types(self.max_n, self.max_degree), rows):
             yield record_type(ci, *fields)
+
+
+#: Rows per ``write``.  A text stream's ``write`` is a Python-level call
+#: with its own bookkeeping, so one per row costs that per row; a chunk
+#: costs it once per 128 rows, and a JSON chunk (about 54 KB) outgrows the
+#: stream's 8 KiB buffer and goes straight through.
+_CHUNK_ROWS = 128
 
 
 def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None:
@@ -308,12 +314,14 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
     rows) per report separated by a blank line, for ``table`` one line per
     record of each report in turn, each row joined at C level from its
     (n, l) block's template and the prefix of the row of classes that the
-    block reads.  Each distinct theorem fields tuple is rendered once per
-    report.  An unknown ``fmt`` raises ValueError before anything is
-    written."""
+    block reads.  A block's rows go out 128 at a time, joined into one
+    ``stream.write`` per chunk.  Each distinct theorem fields tuple is
+    rendered once per report.  An unknown ``fmt`` raises ValueError before
+    anything is written."""
     if fmt not in _DEGREE_LISTS:
         raise ValueError(f"unknown output format {fmt!r}")
     open_, sep, close, empty = _DEGREE_LISTS[fmt]
+    tails = _tail_templates(fmt)
     if fmt == "json":
         import json  # only a JSON document loads it
 
@@ -339,8 +347,6 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
         theorem = report.kind == "theorem"
         if theorem:  # the first pass stored each distinct tuple once
             texts = {fields: render(fields) for fields in set(chain.from_iterable(report.table))}
-        else:
-            tails = _tail_templates(fmt)
         for n, l, block in _blocks(report.max_n, report.max_degree, report.table):
             pieces = (template % {"n": n, "k": n - l}).split("\0")
             before, after = (open_, close) if l else (empty, "")
@@ -353,8 +359,10 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
             if theorem:
                 slots.insert(1, map(str, map(sum, _multisets(degree_range, l))))
             # Each row joins the pieces with the slots between them.
-            stream.writelines(map("".join, zip(*chain.from_iterable(
-                zip(map(repeat, pieces), slots)), repeat(pieces[-1]))))
+            rows = map("".join, zip(*chain.from_iterable(
+                zip(map(repeat, pieces), slots)), repeat(pieces[-1])))
+            while chunk := "".join(islice(rows, _CHUNK_ROWS)):
+                stream.write(chunk)
         if fmt == "json":
             stream.write(_NEWLINE[_SCAN_DEPTH + 1] + "]" + _NEWLINE[_SCAN_DEPTH] + "}")
     if fmt == "json":
@@ -369,7 +377,7 @@ def _scan_report(kind: str, max_n: int, max_degree: int, table: list,
     block the cases of D = () and D = (2), then its failed classes, and the
     rest as nonvanishing.  The counts list every outcome in order, then the
     failed internal checks (None) if there were any."""
-    tally: Counter = Counter()
+    tally = Counter()
     for n, l, block in _blocks(max_n, max_degree, table):
         row, size = block
         if kind == "theorem":
@@ -449,7 +457,7 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     for n, l, (row, _) in _blocks(max_n, max_degree, table):
         known = len(row)
         types = _block_types(n, l, degree_range)
-        fields: list = []  # a type whose pipeline raises holds its InternalCheckError
+        fields = []  # a type whose pipeline raises holds its InternalCheckError
         while len(fields) < known:
             try:
                 fields.extend(map(_verdict_fields, islice(types, known - len(fields))))
@@ -564,10 +572,10 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
             for k, row in enumerate(table[:len(columns)]):
                 n, b = k + l, row[slot]
                 ci = tuple.__new__(CIType, (n, reduced) if n else (1, (1,)))  # unchecked
-                betti = value = case = None
+                value = case = None
                 try:
                     report = compute_invariants(ci, k + 1 - b if k % 2 else b + k)  # chi
-                    betti, value = report.middle_betti, report.value_at_i
+                    value = report.value_at_i
                     case = lemma_classify(ci, report)
                 except InternalCheckError as exc:
                     violations.append(str(exc))
@@ -577,7 +585,8 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                 if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
                     violations.append(f"excluded shape vanishes at i: {ci}")
                     case = None
-                row[slot] = None if case is None else betti
+                if case is None:  # else the row keeps b_k
+                    row[slot] = None
     return _scan_report("lemma", max_n, max_degree, table, violations)
 
 

@@ -84,6 +84,15 @@ MUTANTS = [
            "    if size >= 2:\n", "    if size >= 0:\n",
            ("tests/test_classify.py::TestScanRecords"
             "::test_one_class_per_type_peaks_at_its_table",)),
+    Mutant("writer drops a block's last partial chunk", "src/ci_invariants/scan.py",
+           '            while chunk := "".join(islice(rows, _CHUNK_ROWS)):\n'
+           "                stream.write(chunk)\n",
+           "            while len(chunk := list(islice(rows, _CHUNK_ROWS))) == _CHUNK_ROWS:\n"
+           '                stream.write("".join(chunk))\n',
+           ("tests/test_scan_output.py::test_scan_document_digest",)),
+    Mutant("writer writes one row per call", "src/ci_invariants/scan.py",
+           "islice(rows, _CHUNK_ROWS)", "islice(rows, 1)",
+           ("tests/test_scan_output.py::test_rows_are_written_in_chunks",)),
     Mutant("lemma block prefix one class short per length", "src/ci_invariants/scan.py",
            "comb(l + max_degree - 1, l)", "comb(l + max_degree - 2, l)",
            ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),

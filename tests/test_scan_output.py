@@ -264,6 +264,52 @@ def test_unknown_format_is_rejected_before_writing(count):
     assert buffer.getvalue() == ""
 
 
+class _RecordingStream(io.TextIOBase):
+    """A text stream that keeps, for each ``write``, the number of rows it
+    carries, and the sha256 of all it was given."""
+
+    def __init__(self, row_mark: str):
+        super().__init__()
+        self.row_mark, self.rows, self.sha256 = row_mark, [], hashlib.sha256()
+
+    def write(self, text):
+        self.rows.append(text.count(self.row_mark))
+        self.sha256.update(text.encode())
+        return len(text)
+
+
+#: The most rows one ``write`` of the scan writer may carry.  It is a
+#: number of its own, not the writer's constant, so that shrinking that
+#: constant to one row per write fails the test below.
+CHUNK_ROWS = 128
+
+
+# A per-row writer makes one ``write`` per row: 50,387 at 12/6 and 116,279
+# at 14/6.  The writer joins up to 128 rows of one (n, l) block into each
+# write, so it makes at most one partial chunk per block.  The two digests
+# are the documents of the benchmark's scan workloads.
+@pytest.mark.parametrize("scan, bounds, fmt, row_mark, digest", [
+    (scan_lemma, (12, 6), "csv", "\n",
+     "8ebf021f6200aab42ced1d2148028004b85729c86d9fcca4c73b8bd1fd5649e7"),
+    (scan_theorem, (14, 6), "json", '"n": ',
+     "8a8431072a32a550077c2b0b7c2887fa65aee81422c92473109896e3fcf92812"),
+], ids=["lemma-12-6-csv", "theorem-14-6-json"])
+def test_rows_are_written_in_chunks(scan, bounds, fmt, row_mark, digest):
+    report = scan(*bounds)
+    document = io.StringIO()
+    write_scans([report], fmt, document)
+    stream = _RecordingStream(row_mark)
+    write_scans([report], fmt, stream)
+    assert stream.sha256.hexdigest() == hashlib.sha256(
+        document.getvalue().encode()).hexdigest() == digest
+    header = fmt == "csv"  # the CSV header is a line of its own
+    assert sum(stream.rows) == report.types + header
+    max_n = bounds[0]
+    blocks = max_n * (max_n + 3) // 2  # one block per 0 <= l <= n <= max_n
+    assert len(stream.rows) <= -(-report.types // CHUNK_ROWS) + blocks + 4
+    assert max(stream.rows) <= CHUNK_ROWS
+
+
 #: sha256 of the stdout of ``scan --max-n 10 --max-degree 5 --which both
 #: --quiet`` in each format (5,945,743, 775,060 and 1,255,375 bytes), taken
 #: when each record was still built as an object and rendered by its own
