@@ -124,7 +124,8 @@ def _verdict_fields(ci: CIType, report: InvariantReport | None = None) -> tuple:
     """The obstruction pipeline of ``theorem_verdict``: the verdict's fields
     (kind, p_X(i), p_F(i)) without the type.  A scan stops most types at a
     degree gate, whose fields are one module constant each, so those calls
-    allocate nothing."""
+    allocate nothing.  ``ci`` may be the plain pair (n, degrees), sorted
+    and valid: it becomes a ``CIType`` only past the degree gates."""
     n, degrees = ci
     if n < 1:
         raise ValueError("classification requires ambient dimension >= 1")
@@ -133,6 +134,7 @@ def _verdict_fields(ci: CIType, report: InvariantReport | None = None) -> tuple:
         return _NOT_RC_FIELDS
     if d > n - 1:
         return _NORMAL_FIELDS
+    ci = tuple.__new__(CIType, ci)
     if report is None:
         report = compute_invariants(ci)
     p_x = report.value_at_i

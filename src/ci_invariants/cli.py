@@ -13,10 +13,10 @@ and ``_render`` is their one writer of all three formats.
 ``verify-identities`` writes its two formats by hand: its table lines are
 not ``label: value`` pairs.  A single-type document is rendered whole
 before it is written, so a failing command writes nothing to stdout; scan
-rows are written in chunks of 128 by ``scan.write_scans``.  The
-``classify`` and ``scan`` modules are imported inside the subcommands that
-run them, and ``json`` inside the JSON writers, so a call loads only the
-code that it runs.
+rows are written in chunks of 128 by ``writer.write_scans``.  The
+``classify`` module, and ``scan`` with its ``writer``, are imported inside
+the subcommands that run them, and ``json`` inside the JSON writers, so a
+call loads only the code that it runs.
 
 Exit codes: 0 success / clean scan, 1 assertion violation, 2 usage, parse
 or I/O error.  Writes to stderr are best-effort: a stderr that cannot be

@@ -1,5 +1,5 @@
 """Exhaustive scans that re-verify the classification of ``classify`` over
-finite ranges, and their one writer.
+finite ranges.
 
 Scan bounds are a verification budget, not a completeness claim: the scans
 re-check mechanically, within the bounds, a classification that holds for
@@ -10,58 +10,45 @@ degrees >= 2, k its dimension.
 Each scan makes two passes, serially.  The first runs every check and
 keeps the violations and one class table: ``table[k]`` lists the classes
 of dimension k by |D|, then D, each as its verdict's fields or as its
-b_k, from which p(i) and the case follow.  The theorem scan checks
-each type's verdict against its class's, at C level for the types of
-known classes.  The lemma scan builds each level |D|'s column of b_k at
-each k from its parent level's with a few C-level maps, and checks it at
-C level in its slice of ``table[k]``; only the classes of () and (2), and
-of a D that fails a column, run the checks once per class.  Every type of
-a failed class is a failed record.  A ``ScanReport`` is plain data; its
-table's layout is not a contract.  The second pass walks the (n, l)
-blocks, whose types are the classes with |D| <= l at k = n - l: a prefix
-of ``table[k]``.  It runs once to count the outcomes when the report is
-built, and again each time a scan is written or its records are read.  No
-check is re-run, so a scan's memory grows with its classes, not its types.
+b_k, from which p(i) and the case follow.  The theorem scan maps the
+pipeline over each block's plain (n, degrees) pairs at C level, with no
+``CIType`` per type, and checks each type's verdict against its class's,
+at C level for the types of known classes; of the new classes it walks
+only those whose checks can fail.  The lemma scan builds each level |D|'s
+column of b_k at each k from its parent level's with a few C-level maps,
+and checks it at C level in its slice of ``table[k]``; only the classes
+of () and (2), and of a D that fails a column, run the checks once per
+class.  Every type of a failed class is a failed record.  A
+``ScanReport`` is plain data; its table's layout is not a contract.  The
+second pass walks the (n, l) blocks, whose types are the classes with
+|D| <= l at k = n - l: a prefix of ``table[k]``.  It runs once to count
+the outcomes when the report is built, and again each time a scan is
+written or its records are read.  No check is re-run, so a scan's memory
+grows with its classes, not its types.
 
-``write_scans`` is the one scan writer.  It fills a row template's n and k
-once per block and joins each row, at C level, from constant pieces, the
-degree list, the total degree and the text of the row's fields, in exactly
-the layout of ``json.dump(..., indent=2)`` for JSON.  It writes a block's
-rows in chunks of ``_CHUNK_ROWS`` = 128, one ``write`` per chunk, not one
-per row.  Each distinct theorem fields tuple is rendered once per report;
-a lemma row past D = () and D = (2) cannot vanish, so its text is one
-template per k mod 4, filled from b_k at C level.  Degree multisets of
-size 0 and 1 are walked with no pool of the degree range, so beside its
-table a scan holds nothing that grows with max_degree.  Only
-``ScanReport.records`` builds records, and no record renders itself.
+The blocks, the records' fields and ``write_scans``, the one scan writer,
+are in ``writer``; this module re-exports ``write_scans`` and
+``LemmaRecord``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
-from itertools import chain, combinations_with_replacement, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from math import comb
-from operator import add, call, countOf, itemgetter, mul, sub
-from typing import Iterable, Iterator, Sequence, TextIO
+from operator import add, countOf, is_not, itemgetter, mul, sub
+from typing import Iterable, Iterator
 
 from .classify import (
     LemmaCase,
-    Verdict,
     VerdictKind,
     _NOT_RC_FIELDS,
     _is_homogeneous_shape,
-    _shape_case,
     _verdict_fields,
     lemma_classify,
 )
-from .topology import (
-    CIType,
-    GaussianInteger,
-    InternalCheckError,
-    _chi_coefficients,
-    _value_at_i,
-    compute_invariants,
-)
+from .topology import CIType, InternalCheckError, _chi_coefficients, compute_invariants
+from .writer import LemmaRecord, _RECORD_TYPES, _blocks, _lemma_fields, _multisets, write_scans
 
 
 def _check_bounds(max_n: int, max_degree: int) -> None:
@@ -74,11 +61,11 @@ def _check_bounds(max_n: int, max_degree: int) -> None:
 #: both bounds, so a scan past this is a usage error, not a hang.  Memory
 #: grows with the classes, so the worst case has one class per type: ``scan
 #: --max-n 1 --max-degree 999999 --which both --format csv --quiet`` takes
-#: 1.9-2.4 s at a peak RSS of 61 MB (lemma alone 0.8 s at 53 MB, theorem
-#: 1.2 s at 23 MB), almost all of it the two tables and the interpreter.
-#: ``--max-n 20 --max-degree 6 --which both --format json`` (888,029 types)
-#: takes 2.1 s at 28 MB.  Three runs each on one CPU of a 2-vCPU Xeon VM,
-#: Python 3.11.7, stdout to /dev/null.
+#: 1.7-1.8 s at a peak RSS of 61 MB (lemma alone 0.8-0.9 s at 53 MB,
+#: theorem 0.9 s at 23 MB), almost all of it the two tables and the
+#: interpreter.  ``--max-n 20 --max-degree 6 --which both --format json``
+#: (888,029 types) takes 1.8-1.9 s at 28-29 MB.  Three runs each on one CPU
+#: of a 2-vCPU Xeon VM, Python 3.11.7, stdout to /dev/null.
 MAX_SCAN_TYPES = 1_000_000
 
 
@@ -104,15 +91,6 @@ def _scan_type_count(max_n: int, max_degree: int) -> int:
     return value - 1
 
 
-def _multisets(items: Iterable, size: int) -> Iterator[tuple]:
-    """The multisets of ``size`` elements of ``items``, as sorted tuples in
-    lexicographic order.  Sizes 0 and 1 hold no pool of ``items``, so a
-    lazy ``items`` is never materialized for them."""
-    if size >= 2:
-        return combinations_with_replacement(items, size)
-    return zip(items) if size else iter(((),))
-
-
 def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
     """All types with 1 <= n <= max_n, 0 <= l <= n and degrees in
     [1, max_degree], in canonical (n, l, lexicographic) order.  The bounds
@@ -128,142 +106,6 @@ def iter_types(max_n: int, max_degree: int) -> Iterator[CIType]:
 def _block_types(n: int, l: int, degree_range: range) -> Iterator[CIType]:
     """The types of the (n, l) block, unchecked, in canonical order."""
     return map(tuple.__new__, repeat(CIType), zip(repeat(n), _multisets(degree_range, l)))
-
-
-#: ``_NEWLINE[depth]`` starts a line at ``depth`` levels of the two-space
-#: indentation that ``json.dump(..., indent=2)`` uses.
-_NEWLINE = tuple("\n" + "  " * depth for depth in range(8))
-
-#: Depths of a scan object and of a record object in the scan document
-#: {"scans": [{..., "records": [{...}]}]}.
-_SCAN_DEPTH = 2
-_RECORD_DEPTH = _SCAN_DEPTH + 2
-
-
-def _json_container(open_: str, items: list[str], close: str, depth: int) -> str:
-    """A non-empty JSON array or object of already rendered items, laid out
-    exactly as ``json.dumps(..., indent=2)`` lays out a container at
-    ``depth``."""
-    inner = _NEWLINE[depth + 1]
-    return open_ + inner + ("," + inner).join(items) + _NEWLINE[depth] + close
-
-
-#: A row's degree list in each format: (open, separator, close, empty).
-_DEGREE_LISTS = {"table": ("", ",", "", ""), "csv": ("", " ", "", ""), "json": (
-    "[" + _NEWLINE[_RECORD_DEPTH + 2] + '"', '",' + _NEWLINE[_RECORD_DEPTH + 2] + '"',
-    '"' + _NEWLINE[_RECORD_DEPTH + 1] + "]", "[]")}
-_GAUSS_JSON = _json_container("{", ['"re": "%s"', '"im": "%s"'], "}", _RECORD_DEPTH + 1)
-_FIELD_SEP = "," + _NEWLINE[_RECORD_DEPTH + 1]
-
-#: A scan row's text, by scan kind and format.  "%(n)d" and "%(k)d" are
-#: filled once per (n, l) block; each NUL is a slot filled per row: the
-#: degree list, the total degree (theorem scan only) and the row's fields,
-#: as text that fills ``_FIELD_TEMPLATES``.  A JSON row starts with the
-#: separator from the record before it.
-_ROW_TEMPLATES = {
-    "theorem": {
-        "table": "n=%(n)d type=(\0) d=\0 k=%(k)d \0\n",
-        "csv": "%(n)d,\0,\0,%(k)d,\0\n",
-        "json": "," + _NEWLINE[_RECORD_DEPTH] + _json_container("{", [
-            '"n": "%(n)d"', '"degrees": \0', '"dimension": "%(k)d"',
-            '"total_degree": "\0"', "\0"], "}", _RECORD_DEPTH),
-    },
-    "lemma": {
-        "table": "n=%(n)d type=(\0) k=%(k)d \0\n",
-        "csv": "%(n)d,\0,%(k)d,\0\n",
-        "json": "," + _NEWLINE[_RECORD_DEPTH] + _json_container("{", [
-            '"n": "%(n)d"', '"degrees": \0', '"dimension": "%(k)d"', "\0"],
-            "}", _RECORD_DEPTH),
-    },
-}
-_FIELD_TEMPLATES = {
-    "theorem": {
-        "table": "verdict=%s p_X(i)=%s p_F(i)=%s",
-        "csv": "%s,%s,%s",
-        "json": _FIELD_SEP.join(['"verdict": "%s"', '"p_x_at_i": %s', '"p_f_at_i": %s']),
-    },
-    "lemma": {
-        "table": "b_k=%s p(i)=%s case=%s",
-        "csv": "%s,%s,%s",
-        "json": _FIELD_SEP.join(['"middle_betti": %s', '"p_at_i": %s', '"case": "%s"']),
-    },
-}
-
-
-#: p(i) of a nonvanishing class by k mod 4, as a template for b_k (for
-#: 2 - b_k when k = 2 mod 4): the text of its ``GaussianInteger`` and its
-#: JSON (re, im).  Such a class has b_k != 0 for odd k and b_k != 2 for
-#: k = 2 mod 4, so these equal the renderings of that ``GaussianInteger``.
-_TAIL_VALUE_TEXT = ("%d+0i", "0+%di", "%d+0i", "0-%di")
-_TAIL_VALUE_JSON = (("%d", "0"), ("0", "%d"), ("%d", "0"), ("0", "-%d"))
-
-
-def _tail_templates(fmt: str) -> tuple[str, ...]:
-    """The fields of a nonvanishing lemma class in ``fmt`` by k mod 4, as a
-    template for (b_k, b_k), or (b_k, 2 - b_k) when k = 2 mod 4."""
-    if fmt == "json":
-        betti, values = '"%d"', [_GAUSS_JSON % pair for pair in _TAIL_VALUE_JSON]
-    else:
-        betti, values = "%d", _TAIL_VALUE_TEXT
-    return tuple(_FIELD_TEMPLATES["lemma"][fmt] % (betti, value, LemmaCase.NONVANISHING.value)
-                 for value in values)
-
-
-def _json_value(value: int | GaussianInteger | None) -> str:
-    if value is None:
-        return "null"
-    if type(value) is GaussianInteger:
-        return _GAUSS_JSON % value
-    return '"%d"' % value
-
-
-def _text(value: int | GaussianInteger | None) -> str:
-    return str(value) if value is not None else "-"
-
-#: The text of each record outcome; ``None`` is a failed internal check.
-_OUTCOME_TEXT = {
-    None: "internal_check_failed",
-    **{outcome: outcome.value for outcome in (*VerdictKind, *LemmaCase)},
-}
-
-
-def _field_renderer(kind: str, fmt: str):
-    """The function that renders one fields tuple of a ``kind`` scan in
-    ``fmt``: (kind, p_X(i), p_F(i)) or (b_k, p(i), case)."""
-    template = _FIELD_TEMPLATES[kind][fmt]
-    value, out = (_json_value if fmt == "json" else _text), _OUTCOME_TEXT.__getitem__
-    cells = (out, value, value) if kind == "theorem" else (value, value, out)
-    return lambda fields: template % tuple(map(call, cells, fields))
-
-
-def _lemma_block(render, tails: tuple[str, ...], k: int,
-                 block: tuple[list, int]) -> Iterator[str]:
-    """The field texts of the lemma block (row, size) at dimension k.  Only
-    its first two classes, D = () and D = (2), can vanish, so they go
-    through ``render`` and the rest share ``tails[k % 4]``, mapped over the
-    prefix at C level; a block holding a failed class (None) is rendered
-    field by field."""
-    row, size = block
-    fields = map(render, _lemma_fields(k, block))
-    if None in islice(row, size):
-        return fields
-    betti, second = islice(row, 2, size), islice(row, 2, size)
-    if k % 4 == 2:
-        second = map((2).__sub__, second)
-    return chain(islice(fields, 2), map(tails[k % 4].__mod__, zip(betti, second)))
-
-
-class LemmaRecord(namedtuple("LemmaRecord", "ci middle_betti value_at_i case")):
-    """One scanned type with its middle Betti number, its Poincare value at
-    i, and the vanishing case it falls in.  A field is None when an internal
-    check failed before it was computed (recorded as a violation)."""
-
-    __slots__ = ()
-
-    CSV_HEADER = ("n", "degrees", "dimension", "middle_betti", "p_at_i", "case")
-
-
-_RECORD_TYPES = {"theorem": Verdict, "lemma": LemmaRecord}
 
 
 class ScanReport(namedtuple(
@@ -299,74 +141,6 @@ class ScanReport(namedtuple(
             for n, l, block in _blocks(self.max_n, self.max_degree, self.table))
         for ci, fields in zip(iter_types(self.max_n, self.max_degree), rows):
             yield record_type(ci, *fields)
-
-
-#: Rows per ``write``.  A text stream's ``write`` is a Python-level call
-#: with its own bookkeeping, so one per row costs that per row; a chunk
-#: costs it once per 128 rows, and a JSON chunk (about 54 KB) outgrows the
-#: stream's 8 KiB buffer and goes straight through.
-_CHUNK_ROWS = 128
-
-
-def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None:
-    """Write one document holding every report, with no record object: for
-    ``json`` the object {"scans": [...]}, for ``csv`` one table (header and
-    rows) per report separated by a blank line, for ``table`` one line per
-    record of each report in turn, each row joined at C level from its
-    (n, l) block's template and the prefix of the row of classes that the
-    block reads.  A block's rows go out 128 at a time, joined into one
-    ``stream.write`` per chunk.  Each distinct theorem fields tuple is
-    rendered once per report.  An unknown ``fmt`` raises ValueError before
-    anything is written."""
-    if fmt not in _DEGREE_LISTS:
-        raise ValueError(f"unknown output format {fmt!r}")
-    open_, sep, close, empty = _DEGREE_LISTS[fmt]
-    tails = _tail_templates(fmt)
-    if fmt == "json":
-        import json  # only a JSON document loads it
-
-        stream.write("{" + _NEWLINE[1] + '"scans": [')
-    for idx, report in enumerate(reports):
-        if fmt == "csv":
-            # Every cell is made of digits, spaces, "+", "-", "i" and "_",
-            # so none needs quoting.
-            stream.write(("\n" if idx else "")
-                         + ",".join(_RECORD_TYPES[report.kind].CSV_HEADER) + "\n")
-        elif fmt == "json":
-            # The scan object up to its records, moved to the scan's depth.
-            head = json.dumps({
-                "scan": report.kind, "max_n": str(report.max_n),
-                "max_degree": str(report.max_degree), "types": str(report.types),
-                "counts": {name: str(count) for name, count in report.counts.items()},
-                "violations": list(report.violations), "records": 0}, indent=2)
-            stream.write(("," if idx else "") + _NEWLINE[_SCAN_DEPTH]
-                         + head[:-len("0\n}")].replace("\n", _NEWLINE[_SCAN_DEPTH]))
-        template = _ROW_TEMPLATES[report.kind][fmt]
-        render = _field_renderer(report.kind, fmt)
-        degree_range = range(1, report.max_degree + 1)
-        theorem = report.kind == "theorem"
-        if theorem:  # the first pass stored each distinct tuple once
-            texts = {fields: render(fields) for fields in set(chain.from_iterable(report.table))}
-        for n, l, block in _blocks(report.max_n, report.max_degree, report.table):
-            pieces = (template % {"n": n, "k": n - l}).split("\0")
-            before, after = (open_, close) if l else (empty, "")
-            pieces[:2] = pieces[0] + before, after + pieces[1]
-            if fmt == "json" and n == 1 and not l:  # the scan's first record
-                pieces[0] = "[" + pieces[0][1:]
-            slots = [map(sep.join, _multisets(map(str, degree_range), l)),
-                     map(texts.__getitem__, islice(*block)) if theorem
-                     else _lemma_block(render, tails, n - l, block)]
-            if theorem:
-                slots.insert(1, map(str, map(sum, _multisets(degree_range, l))))
-            # Each row joins the pieces with the slots between them.
-            rows = map("".join, zip(*chain.from_iterable(
-                zip(map(repeat, pieces), slots)), repeat(pieces[-1])))
-            while chunk := "".join(islice(rows, _CHUNK_ROWS)):
-                stream.write(chunk)
-        if fmt == "json":
-            stream.write(_NEWLINE[_SCAN_DEPTH + 1] + "]" + _NEWLINE[_SCAN_DEPTH] + "}")
-    if fmt == "json":
-        stream.write((_NEWLINE[1] if reports else "") + "]" + _NEWLINE[0] + "}\n")
 
 
 def _scan_report(kind: str, max_n: int, max_degree: int, table: list,
@@ -408,12 +182,16 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     (recorded as a violation), and each of its types is then the record
     ``Verdict(ci, None)``.
 
-    In each (n, l) block the types with a 1 are those of the classes
-    already in the table.  Their fields are mapped at C level into one list
-    and compared with the class row at once; a type whose pipeline raises
-    leaves its InternalCheckError in the list.  After a violation, or where
-    the list differs, the block is walked type by type with the fields in
-    the list.  The block's other types open new classes.
+    The pipeline is mapped at C level over each (n, l) block's plain
+    (n, degrees) pairs; only the types that reach the Poincare gate, and
+    the types that the checks below name, become ``CIType``s.  In each
+    block the types with a 1 are those of the classes already in the
+    table.  Their fields are mapped into one list and compared with the
+    class row at once; a type whose pipeline raises leaves its
+    InternalCheckError in the list.  After a violation, or where the list
+    differs, the block is walked type by type with the fields in the list.
+    The block's other types open new classes, whose fields extend the row
+    straight from the map.
 
     Each class's first type, and each type that differs, must agree with
     the two degree gates: not rationally connected exactly when d > n, a
@@ -421,7 +199,10 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     must reduce to () or (2); conversely every rationally connected
     homogeneous-shaped type of dimension >= 2 must survive.  (In dimension
     <= 1 points and conics have total degree n and stop at the
-    normal-bundle gate; lines survive.)
+    normal-bundle gate; lines survive.)  Where 2l > n, every new class but
+    the block's first has d >= 2l > n, so with the d > n fields it passes
+    every check and is not walked; the first, which at (1, 1) is the point
+    (1) in P^1 with d = n, always is.
     """
     _check_scan(max_n, max_degree)
     not_rc, normal = VerdictKind.NOT_RATIONALLY_CONNECTED, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
@@ -456,11 +237,11 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     degree_range = range(1, max_degree + 1)
     for n, l, (row, _) in _blocks(max_n, max_degree, table):
         known = len(row)
-        types = _block_types(n, l, degree_range)
+        pairs = zip(repeat(n), _multisets(degree_range, l))
         fields = []  # a type whose pipeline raises holds its InternalCheckError
         while len(fields) < known:
             try:
-                fields.extend(map(_verdict_fields, islice(types, known - len(fields))))
+                fields.extend(map(_verdict_fields, islice(pairs, known - len(fields))))
             except InternalCheckError as exc:
                 fields.append(exc)
         # Only a violation fails a class, so with none yet an equal prefix
@@ -479,17 +260,21 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                         violations.append(f"verdict differs from its class: {ci}")
                     row[i] = failed
                 check(ci, got[0])
-        for ci in types:  # the type opens a class
+        while True:  # the block's other types open new classes
             try:
-                got = _verdict_fields(ci)
+                row.extend(map(_verdict_fields, pairs))
+                break
             except InternalCheckError as exc:
                 violations.append(str(exc))
-                got = failed
-            got = shared.setdefault(got, got)
-            row.append(got)
-            if got is beyond and sum(ci[1]) > n:
-                continue  # the first pass's most common class: no check can fail
-            check(ci, got[0])
+                row.append(failed)
+        new = zip(count(known), islice(_multisets(degree_range, l), known, None),
+                  islice(row, known, None))
+        if 2 * l > n:  # d > n past the first new class: the d > n fields pass
+            new = compress(new, chain((True,), map(is_not, islice(row, known + 1, None),
+                                                   repeat(beyond))))
+        for i, degrees, got in new:
+            row[i] = got = shared.setdefault(got, got)
+            check(tuple.__new__(CIType, (n, degrees)), got[0])
     return _scan_report("theorem", max_n, max_degree, table, violations)
 
 
@@ -589,29 +374,4 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                     row[slot] = None
     return _scan_report("lemma", max_n, max_degree, table, violations)
 
-
-def _blocks(max_n: int, max_degree: int, table: list) -> Iterator:
-    """A block lists its types with m leading 1s, for m = l down to 0, each
-    m in the order of their reduced multisets D: so its classes are the D
-    with |D| <= l at k = n - l, by |D|, then D, which are the first
-    C(l + max_degree - 1, l) entries of ``table[k]``.  Each block is one
-    (n, l, (row, size)); the first two classes are D = () and D = (2)."""
-    for n in range(1, max_n + 1):
-        for l in range(n + 1):
-            yield n, l, (table[n - l], comb(l + max_degree - 1, l))
-
-
-def _class_fields(k: int, b: int | None, reduced: tuple[int, ...] | None) -> tuple:
-    if b is None:
-        return None, None, None
-    return b, _value_at_i(k, b), _shape_case(reduced, k)
-
-
-def _lemma_fields(k: int, block: tuple[list, int]) -> Iterator[tuple]:
-    """The (b_k, p(i), case) of each class of the lemma block (row, size),
-    rebuilt from k, b_k and the class's position in the prefix of ``row``:
-    the first two are D = () and D = (2), and the rest are nonvanishing."""
-    row, size = block
-    return map(_class_fields, repeat(k), islice(row, size),
-               chain(((), (2,)), repeat(None)))
 

@@ -72,6 +72,14 @@ MUTANTS = [
            "zip(range(known), types, fields)",
            "zip(range(known), types, map(_verdict_fields, _block_types(n, l, degree_range)))",
            ("tests/test_classify.py::TestScanTheorem::test_a_failure_inside_a_known_prefix",)),
+    Mutant("new classes of a 2l > n block accepted unchecked", "src/ci_invariants/scan.py",
+           "chain((True,), map(is_not,", "chain((False,), repeat(False), map(is_not,",
+           ("tests/test_classify.py::TestScanTheorem"
+            "::test_failures_among_the_new_classes_of_a_block_with_2l_over_n",)),
+    Mutant("the point accepted unchecked with the d > n fields", "src/ci_invariants/scan.py",
+           "chain((True,), map(is_not,", "chain((False,), map(is_not,",
+           ("tests/test_classify.py::TestScanTheorem"
+            "::test_the_point_is_checked_with_the_fields_of_d_over_n",)),
     Mutant("theorem counts of the whole row, not the block's prefix", "src/ci_invariants/scan.py",
            "tally.update(map(itemgetter(0), islice(row, size)))",
            "tally.update(map(itemgetter(0), row))",
@@ -80,20 +88,23 @@ MUTANTS = [
            "        tally[LemmaCase.NONVANISHING] += max(size - 2, 0) - failed\n",
            "        tally[LemmaCase.NONVANISHING] += max(size - 2, 0)\n",
            ("tests/test_classify.py::TestScanLemma::test_internal_check_failure_is_a_violation",)),
-    Mutant("multisets of sizes 0 and 1 from a pool", "src/ci_invariants/scan.py",
+    Mutant("multisets of sizes 0 and 1 from a pool", "src/ci_invariants/writer.py",
            "    if size >= 2:\n", "    if size >= 0:\n",
            ("tests/test_classify.py::TestScanRecords"
             "::test_one_class_per_type_peaks_at_its_table",)),
-    Mutant("writer drops a block's last partial chunk", "src/ci_invariants/scan.py",
+    Mutant("writer drops a block's last partial chunk", "src/ci_invariants/writer.py",
            '            while chunk := "".join(islice(rows, _CHUNK_ROWS)):\n'
            "                stream.write(chunk)\n",
            "            while len(chunk := list(islice(rows, _CHUNK_ROWS))) == _CHUNK_ROWS:\n"
            '                stream.write("".join(chunk))\n',
            ("tests/test_scan_output.py::test_scan_document_digest",)),
-    Mutant("writer writes one row per call", "src/ci_invariants/scan.py",
+    Mutant("writer writes one row per call", "src/ci_invariants/writer.py",
            "islice(rows, _CHUNK_ROWS)", "islice(rows, 1)",
            ("tests/test_scan_output.py::test_rows_are_written_in_chunks",)),
-    Mutant("lemma block prefix one class short per length", "src/ci_invariants/scan.py",
+    Mutant("total degrees from a suffix shifted by one", "src/ci_invariants/writer.py",
+           "size - comb(top - d + l - 2, l - 1)", "size + 1 - comb(top - d + l - 2, l - 1)",
+           ("tests/test_scan_output.py::test_total_degrees_are_the_sums_of_the_multisets",)),
+    Mutant("lemma block prefix one class short per length", "src/ci_invariants/writer.py",
            "comb(l + max_degree - 1, l)", "comb(l + max_degree - 2, l)",
            ("tests/test_classify.py::TestScanLemma::test_records_equal_direct_computation",)),
     Mutant("lemma row check without b_k >= delta_k", "src/ci_invariants/scan.py",

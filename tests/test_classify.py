@@ -494,7 +494,7 @@ class TestScanTheorem:
         def planted(ci):
             calls.append(ci)
             if ci == raising:
-                raise InternalCheckError(f"planted failure for {ci}")
+                raise InternalCheckError(f"planted failure for {raising}")
             if ci == wrong:
                 return VerdictKind.HOMOGENEOUS_QUADRIC, None, None
             return real(ci)
@@ -507,6 +507,49 @@ class TestScanTheorem:
             "verdict differs from its class: (1,2,2) in P^6",
             "non-homogeneous type passed every gate: (1,2,2) in P^6",
         )
+
+    def test_failures_among_the_new_classes_of_a_block_with_2l_over_n(self, monkeypatch):
+        # In the (3, 2) block the new classes are (2,2), (2,3) and (3,3),
+        # each with d >= 4 > 3, and only those without the d > n fields are
+        # walked: (2,2), the block's first new class, raises, and (2,3) has
+        # a verdict of another kind, which only its own checks can catch at
+        # max_n = 3.
+        real = classify._verdict_fields
+        raising, wrong = CIType(3, (2, 2)), CIType(3, (2, 3))
+
+        def planted(ci):
+            if ci == raising:
+                raise InternalCheckError(f"planted failure for {raising}")
+            if ci == wrong:
+                return VerdictKind.HOMOGENEOUS_QUADRIC, None, None
+            return real(ci)
+
+        monkeypatch.setattr(scan, "_verdict_fields", planted)
+        report = scan_theorem(3, 3)
+        assert report.violations == (
+            f"planted failure for {raising}",
+            f"homogeneous_quadric verdict contradicts total degree 5: {wrong}",
+            f"non-homogeneous type passed every gate: {wrong}",
+        )
+        assert [rec for rec in report.records() if rec.kind is None] == [Verdict(raising, None)]
+        kinds = {rec.ci: rec.kind for rec in report.records()}
+        assert kinds[wrong] is VerdictKind.HOMOGENEOUS_QUADRIC
+        assert kinds[CIType(3, (3, 3))] is VerdictKind.NOT_RATIONALLY_CONNECTED
+        assert_counts_are_the_records_outcomes(report)
+
+    def test_the_point_is_checked_with_the_fields_of_d_over_n(self, monkeypatch):
+        # The (1, 1) block has 2l > n, but its first new class is the point
+        # (1) in P^1, with d = n: the d > n fields, those of the new classes
+        # that are not walked, must still fail its gate check.
+        real, point = classify._verdict_fields, CIType(1, (1,))
+
+        def planted(ci):
+            return classify._NOT_RC_FIELDS if ci == point else real(ci)
+
+        monkeypatch.setattr(scan, "_verdict_fields", planted)
+        report = scan_theorem(1, 3)
+        assert report.violations == (
+            f"not_rationally_connected verdict contradicts total degree 1: {point}",)
 
     def test_internal_check_failure_is_a_kindless_verdict(self, monkeypatch):
         real = topology.euler_characteristic

@@ -444,15 +444,17 @@ class TestUsage:
     #: not run.  dataclasses (with inspect) and csv do no work the package
     #: needs, so no command imports them.
     FOOTPRINTS = [
-        (["--help"], {"ci_invariants.classify", "ci_invariants.scan", "json"}),
-        *((command + fmt, {"ci_invariants.classify", "ci_invariants.scan", "json"})
+        (["--help"], {"ci_invariants.classify", "ci_invariants.scan", "ci_invariants.writer",
+                      "json"}),
+        *((command + fmt, {"ci_invariants.classify", "ci_invariants.scan",
+                           "ci_invariants.writer", "json"})
           for command in (["invariants", "--n", "5", "--type", "3"],
                           ["fiber", "--n", "5", "--type", "3"])
           for fmt in ([], ["--format", "csv"])),
         (["invariants", "--n", "5", "--type", "3", "--format", "json"],
-         {"ci_invariants.classify", "ci_invariants.scan"}),
+         {"ci_invariants.classify", "ci_invariants.scan", "ci_invariants.writer"}),
         (["classify", "--n", "5", "--type", "3", "--format", "json"],
-         {"ci_invariants.scan"}),
+         {"ci_invariants.scan", "ci_invariants.writer"}),
     ]
 
     def test_import_footprint(self):

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,7 @@ from ci_invariants import (
     scan_theorem,
     write_scans,
 )
-from ci_invariants import classify, topology
+from ci_invariants import classify, topology, writer
 from ci_invariants.cli import main
 
 MAX_N, MAX_DEGREE = 6, 3
@@ -262,6 +263,31 @@ def test_unknown_format_is_rejected_before_writing(count):
     with pytest.raises(ValueError, match="unknown output format 'xml'"):
         write_scans(reports, "xml", buffer)
     assert buffer.getvalue() == ""
+
+
+# Level l of the total degrees is built from level l - 1, so each level is
+# checked against the sums of its multisets.  At m = 40 level 8 would hold
+# 314 million sums, so that range stops at level 4 (123,410).
+@pytest.mark.parametrize("m, top_level", [(1, 8), (2, 8), (6, 8), (40, 4)])
+def test_total_degrees_are_the_sums_of_the_multisets(m, top_level):
+    degree_range = range(1, m + 1)
+    levels = list(writer._total_degrees(degree_range, top_level))
+    assert len(levels) == top_level + 1
+    for l, level in enumerate(levels):
+        assert list(level) == list(map(sum, writer._multisets(degree_range, l))), (m, l)
+
+
+def test_total_degrees_of_levels_0_and_1_hold_no_list():
+    # A list of the 999,999 degrees would take 8 MB, and its ints 28 MB.
+    tracemalloc.start()
+    try:
+        levels = writer._total_degrees(range(1, 1_000_000), 1)
+        total = sum(map(sum, levels))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total == 999_999 * 1_000_000 // 2
+    assert peak < 2**16, peak
 
 
 class _RecordingStream(io.TextIOBase):
