@@ -34,7 +34,7 @@ are in ``writer``; this module re-exports ``write_scans`` and
 from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, compress, islice, repeat
 from math import comb
 from operator import add, countOf, is_not, itemgetter, mul, sub
 from typing import Iterable, Iterator
@@ -47,7 +47,7 @@ from .classify import (
     _verdict_fields,
     lemma_classify,
 )
-from .topology import CIType, InternalCheckError, _chi_coefficients, compute_invariants
+from .topology import CIType, InternalCheckError, compute_invariants
 from .writer import LemmaRecord, _RECORD_TYPES, _blocks, _lemma_fields, _multisets, write_scans
 
 
@@ -175,12 +175,11 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     ``_verdict_fields``, the pipeline of ``theorem_verdict``, runs once on
     every type, in canonical order.  The table keeps one verdict per class
     (D, k), its fields (kind, p_X(i), p_F(i)) from the class's first type,
-    D in P^(k + |D|) or (1) in P^1, each distinct tuple stored once.  Every
-    later type of the class must have that verdict, which is invariant
-    under hyperplane sections; a type that differs is a violation.  A class
-    fails when one of its types differs or raises InternalCheckError
-    (recorded as a violation), and each of its types is then the record
-    ``Verdict(ci, None)``.
+    D in P^(k + |D|) or (1) in P^1.  Every later type of the class must
+    have that verdict, which is invariant under hyperplane sections; a type
+    that differs is a violation.  A class fails when one of its types
+    differs or raises InternalCheckError (recorded as a violation), and each
+    of its types is then the record ``Verdict(ci, None)``.
 
     The pipeline is mapped at C level over each (n, l) block's plain
     (n, degrees) pairs; only the types that reach the Poincare gate, and
@@ -208,7 +207,6 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
     not_rc, normal = VerdictKind.NOT_RATIONALLY_CONNECTED, VerdictKind.NORMAL_BUNDLE_OBSTRUCTION
     table: list[list[tuple]] = [[] for _ in range(max_n + 1)]
     beyond = _NOT_RC_FIELDS  # the fields of every class with d > n
-    shared = {beyond: beyond}  # one stored tuple per distinct fields
     failed = (None, None, None)  # the fields of a failed class
     violations: list[str] = []
 
@@ -267,13 +265,14 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
             except InternalCheckError as exc:
                 violations.append(str(exc))
                 row.append(failed)
-        new = zip(count(known), islice(_multisets(degree_range, l), known, None),
+        # The new classes' D have no 1; the row was empty only in the (k, 0)
+        # blocks and in the point's (1, 1) block, whose classes all are new.
+        new = zip(_multisets(range(2 if known else 1, max_degree + 1), l),
                   islice(row, known, None))
         if 2 * l > n:  # d > n past the first new class: the d > n fields pass
             new = compress(new, chain((True,), map(is_not, islice(row, known + 1, None),
                                                    repeat(beyond))))
-        for i, degrees, got in new:
-            row[i] = got = shared.setdefault(got, got)
+        for degrees, got in new:
             check(tuple.__new__(CIType, (n, degrees)), got[0])
     return _scan_report("theorem", max_n, max_degree, table, violations)
 
@@ -300,8 +299,7 @@ def _levels(max_n: int, max_degree: int) -> Iterator:
     of the D of length l in P^(k + l), D in lexicographic order.  Only a
     level and its parent are held, as lists of the ints the table keeps;
     the last level's one column is lazy."""
-    chi = enumerate(_chi_coefficients((), range(1, max_n + 2)))
-    columns = [[k + 1 - c if k % 2 else c - k] for k, c in chi]
+    columns = [[1 - k % 2] for k in range(max_n + 1)]  # b_k(P^k)
     yield 0, columns
     top, degrees = max_degree + 1, [2]  # () has a child of each degree >= 2
     for l in range(1, max_n + 1):

@@ -11,13 +11,11 @@ function (Topological Methods in Algebraic Geometry, section 22)
 which expands with one first-order integer recurrence per degree, in
 O(k * l) exact steps.  Degree-1 entries only shift n, so one run of the
 recurrence for the degrees >= 2 gives chi at every k up to its length.
-That run is one generator, ``_chi_coefficients``, which divides a series by
-1 + (d - 1) z for each degree d, yields the coefficients one at a time and
-holds one running value per degree: ``euler_characteristic`` divides
-(1 - z)^-2 by every factor and keeps the last value, and the lemma scan
-takes the row of () from it.  The tests compare both with the
-coefficient of H^n in (1 + H)^(n+1) * prod_i (d_i H / (1 + d_i H)), an
-independent route kept in ``tests/reference.py``, outside the package.
+``euler_characteristic`` runs it as one loop that divides (1 - z)^-2 by
+1 + (d - 1) z for each degree d and holds one running value per degree.
+The tests compare it with the coefficient of H^n in (1 + H)^(n+1) *
+prod_i (d_i H / (1 + d_i H)), an independent route kept in
+``tests/reference.py``, outside the package.
 
 Every Betti number except the middle one is forced by the Lefschetz
 hyperplane theorem together with Poincare duality: rank 1 in each even
@@ -38,7 +36,7 @@ Horner's rule, in ``tests/reference.py``, as the independent route.
 from __future__ import annotations
 
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 from typing import Iterable, Iterator
 
 
@@ -125,33 +123,23 @@ def _reduced(ci: CIType) -> tuple[int, ...]:
     return ci.degrees[ci.degrees.count(1):]
 
 
-def _chi_coefficients(reduced: tuple[int, ...], series: Iterable[int]) -> Iterator[int]:
-    """The coefficients of S(z) * prod_{d in reduced} 1 / (1 + (d - 1) z),
-    one at a time, where ``series`` holds those of S: range(1, k + 2) for
-    (1 - z)^-2.  Each coefficient of S goes through every division by
-    1 + r z in turn, c <- c - r c', where c' is that division's previous
-    output; those outputs, one per entry of ``reduced``, are the only state
-    held."""
-    ratios = [d - 1 for d in reduced]
-    outputs = [0] * len(ratios)
-    for c in series:
-        for f, r in enumerate(ratios):
-            c -= r * outputs[f]
-            outputs[f] = c
-        yield c
-
-
 def euler_characteristic(ci: CIType) -> int:
     """Euler characteristic of a nonsingular complete intersection of the
     given type; the ambient space itself gives n + 1.
 
-    chi = prod(d_i) * [z^k] (1 - z)^-2 * prod_{d_i >= 2} 1 / (1 + (d_i - 1) z):
-    the last coefficient of ``_chi_coefficients``, so the memory held is one
-    running value per degree >= 2.  Degree-1 entries only shift n, so they
-    skip the recurrence.
+    chi = prod(d_i) * [z^k] (1 - z)^-2 * prod_{d_i >= 2} 1 / (1 + (d_i - 1) z).
+    Each coefficient 1 .. k + 1 of (1 - z)^-2 goes through every division
+    by 1 + r z in turn, c <- c - r c', where c' is that division's previous
+    output; those outputs, one per degree >= 2, are the only state held.
+    Degree-1 entries only shift n, so they skip the recurrence.
     """
-    coeffs = _chi_coefficients(_reduced(ci), range(1, ci.dimension + 2))
-    return math.prod(ci.degrees) * deque(coeffs, maxlen=1)[0]
+    ratios = [d - 1 for d in _reduced(ci)]
+    outputs = [0] * len(ratios)
+    for c in range(1, ci.dimension + 2):
+        for f, r in enumerate(ratios):
+            c -= r * outputs[f]
+            outputs[f] = c
+    return math.prod(ci.degrees) * c
 
 
 def chi22(k: int) -> int:
@@ -160,24 +148,27 @@ def chi22(k: int) -> int:
 
         sum_{i=0}^{k} 2^(k+2-i) (-1)^(k-i) (k+1-i) C(k+3, i),
 
-    checked on every call against the closed form (k+2)(1 + (-1)^k).
-
-    Since 2^(k+2-i) (-1)^(k-i) = 4 (-2)^(k-i), the sum is 4 times a
-    polynomial in -2, evaluated by Horner's rule, with C(k+3, i) carried
-    from one term to the next."""
+    checked on every call against the closed form (k+2)(1 + (-1)^k)."""
     if k < 0:
         raise ValueError(f"dimension must be >= 0, got {k}")
-    total, binomial = 0, 1
-    for i in range(k + 1):
-        total = -2 * total + (k + 1 - i) * binomial
-        binomial = binomial * (k + 3 - i) // (i + 1)
-    total *= 4
+    total = _chi22_sum(k)
     closed = ((-1) ** k) * ((k + 2) + ((-1) ** k) * (k + 2))
     if total != closed:
         raise InternalCheckError(
             f"binomial sum {total} != closed form {closed} at k={k}"
         )
     return total
+
+
+def _chi22_sum(k: int) -> int:
+    """The binomial sum of ``chi22``.  Since 2^(k+2-i) (-1)^(k-i) =
+    4 (-2)^(k-i), it is 4 times a polynomial in -2, evaluated by Horner's
+    rule, with C(k+3, i) carried from one term to the next."""
+    total, binomial = 0, 1
+    for i in range(k + 1):
+        total = -2 * total + (k + 1 - i) * binomial
+        binomial = binomial * (k + 3 - i) // (i + 1)
+    return 4 * total
 
 
 def verify_expansion_identities(max_k: int) -> Iterator[bool]:

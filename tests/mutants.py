@@ -50,6 +50,17 @@ MUTANTS = [
     Mutant("non-homogeneous survivor passes", "src/ci_invariants/classify.py",
            "        if p_x.is_zero or p_f.is_zero:\n", "        if False:\n",
            ("tests/test_classify.py::TestNonHomogeneousSurvivor",)),
+    Mutant("lemma_classify without its shape-vs-vanishing check", "src/ci_invariants/classify.py",
+           "    if (case is not LemmaCase.NONVANISHING) != vanishes:\n", "    if False:\n",
+           ("tests/test_classify.py::TestScanLemma"
+            "::test_vanishing_excluded_shape_is_a_violation",)),
+    Mutant("no non-homogeneous survivor check", "src/ci_invariants/scan.py",
+           "        if passed and not homogeneous:\n", "        if False:\n",
+           ("tests/test_classify.py::TestScanTheorem::test_wrong_verdicts_are_violations",)),
+    Mutant("no homogeneous-failure check", "src/ci_invariants/scan.py",
+           "        if rc and ci.dimension >= 2 and homogeneous and not passed:\n",
+           "        if False:\n",
+           ("tests/test_classify.py::TestScanTheorem::test_wrong_verdicts_are_violations",)),
     Mutant("no dimension <= 1 catalog check", "src/ci_invariants/scan.py",
            "        if rc and ci.dimension <= 1 and not homogeneous:\n", "        if False:\n",
            ("tests/test_classify.py::TestDimensionLeq1Catalog"
@@ -117,6 +128,11 @@ MUTANTS = [
     Mutant("lemma row check without 2 at k = 2 mod 4", "src/ci_invariants/scan.py",
            "or k % 4 == 2 and 2 in islice(row, lo, stop)", "or False",
            ("tests/test_classify.py::TestScanLemma::test_vanishing_at_k_2_mod_4_is_a_violation",)),
+    Mutant("lemma scan without its excluded-shape check", "src/ci_invariants/scan.py",
+           "                if value is not None and value.is_zero"
+           " and not _is_homogeneous_shape(ci):\n",
+           "                if False:\n",
+           ("tests/test_classify.py::TestScanLemma::test_vanishing_at_k_2_mod_4_is_a_violation",)),
     Mutant("leaf level without its b_k check", "src/ci_invariants/scan.py",
            "            if (min(islice(row, lo, stop)",
            "            if l < max_n and (min(islice(row, lo, stop)",
@@ -141,6 +157,9 @@ MUTANTS = [
     Mutant("Euler recurrence without its running values", "src/ci_invariants/topology.py",
            "            outputs[f] = c\n", "",
            ("tests/test_topology.py",)),
+    Mutant("chi22 without its closed-form check", "src/ci_invariants/topology.py",
+           "    if total != closed:\n", "    if False:\n",
+           ("tests/test_topology.py::TestChi22::test_wrong_sum_is_an_internal_check_error",)),
     Mutant("poincare without b_k", "src/ci_invariants/topology.py",
            "        coeffs[k] = self.middle_betti\n", "",
            ("tests/test_topology.py",)),

@@ -615,22 +615,16 @@ class TestScanLemma:
 
     def test_one_euler_characteristic_per_class(self, monkeypatch):
         # A class is a reduced type: its degrees >= 2 and its dimension k.
-        # The scan walks the reduced multisets D by levels |D| = l: one
-        # series division gives the columns of D = (), the series (1 - z)^-2
-        # of length 13 divided by nothing, and each later column (l, k) is
-        # one step from the parent level's column k, which lists the
-        # C(l + 3, 4) multisets of length l - 1.  The checks run over each
-        # column at C level, so ``compute_invariants`` runs only on the
+        # The scan walks the reduced multisets D by levels |D| = l: the
+        # columns of D = () are b_k(P^k) = 1 - k mod 2, and each later
+        # column (l, k) is one step from the parent level's column k, which
+        # lists the C(l + 3, 4) multisets of length l - 1.  The checks run
+        # over each column at C level, so ``compute_invariants`` runs only on the
         # classes of D = () and D = (2), which can vanish, in class order
         # (|D|, D, k).
-        real_division, real_step = scan._chi_coefficients, scan._level_column
+        real_step = scan._level_column
         real_checks, real_chi = scan.compute_invariants, topology.euler_characteristic
-        divisions, steps, checks, single = [], [], [], []
-
-        def counting_division(reduced, series):
-            series = list(series)
-            divisions.append((reduced, len(series)))
-            return real_division(reduced, series)
+        steps, checks, single = [], [], []
 
         def counting_step(parent, counts, degrees, previous, k):
             steps.append((len(parent), k))
@@ -644,13 +638,11 @@ class TestScanLemma:
             single.append(ci)
             return real_chi(ci)
 
-        monkeypatch.setattr(scan, "_chi_coefficients", counting_division)
         monkeypatch.setattr(scan, "_level_column", counting_step)
         monkeypatch.setattr(scan, "compute_invariants", counting_checks)
         monkeypatch.setattr(topology, "euler_characteristic", counting_chi)
         report = scan_lemma(12, 6)
         assert report.ok and report.types == 50387
-        assert divisions == [((), 13)]
         assert steps == [(comb(l + 3, 4), k) for l in range(1, 13) for k in range(13 - l)]
         assert len(steps) == 78
         # The point is (1) in P^1: its reduced type P^0 lies below n >= 1.

@@ -362,6 +362,12 @@ class TestChi22:
         with pytest.raises(ValueError):
             chi22(-1)
 
+    def test_wrong_sum_is_an_internal_check_error(self, monkeypatch):
+        real = topology._chi22_sum
+        monkeypatch.setattr(topology, "_chi22_sum", lambda k: real(k) + 1)
+        with pytest.raises(InternalCheckError, match=r"^binomial sum 5 != closed form 4 at k=0$"):
+            chi22(0)
+
 
 class TestExpansionIdentity:
     def test_k0_both_sides(self):
