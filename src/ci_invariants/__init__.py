@@ -27,7 +27,7 @@ _MODULES = {
     "fiber_type": "lines",
     "line_geometry": "lines",
     "LemmaCase": "classify",
-    "LemmaRecord": "scan",
+    "LemmaRecord": "writer",
     "ScanReport": "scan",
     "Verdict": "classify",
     "VerdictKind": "classify",
@@ -36,7 +36,7 @@ _MODULES = {
     "scan_lemma": "scan",
     "scan_theorem": "scan",
     "theorem_verdict": "classify",
-    "write_scans": "scan",
+    "write_scans": "writer",
 }
 
 __all__ = [*_MODULES, "__version__"]

@@ -264,7 +264,8 @@ def run_fiber(args) -> int:
 
 
 def run_scan(args) -> int:
-    from .scan import _check_scan, scan_lemma, scan_theorem, write_scans
+    from .scan import _check_scan, scan_lemma, scan_theorem
+    from .writer import write_scans
 
     # The size bound is checked and ``--out`` is opened before any scan
     # runs, so an oversized scan or an unwritable path fails at once and

@@ -13,22 +13,23 @@ of dimension k by |D|, then D, each as its verdict's fields or as its
 b_k, from which p(i) and the case follow.  The theorem scan maps the
 pipeline over each block's plain (n, degrees) pairs at C level, with no
 ``CIType`` per type, and checks each type's verdict against its class's,
-at C level for the types of known classes; of the new classes it walks
-only those whose checks can fail.  The lemma scan builds each level |D|'s
-column of b_k at each k from its parent level's with a few C-level maps,
-and checks it at C level in its slice of ``table[k]``; only the classes
-of () and (2), and of a D that fails a column, run the checks once per
-class.  Every type of a failed class is a failed record.  A
-``ScanReport`` is plain data; its table's layout is not a contract.  The
-second pass walks the (n, l) blocks, whose types are the classes with
-|D| <= l at k = n - l: a prefix of ``table[k]``.  It runs once to count
-the outcomes when the report is built, and again each time a scan is
-written or its records are read.  No check is re-run, so a scan's memory
-grows with its classes, not its types.
+at C level for the types of known classes.  It walks every new class of
+a block with 2l <= n, and of a block with 2l > n only those whose checks
+can fail.  The lemma scan builds each level |D|'s column of b_k at each
+k from its parent level's with a few C-level maps, and checks it at C
+level in its slice of ``table[k]``; only the classes of () and (2), and
+of a D that fails a column, run the checks once per class, and a class
+whose column fails is a failed one even if no check of its own fails.
+Every type of a failed class is a failed record.  A ``ScanReport`` is
+plain data; its table's layout is not a contract.  The second pass walks
+the (n, l) blocks, whose types are the classes with |D| <= l at
+k = n - l: a prefix of ``table[k]``.  It runs once to count the outcomes
+when the report is built, and again each time a scan is written or its
+records are read.  No check is re-run, so a scan's memory grows with its
+classes, not its types.
 
 The blocks, the records' fields and ``write_scans``, the one scan writer,
-are in ``writer``; this module re-exports ``write_scans`` and
-``LemmaRecord``.
+are in ``writer``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .classify import (
     lemma_classify,
 )
 from .topology import CIType, InternalCheckError, compute_invariants
-from .writer import LemmaRecord, _RECORD_TYPES, _blocks, _lemma_fields, _multisets, write_scans
+from .writer import _RECORD_TYPES, _blocks, _lemma_fields, _multisets
 
 
 def _check_bounds(max_n: int, max_degree: int) -> None:
@@ -325,9 +326,11 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     vanish.  The classes of () and (2), and of each D that fails a column,
     run the checks once per class, on its first type in scan order, D in
     P^(k + |D|) or (1) in P^1: one violation per failing check, naming that
-    type, in class order (|D|, D, k).  The table keeps each class's b_k,
-    which with k mod 4 fixes p(i) and the case past () and (2), or None for
-    a failed class."""
+    type, in class order (|D|, D, k).  A class (D, k) whose column fails is
+    a failed one even when no check of its own fails, with one violation
+    that names its first type.  The table keeps each class's b_k, which
+    with k mod 4 fixes p(i) and the case past () and (2), or None for a
+    failed class."""
     _check_scan(max_n, max_degree)
     # table[k] lists the D with |D| <= max_n - k by |D|, then D, so those
     # of length l fill the slice [C(l + m - 1, l - 1), C(l + m, l)) of
@@ -338,15 +341,18 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     for l, columns in _levels(max_n, max_degree):
         start, stop = stop, comb(l + max_degree - 1, max_degree - 1)
         lo = max(start, 2)  # past D = () and D = (2), which can vanish
-        failed = {start} if l < 2 else set()  # () and (2) run per class
+        # The slots that run per class, each with the k whose column it
+        # fails: () and (2), and each D that fails a column.
+        failed = {start: []} if l < 2 else {}
         for k, column in enumerate(columns):
             row = table[k]
             deque(map(row.__setitem__, range(start, stop), column), 0)
             if (min(islice(row, lo, stop), default=1) < 1 - k % 2  # b_k >= delta_k
                     or k % 2 and 0 in islice(row, lo, stop)  # p(i) = b_k i^k at odd k
                     or k % 4 == 2 and 2 in islice(row, lo, stop)):  # p(i) = 2 - b_k
-                failed.update(slot for slot in range(lo, stop)
-                              if row[slot] < 1 or k % 4 == 2 and row[slot] == 2)
+                for slot in range(lo, stop):
+                    if row[slot] < 1 or k % 4 == 2 and row[slot] == 2:
+                        failed.setdefault(slot, []).append(k)
         # One walk of the level's multisets finds each failing D.
         for slot, reduced in zip(range(start, max(failed, default=0) + 1),
                                  _multisets(range(2, max_degree + 1), l)):
@@ -364,9 +370,12 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
                     violations.append(str(exc))
                 # No type with an entry >= 3, or with two entries >= 2, may
                 # vanish: a vanishing p(i) needs a reduced type () or (2).
-                # Either violation makes the class a failed one.
+                # Any violation makes the class a failed one.
                 if value is not None and value.is_zero and not _is_homogeneous_shape(ci):
                     violations.append(f"excluded shape vanishes at i: {ci}")
+                    case = None
+                if case is not None and k in failed[slot]:  # no check named it
+                    violations.append(f"b_k = {b} fails its column check: {ci}")
                     case = None
                 if case is None:  # else the row keeps b_k
                     row[slot] = None

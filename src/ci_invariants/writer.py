@@ -20,8 +20,8 @@ the degree range, so beside its table a scan holds nothing that grows with
 max_degree.  Only ``ScanReport.records`` builds records, and no record
 renders itself.
 
-``scan`` imports this module and re-exports ``write_scans`` and
-``LemmaRecord``; this module imports nothing from ``scan`` at run time.
+``scan`` imports this module; this module imports nothing from ``scan``
+at run time.
 """
 
 from __future__ import annotations

@@ -737,6 +737,28 @@ class TestScanLemma:
         )
         assert report.counts["internal_check_failed"] == 2
 
+    def test_a_failed_column_check_fails_its_class(self, monkeypatch, plant_chi):
+        # b_2 = 0 < 1 on the cubic surface fails its column check.  With the
+        # b_k >= delta_k check of ``compute_invariants`` skipped, p(i) = 2 is
+        # nonvanishing and no per-class check names the class, which still
+        # fails: both of its types at 4/3 are failed records.
+        def unchecked(ci, chi):
+            k = ci.dimension
+            b = k + 1 - chi if k % 2 else chi - k
+            return topology.InvariantReport(ci, chi, b, topology._value_at_i(k, b))
+
+        surface = CIType(3, (3,))
+        monkeypatch.setattr(scan, "compute_invariants", unchecked)
+        plant_chi({((3,), 2): 2})  # b_2 = 2 - 2
+        report = scan_lemma(4, 3)
+        assert not report.ok
+        assert report.violations == (f"b_k = 0 fails its column check: {surface}",)
+        assert report.counts["internal_check_failed"] == 2
+        assert_counts_are_the_records_outcomes(report)
+        for ci in (surface, CIType(4, (1, 3))):
+            (rec,) = [rec for rec in report.records() if rec.ci == ci]
+            assert rec == LemmaRecord(ci, None, None, None)
+
 
 class _NullStream(io.TextIOBase):
     def write(self, text):
