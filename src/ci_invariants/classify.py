@@ -109,9 +109,7 @@ def theorem_verdict(ci: CIType, report: InvariantReport | None = None) -> Verdic
     one.  Anything else contradicts the classification and raises
     InternalCheckError; it must never happen.
     """
-    # The fields are always three, so the named tuple's Python-level
-    # __new__ is skipped.
-    return tuple.__new__(Verdict, (ci, *_verdict_fields(ci, report)))
+    return Verdict(ci, *_verdict_fields(ci, report))
 
 
 #: The fields (kind, p_X(i), p_F(i)) of every verdict of the two degree

@@ -7,9 +7,12 @@ arbitrary precision survives any consumer), and ``csv`` (fixed header row).
 Data goes to stdout (or ``--out`` for scans), diagnostics, the scan
 summary included, to stderr.
 
-``invariants``, ``classify`` and ``fiber`` each build their document once,
-as a list of fields (label, key, column, value) with every value computed,
-and ``_render`` is their one writer of all three formats.
+``invariants``, ``classify`` and ``fiber`` have one runner,
+``run_single_type``, and one parser entry each in ``build_parser``'s table,
+which names the command's document function.  That function builds the
+type's document once, as a list of fields (label, key, column, value) with
+every value computed, and ``_render`` is its one writer of all three
+formats.
 ``verify-identities`` writes its two formats by hand: its table lines are
 not ``label: value`` pairs.  A single-type document is rendered whole
 before it is written, so a failing command writes nothing to stdout; scan
@@ -185,17 +188,15 @@ def _warn(text: str) -> None:
         print(text, file=sys.stderr)
 
 
-def run_invariants(args) -> int:
-    report = compute_invariants(CIType(args.n, args.type))
-    _render(args.format, _invariant_fields(report, report.poincare))
-    return 0
+def _invariants_document(ci: CIType) -> list[tuple]:
+    report = compute_invariants(ci)
+    return _invariant_fields(report, report.poincare)
 
 
-def run_classify(args) -> int:
+def _classify_document(ci: CIType) -> list[tuple]:
     from .classify import VerdictKind, lemma_classify, theorem_verdict
 
     # The type's invariants are computed once and shared by every verdict below.
-    ci = CIType(args.n, args.type)
     report = compute_invariants(ci)
     verdict = theorem_verdict(ci, report)
     fields = [
@@ -224,12 +225,10 @@ def run_classify(args) -> int:
             (None, "f_vanishes", None, p_f.is_zero),
         ]
     fields.append((None, "parity", None, parity))
-    _render(args.format, fields)
-    return 0
+    return fields
 
 
-def run_fiber(args) -> int:
-    ci = CIType(args.n, args.type)
+def _fiber_document(ci: CIType) -> list[tuple]:
     geometry = line_geometry(ci)
     fields = [
         (None, None, "n", ci.ambient_dim),
@@ -241,25 +240,29 @@ def run_fiber(args) -> int:
          geometry.rationally_connected),
     ]
     if geometry.fiber_dim < 0:
-        fields += [
+        return fields + [
             ("fiber type", None, None, "none (fiber dimension is negative)"),
             (None, None, "fiber_degrees", None),
             (None, None, "fiber_euler", None),
             (None, None, "fiber_middle_betti", None),
             (None, "fiber", None, None),
         ]
-    else:
-        report = compute_invariants(fiber_type(ci))
-        poincare = report.poincare
-        fields += [
-            ("fiber type", None, "fiber_degrees", report.ci),
-            ("fiber euler characteristic", None, "fiber_euler", report.euler_char),
-            ("fiber middle Betti number", None, "fiber_middle_betti", report.middle_betti),
-            ("fiber Poincare polynomial", None, None, poincare),
-            ("fiber value at i", None, None, report.value_at_i),
-            (None, "fiber", None, _invariant_fields(report, poincare)),
-        ]
-    _render(args.format, fields)
+    report = compute_invariants(fiber_type(ci))
+    poincare = report.poincare
+    return fields + [
+        ("fiber type", None, "fiber_degrees", report.ci),
+        ("fiber euler characteristic", None, "fiber_euler", report.euler_char),
+        ("fiber middle Betti number", None, "fiber_middle_betti", report.middle_betti),
+        ("fiber Poincare polynomial", None, None, poincare),
+        ("fiber value at i", None, None, report.value_at_i),
+        (None, "fiber", None, _invariant_fields(report, poincare)),
+    ]
+
+
+def run_single_type(args) -> int:
+    """Run ``invariants``, ``classify`` or ``fiber``: render the document
+    of the type (--n, --type) that ``args.document`` builds."""
+    _render(args.format, args.document(CIType(args.n, args.type)))
     return 0
 
 
@@ -271,17 +274,14 @@ def run_scan(args) -> int:
     # runs, so an oversized scan or an unwritable path fails at once and
     # creates no file; the summary is a diagnostic and goes to stderr.
     _check_scan(args.max_n, args.max_degree)
-    out_stream = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    with (open(args.out, "w", newline="") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out_stream:
         reports = []
         if args.which in ("theorem", "both"):
             reports.append(scan_theorem(args.max_n, args.max_degree))
         if args.which in ("lemma", "both"):
             reports.append(scan_lemma(args.max_n, args.max_degree))
         write_scans(reports, args.format, out_stream)
-    finally:
-        if args.out:
-            out_stream.close()
 
     if not args.quiet:
         for report in reports:
@@ -330,7 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_type_args(p):
+    for name, help_text, document in (
+            ("invariants", "Euler characteristic, middle Betti number, Poincare "
+             "polynomial, value at i", _invariants_document),
+            ("classify", "obstruction-pipeline verdict for one type", _classify_document),
+            ("fiber", "line geometry and the fiber of lines through a general "
+             "point", _fiber_document)):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--n", type=_bounded_int(0, MAX_N), required=True,
                        help=f"ambient projective dimension, at most {MAX_N}")
         p.add_argument("--type", type=_type_spec, default=(),
@@ -338,21 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "the ambient space itself")
         p.add_argument("--format", choices=["table", "json", "csv"],
                        default="table")
-
-    p_inv = sub.add_parser("invariants", help="Euler characteristic, middle "
-                           "Betti number, Poincare polynomial, value at i")
-    add_type_args(p_inv)
-    p_inv.set_defaults(func=run_invariants)
-
-    p_cls = sub.add_parser("classify", help="obstruction-pipeline verdict "
-                           "for one type")
-    add_type_args(p_cls)
-    p_cls.set_defaults(func=run_classify)
-
-    p_fib = sub.add_parser("fiber", help="line geometry and the fiber of "
-                           "lines through a general point")
-    add_type_args(p_fib)
-    p_fib.set_defaults(func=run_fiber)
+        p.set_defaults(func=run_single_type, document=document)
 
     p_scan = sub.add_parser("scan", help="exhaustively classify all types "
                             "within bounds and re-verify the classification")

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from collections import Counter, deque, namedtuple
 from itertools import chain, compress, islice, repeat
-from math import comb
 from operator import add, countOf, is_not, itemgetter, mul, sub
 from typing import Iterable, Iterator
 
@@ -49,7 +48,7 @@ from .classify import (
     lemma_classify,
 )
 from .topology import CIType, InternalCheckError, compute_invariants
-from .writer import _RECORD_TYPES, _blocks, _lemma_fields, _multisets
+from .writer import _RECORD_TYPES, _blocks, _classes, _lemma_fields, _multisets
 
 
 def _check_bounds(max_n: int, max_degree: int) -> None:
@@ -243,9 +242,10 @@ def scan_theorem(max_n: int, max_degree: int) -> ScanReport:
                 fields.extend(map(_verdict_fields, islice(pairs, known - len(fields))))
             except InternalCheckError as exc:
                 fields.append(exc)
-        # Only a violation fails a class, so with none yet an equal prefix
-        # agrees with its classes type by type: the hot path.
-        if violations or fields != row:
+        # A row holds no exception and the pipeline never gives the failed
+        # fields, so an equal prefix agrees with its classes, none of them
+        # failed, type by type: the hot path.
+        if fields != row:
             types = _block_types(n, l, degree_range)
             for i, ci, got in zip(range(known), types, fields):
                 if isinstance(got, InternalCheckError):
@@ -332,14 +332,14 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
     with k mod 4 fixes p(i) and the case past () and (2), or None for a
     failed class."""
     _check_scan(max_n, max_degree)
-    # table[k] lists the D with |D| <= max_n - k by |D|, then D, so those
-    # of length l fill the slice [C(l + m - 1, l - 1), C(l + m, l)) of
-    # every row, with m = max_degree - 1.
-    table = [[None] * comb(max_n - k + max_degree - 1, max_n - k) for k in range(max_n + 1)]
+    # table[k] lists the _classes(max_n - k, max_degree) D with
+    # |D| <= max_n - k by |D|, then D, so those of length l fill the slice
+    # [_classes(l - 1, max_degree), _classes(l, max_degree)) of every row.
+    table = [[None] * _classes(max_n - k, max_degree) for k in range(max_n + 1)]
     violations = []
     stop = 0
     for l, columns in _levels(max_n, max_degree):
-        start, stop = stop, comb(l + max_degree - 1, max_degree - 1)
+        start, stop = stop, _classes(l, max_degree)
         lo = max(start, 2)  # past D = () and D = (2), which can vanish
         # The slots that run per class, each with the k whose column it
         # fails: () and (2), and each D that fails a column.
@@ -347,8 +347,7 @@ def scan_lemma(max_n: int, max_degree: int) -> ScanReport:
         for k, column in enumerate(columns):
             row = table[k]
             deque(map(row.__setitem__, range(start, stop), column), 0)
-            if (min(islice(row, lo, stop), default=1) < 1 - k % 2  # b_k >= delta_k
-                    or k % 2 and 0 in islice(row, lo, stop)  # p(i) = b_k i^k at odd k
+            if (min(islice(row, lo, stop), default=1) < 1  # b_k >= delta_k, not 0 at odd k
                     or k % 4 == 2 and 2 in islice(row, lo, stop)):  # p(i) = 2 - b_k
                 for slot in range(lo, stop):
                     if row[slot] < 1 or k % 4 == 2 and row[slot] == 2:

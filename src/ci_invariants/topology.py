@@ -152,7 +152,7 @@ def chi22(k: int) -> int:
     if k < 0:
         raise ValueError(f"dimension must be >= 0, got {k}")
     total = _chi22_sum(k)
-    closed = ((-1) ** k) * ((k + 2) + ((-1) ** k) * (k + 2))
+    closed = (k + 2) * (1 + (-1) ** k)
     if total != closed:
         raise InternalCheckError(
             f"binomial sum {total} != closed form {closed} at k={k}"

@@ -2,8 +2,9 @@
 documents.
 
 A scan's ``table[k]`` lists the classes of dimension k by |D|, then D; the
-(n, l) block reads a prefix of it (``_blocks``), and a lemma class's fields
-are rebuilt from k and b_k (``_lemma_fields``).
+(n, l) block reads its first ``_classes(l, max_degree)`` entries
+(``_blocks``), and a lemma class's fields are rebuilt from k and b_k
+(``_lemma_fields``).
 
 ``write_scans`` fills a row template's n and k once per block and joins
 each row, at C level, from constant pieces, the degree list, the total
@@ -12,13 +13,13 @@ degree and the text of the row's fields, in exactly the layout of
 of ``_CHUNK_ROWS`` = 128, one ``write`` per chunk, not one per row.  Each
 distinct theorem fields tuple is rendered once per report; a lemma row
 past D = () and D = (2) cannot vanish, so its text is one template per
-k mod 4, filled from b_k at C level.  A theorem row's total degree is read
-off its level's sums, each level built from the one before at C level
-(``_total_degrees``), with no ``sum`` per row.  Degree multisets of size 0
-and 1, and levels 0 and 1 of the sums, are walked with no pool or list of
-the degree range, so beside its table a scan holds nothing that grows with
-max_degree.  Only ``ScanReport.records`` builds records, and no record
-renders itself.
+k mod 4, rendered once from its p(i), ``_value_at_i``, and filled from b_k
+at C level.  A theorem row's total degree is read off its level's sums,
+each level built from the one before at C level (``_total_degrees``),
+with no ``sum`` per row.  Degree multisets of size 0 and 1, and levels 0
+and 1 of the sums, are walked with no pool or list of the degree range, so
+beside its table a scan holds nothing that grows with max_degree.  Only
+``ScanReport.records`` builds records, and no record renders itself.
 
 ``scan`` imports this module; this module imports nothing from ``scan``
 at run time.
@@ -52,11 +53,18 @@ def _blocks(max_n: int, max_degree: int, table: list) -> Iterator:
     """A block lists its types with m leading 1s, for m = l down to 0, each
     m in the order of their reduced multisets D: so its classes are the D
     with |D| <= l at k = n - l, by |D|, then D, which are the first
-    C(l + max_degree - 1, l) entries of ``table[k]``.  Each block is one
+    ``_classes(l, max_degree)`` entries of ``table[k]``.  Each block is one
     (n, l, (row, size)); the first two classes are D = () and D = (2)."""
     for n in range(1, max_n + 1):
         for l in range(n + 1):
-            yield n, l, (table[n - l], comb(l + max_degree - 1, l))
+            yield n, l, (table[n - l], _classes(l, max_degree))
+
+
+def _classes(l: int, max_degree: int) -> int:
+    """The number of classes (D, k) at one k with |D| <= l, D of degrees in
+    [2, max_degree]: C(l + max_degree - 1, l), the multisets of at most l
+    of those max_degree - 1 degrees."""
+    return comb(l + max_degree - 1, l)
 
 
 def _class_fields(k: int, b: int | None, reduced: tuple[int, ...] | None) -> tuple:
@@ -147,25 +155,6 @@ _FIELD_TEMPLATES = {
 }
 
 
-#: p(i) of a nonvanishing class by k mod 4, as a template for b_k (for
-#: 2 - b_k when k = 2 mod 4): the text of its ``GaussianInteger`` and its
-#: JSON (re, im).  Such a class has b_k != 0 for odd k and b_k != 2 for
-#: k = 2 mod 4, so these equal the renderings of that ``GaussianInteger``.
-_TAIL_VALUE_TEXT = ("%d+0i", "0+%di", "%d+0i", "0-%di")
-_TAIL_VALUE_JSON = (("%d", "0"), ("0", "%d"), ("%d", "0"), ("0", "-%d"))
-
-
-def _tail_templates(fmt: str) -> tuple[str, ...]:
-    """The fields of a nonvanishing lemma class in ``fmt`` by k mod 4, as a
-    template for (b_k, b_k), or (b_k, 2 - b_k) when k = 2 mod 4."""
-    if fmt == "json":
-        betti, values = '"%d"', [_GAUSS_JSON % pair for pair in _TAIL_VALUE_JSON]
-    else:
-        betti, values = "%d", _TAIL_VALUE_TEXT
-    return tuple(_FIELD_TEMPLATES["lemma"][fmt] % (betti, value, LemmaCase.NONVANISHING.value)
-                 for value in values)
-
-
 def _json_value(value: int | GaussianInteger | None) -> str:
     if value is None:
         return "null"
@@ -191,6 +180,17 @@ def _field_renderer(kind: str, fmt: str):
     value, out = (_json_value if fmt == "json" else _text), _OUTCOME_TEXT.__getitem__
     cells = (out, value, value) if kind == "theorem" else (value, value, out)
     return lambda fields: template % tuple(map(call, cells, fields))
+
+
+def _tail_templates(fmt: str) -> tuple[str, ...]:
+    """The fields of a nonvanishing lemma class in ``fmt`` by k mod 4, as a
+    template for (b_k, b_k), or (b_k, 2 - b_k) when k = 2 mod 4: the class
+    rendered at a b whose text occurs nowhere else, with the texts of 2 - b
+    and b made slots.  Filled with a b_k >= 1, as the scan checks, it is the
+    text of the class's fields."""
+    render, b = _field_renderer("lemma", fmt), 10**30 + 7
+    return tuple(render((b, _value_at_i(k, b), LemmaCase.NONVANISHING)).replace(
+        str(2 - b), "%d").replace(str(b), "%d") for k in range(4))
 
 
 def _lemma_block(render, tails: tuple[str, ...], k: int,
@@ -280,7 +280,7 @@ def write_scans(reports: Sequence[ScanReport], fmt: str, stream: TextIO) -> None
         render = _field_renderer(report.kind, fmt)
         degree_range = range(1, report.max_degree + 1)
         theorem = report.kind == "theorem"
-        if theorem:  # the first pass stored each distinct tuple once
+        if theorem:  # the set renders each distinct tuple once
             texts = {fields: render(fields) for fields in set(chain.from_iterable(report.table))}
             sums = chain.from_iterable(map(_total_degrees, repeat(degree_range),
                                            range(1, report.max_n + 1)))

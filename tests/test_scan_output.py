@@ -265,6 +265,18 @@ def test_unknown_format_is_rejected_before_writing(count):
     assert buffer.getvalue() == ""
 
 
+# A lemma row past D = () and D = (2) is a template per k mod 4, filled
+# from b_k; it must be the text of the class's fields, with p(i) computed.
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_lemma_tail_templates_render_the_class_fields(fmt):
+    templates, render = writer._tail_templates(fmt), writer._field_renderer("lemma", fmt)
+    assert [template.count("%") for template in templates] == [2] * 4
+    for k in range(8):
+        for b in (1, 3, 10**60 + 1):
+            fields = (b, topology._value_at_i(k, b), classify.LemmaCase.NONVANISHING)
+            assert templates[k % 4] % (b, 2 - b if k % 4 == 2 else b) == render(fields), (k, b)
+
+
 # Level l of the total degrees is built from level l - 1, so each level is
 # checked against the sums of its multisets.  At m = 40 level 8 would hold
 # 314 million sums, so that range stops at level 4 (123,410).
